@@ -17,7 +17,8 @@ from .d2d import (D2DConfig, Thm28Calibration, d2d_sigma_thm9, d2d_sigma_thm28,
                   d2d_train, d2d_unlearn)
 from .data import SyntheticSpec, load_dataset, make_synthetic, save_dataset
 from .errors import (BudgetUnreachable, CapOverflow, CertUnlearnError, ConfigError,
-                     DatasetFormatError, InfeasibleBudget, NoFeasibleSigma)
+                     DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
+                     VacuousBound)
 from .estimators import D2DClassifier, NoisyGDClassifier
 from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
                          evaluate, logistic_objective, multiclass_objective,
@@ -32,8 +33,9 @@ __all__ = [
     "InfeasibleBudget", "InitSpec", "LsiTrace", "NoFeasibleSigma",
     "NoiseSchedule", "NoisyGDClassifier", "Objective", "PRESETS", "Preset",
     "ProblemConstants", "Regime", "RenyiBound", "SyntheticSpec",
-    "Thm28Calibration", "UnlearningRequest", "adjacency_bound_unbiased",
-    "apply_request", "binary_search_sigma", "clip_to_norm", "converted_epsilon",
+    "Thm28Calibration", "UnlearningRequest", "VacuousBound",
+    "adjacency_bound_unbiased", "apply_request", "binary_search_sigma",
+    "clip_to_norm", "converted_epsilon",
     "d2d_sigma_thm28", "d2d_sigma_thm9", "d2d_train", "d2d_unlearn",
     "default_c0", "evaluate", "find_min_k", "get_preset", "learn_epsilon0",
     "load_dataset", "logistic_objective", "lsi_cap", "lsi_unlearn_trace",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import (NoiseSchedule, ProblemConstants, Regime, default_c0,
                         validate_schedule)
-from .errors import CapOverflow
+from .errors import CapOverflow, VacuousBound
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -37,6 +37,11 @@ _ALPHA_GRID_POINTS = 2000
 _ALPHA_MIN_OFFSET = 1e-6        # grid starts at alpha = 1 + 1e-6
 _ALPHA_MAX = 1e6
 _REFINE_REL_TOL = 1e-10
+
+# the orders every conversion probes first; shared, so read-only
+ALPHA_GRID = 1.0 + np.logspace(math.log10(_ALPHA_MIN_OFFSET),
+                               math.log10(_ALPHA_MAX - 1.0), _ALPHA_GRID_POINTS)
+ALPHA_GRID.flags.writeable = False
 
 # fixed-point iteration guard for converged-training bounds
 _MAX_FIXED_POINT_ITERS = 2_000_000
@@ -279,17 +284,32 @@ def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
     """Convert a Renyi curve to an (eps, delta) guarantee.
 
     Minimizes eps(alpha) + log(1/delta)/(alpha - 1) over alpha > 1: a dense
-    log grid followed by golden-section refinement of the bracketing
-    interval. Returns (eps, minimizing alpha); the result never exceeds the
-    objective at any probed alpha.
+    log grid (`ALPHA_GRID`) followed by golden-section refinement of the
+    bracketing interval. Returns (eps, minimizing alpha); the result never
+    exceeds the objective at any probed alpha. Raises VacuousBound when the
+    curve is infinite at every grid order, and ValueError when it is nan.
+    """
+    return _optimize_order(bound(ALPHA_GRID), bound, delta)
+
+
+def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
+                    delta: float) -> tuple[float, float]:
+    """rdp_to_dp given the curve's values on ALPHA_GRID and the curve at one order.
+
+    Callers that can evaluate the whole grid more cheaply than order by order
+    pass its values in; `curve` serves the golden-section probes. Neither may
+    hold nan: +inf marks an order at which the curve is vacuous.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     log_inv_delta = math.log(1.0 / delta)
 
-    grid = 1.0 + np.logspace(math.log10(_ALPHA_MIN_OFFSET),
-                             math.log10(_ALPHA_MAX - 1.0), _ALPHA_GRID_POINTS)
-    obj = np.asarray(bound(grid)) + log_inv_delta / (grid - 1.0)
+    grid = ALPHA_GRID
+    obj = np.asarray(on_grid) + log_inv_delta / (grid - 1.0)
+    if np.isnan(obj).any():
+        raise ValueError("Renyi curve is nan at some order; +inf marks a vacuous order")
+    if not np.isfinite(obj).any():
+        raise VacuousBound()
     i = int(np.argmin(obj))
     best_eps, best_alpha = float(obj[i]), float(grid[i])
 
@@ -299,7 +319,7 @@ def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
     probes = []
 
     def f(a: float) -> float:
-        v = bound(a) + log_inv_delta / (a - 1.0)
+        v = curve(a) + log_inv_delta / (a - 1.0)
         probes.append((v, a))
         return v
 

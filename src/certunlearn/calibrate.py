@@ -7,12 +7,12 @@ fits a step budget, and how do sequential removal requests compose.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (RenyiBound, learn_epsilon0, lsi_unlearn_trace, rdp_to_dp,
-                         unlearn_epsilon, unlearn_rate)
+from .accountant import (ALPHA_GRID, _optimize_order, learn_epsilon0, lsi_unlearn_trace,
+                         rdp_to_dp, unlearn_epsilon, unlearn_rate)
 from .constants import INFINITE, NoiseSchedule, ProblemConstants, Regime, default_c0
 from .errors import BudgetUnreachable, NoFeasibleSigma
 
@@ -49,14 +49,23 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     def ok(k: int) -> bool:
         return converted_epsilon(pc, ns, regime, S, k, delta, C0=C0) <= eps_hat
 
+    k = _least_k(ok, k_max)
+    if k is None:
+        raise BudgetUnreachable(eps_hat, k_max,
+                                best=converted_epsilon(pc, ns, regime, S, k_max, delta, C0=C0))
+    return k
+
+
+def _least_k(ok: Callable[[int], bool], k_max: int) -> int | None:
+    """Least k in [0, k_max] with ok(k), for an ok that fails below some k and
+    holds from it on: galloping doubling, then bisection. None when even
+    ok(k_max) fails."""
     if ok(0):
         return 0
-    lo, hi = 0, 1
+    lo, hi = 0, min(1, k_max)
     while not ok(hi):
         if hi >= k_max:
-            raise BudgetUnreachable(eps_hat, k_max,
-                                    best=converted_epsilon(pc, ns, regime, S, k_max,
-                                                           delta, C0=C0))
+            return None
         lo, hi = hi, min(2 * hi, k_max)
     while hi - lo > 1:  # lo fails, hi passes
         mid = (lo + hi) // 2
@@ -112,6 +121,100 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     return hi
 
 
+def _level(factor, a, slope: float, prev):
+    """One request's Renyi loss at order a (scalar or ndarray).
+
+    `factor` is the request's decay exp(-decay/a) and `prev` the previous
+    request's loss at order 2a, chained with this request's own learning
+    loss at 2a by the weak triangle inequality (None for the first request).
+    """
+    if prev is None:
+        return factor * slope * a
+    return factor * ((a - 0.5) / (a - 1.0)) * (slope * 2.0 * a + prev)
+
+
+def _level_on(alpha: np.ndarray, slope: float, decay: float, prev) -> np.ndarray:
+    """_level over an array of orders. An order whose unrolled orders
+    overflow float64 (inf/inf weights, 0*inf) gives +inf: vacuous there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _level(np.exp(-decay / alpha), alpha, slope, prev)
+    out[np.isnan(out)] = np.inf
+    return out
+
+
+class _Stream:
+    """The per-request constants of a removal stream, each computed once.
+
+    Holds the learning slope (one learn_epsilon0 call per distinct batch
+    size) and the decay sum of every admitted request, and threads the
+    starting LSI constant of convex and non-convex chains from one request
+    to the next. The loss after request i needs the loss after request i-1
+    at twice the order, so request j of i is evaluated at alpha*2^(i-j).
+    """
+
+    def __init__(self, sigma: float, pc: ProblemConstants, regime: Regime,
+                 eta: float | None, C0: float | None):
+        self.pc, self.regime = pc, regime
+        self.ns = NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma,
+                                T=INFINITE, K=0)
+        self.C0 = default_c0(pc, self.ns, regime) if C0 is None else C0
+        self.c_start = self.C0
+        self.slopes: list[float] = []
+        self.decays: list[float] = []
+        self._slope_of: dict[int, float] = {}
+
+    def slope(self, size: int) -> float:
+        if size not in self._slope_of:
+            self._slope_of[size] = learn_epsilon0(self.pc, self.ns, self.regime, S=size,
+                                                  C0=self.C0).meta["slope"]
+        return self._slope_of[size]
+
+    def decay(self, k: int) -> tuple[float, float]:
+        """Decay sum of a next request of k steps, and its final LSI constant."""
+        pc, ns, regime = self.pc, self.ns, self.regime
+        if regime is Regime.STRONGLY_CONVEX:
+            return k * unlearn_rate(pc, ns, regime, self.c_start), self.c_start
+        trace = lsi_unlearn_trace(pc, ns, regime, self.c_start, k)
+        return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:k]),
+                float(trace.values[-1]))
+
+    def admit(self, size: int, k: int) -> None:
+        decay, self.c_start = self.decay(k)
+        self.slopes.append(self.slope(size))
+        self.decays.append(decay)
+
+    def curve(self, alpha: np.ndarray) -> np.ndarray:
+        """Loss after the last admitted request at every order in alpha."""
+        n = len(self.decays)
+        out = None
+        for j, (slope, decay) in enumerate(zip(self.slopes, self.decays)):
+            with np.errstate(over="ignore"):
+                orders = np.ldexp(alpha, n - 1 - j)
+            out = _level_on(orders, slope, decay, out)
+        return out
+
+    def scalar_curve(self, slope: float, decay: float) -> Callable[[float], float]:
+        """Loss at one order after the admitted requests plus one of (slope, decay).
+
+        O(i) per order: the i decay factors come from one vectorized exp
+        (bit-identical to per-order numpy exp, unlike math.exp), then the
+        levels run on Python floats.
+        """
+        slopes = self.slopes + [slope]
+        neg_decays = -np.array(self.decays + [decay])
+        shifts = np.arange(len(slopes) - 1, -1, -1)
+
+        def at(alpha: float) -> float:
+            with np.errstate(over="ignore"):
+                orders = np.ldexp(alpha, shifts)
+            out = None
+            for factor, a, s in zip(np.exp(neg_decays / orders).tolist(), orders.tolist(),
+                                    slopes):
+                out = _level(factor, a, s, out)
+            return math.inf if math.isnan(out) else out
+        return at
+
+
 def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int],
                        pc: ProblemConstants, regime: Regime,
                        eta: float | None = None, C0: float | None = None,
@@ -120,8 +223,10 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
 
     The first request decays the learning loss at group size b; each later
     request chains the previous one through the weak triangle inequality at
-    doubled order. Recursion depth equals i; the function is pure. Accepts
-    scalar or ndarray alpha.
+    doubled order, so request j enters at order alpha*2^(i-j). Evaluated
+    iteratively in O(i) per order; the function is pure. Accepts scalar or
+    ndarray alpha. Where an unrolled order overflows float64 (i around
+    1000 and beyond) the loss is +inf, a vacuous but valid bound.
 
     For convex/non-convex regimes the LSI trace continues across requests
     (request s starts from the final constant of request s-1); strongly
@@ -132,49 +237,23 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
         raise ValueError(f"request index i must be >= 1, got {i}")
     if len(K_list) < i:
         raise ValueError(f"K_list has {len(K_list)} entries, need at least {i}")
-    if eta is None:
-        eta = 1.0 / pc.L
     sizes = list(batch_sizes) if batch_sizes is not None else [b] * i
     if len(sizes) < i:
         raise ValueError("batch_sizes must cover every request")
 
-    ns0 = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=0)
-    if C0 is None:
-        C0 = default_c0(pc, ns0, regime)
-
-    # per-request decay sums, with the LSI trace threaded through requests
-    decays = []
-    c_start = C0
-    for j in range(i):
-        k_j = int(K_list[j])
-        ns_j = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_j)
-        if regime is Regime.STRONGLY_CONVEX:
-            decays.append(k_j * unlearn_rate(pc, ns_j, regime, c_start))
-        else:
-            trace = lsi_unlearn_trace(pc, ns_j, regime, c_start, k_j)
-            decays.append(math.fsum(unlearn_rate(pc, ns_j, regime, c)
-                                    for c in trace.values[:k_j]))
-            c_start = float(trace.values[-1])
-
-    def slope_for(size: int) -> float:
-        return learn_epsilon0(pc, ns0, regime, S=size, C0=C0).meta["slope"]
-
-    def evaluate(a, j):
-        """Loss curve for request j (1-based) at order a."""
-        decay = np.exp(-decays[j - 1] / a)
-        if j == 1:
-            return decay * slope_for(sizes[0]) * a
-        weight = (a - 0.5) / (a - 1.0)
-        prev = evaluate(2.0 * a, j - 1)
-        return decay * weight * (slope_for(sizes[j - 1]) * 2.0 * a + prev)
+    stream = _Stream(sigma, pc, regime, eta, C0)
+    for j in range(i - 1):
+        stream.admit(sizes[j], int(K_list[j]))
+    slope = stream.slope(sizes[i - 1])
+    decay, _ = stream.decay(int(K_list[i - 1]))
 
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr <= 1.0):
         raise ValueError("alpha must be > 1")
-    out = evaluate(arr, i)
     if np.ndim(alpha) == 0:
-        return float(out)
-    return out
+        return stream.scalar_curve(slope, decay)(float(arr))
+    prev = stream.curve(2.0 * arr) if i > 1 else None
+    return _level_on(arr, slope, decay, prev)
 
 
 def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: int,
@@ -185,38 +264,30 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
 
     Requests remove b samples each (a smaller final batch is allowed and
     uses its actual size as the group size); each request's K is the least
-    count certifying eps_hat, with earlier entries frozen.
+    count certifying eps_hat, with earlier entries frozen. Each K probe
+    certifies exactly what rdp_to_dp on sequential_epsilon would, with the
+    previous request's curve on the alpha grid computed once per request.
     """
     if s_total < 1 or b < 1:
         raise ValueError("s_total and b must be >= 1")
     full, rem = divmod(s_total, b)
     sizes = [b] * full + ([rem] if rem else [])
 
+    stream = _Stream(sigma, pc, regime, eta, C0)
     schedule: list[int] = []
-    for idx, _size in enumerate(sizes, start=1):
-        schedule.append(0)
+    for size in sizes:
+        slope = stream.slope(size)
+        prev = stream.curve(2.0 * ALPHA_GRID) if schedule else None
 
         def ok(k: int) -> bool:
-            schedule[idx - 1] = k
-            bound = RenyiBound(
-                lambda a: sequential_epsilon(a, sigma, b, idx, schedule, pc, regime,
-                                             eta=eta, C0=C0, batch_sizes=sizes),
-                description=f"sequential request {idx}")
-            eps, _ = rdp_to_dp(bound, delta)
+            decay, _ = stream.decay(k)
+            eps, _ = _optimize_order(_level_on(ALPHA_GRID, slope, decay, prev),
+                                     stream.scalar_curve(slope, decay), delta)
             return eps <= eps_hat
 
-        if ok(0):
-            continue
-        lo, hi = 0, 1
-        while not ok(hi):
-            if hi >= k_max:
-                raise BudgetUnreachable(eps_hat, k_max)
-            lo, hi = hi, min(2 * hi, k_max)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        schedule[idx - 1] = hi
+        k = _least_k(ok, k_max)
+        if k is None:
+            raise BudgetUnreachable(eps_hat, k_max)
+        stream.admit(size, k)
+        schedule.append(k)
     return schedule

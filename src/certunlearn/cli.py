@@ -18,7 +18,8 @@ from .calibrate import binary_search_sigma, converted_epsilon
 from .constants import INFINITE, NoiseSchedule, PRESETS
 from .data import SyntheticSpec, make_synthetic, save_dataset
 from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError,
-                     DatasetFormatError, InfeasibleBudget, NoFeasibleSigma)
+                     DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
+                     VacuousBound)
 from .harness import (ExperimentConfig, TrialResult, emit_results, run_evaluate,
                       run_sequential, run_tradeoff_sweep, run_unlearn_one)
 
@@ -267,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoFeasibleSigma, BudgetUnreachable, InfeasibleBudget) as exc:
+    except (NoFeasibleSigma, BudgetUnreachable, InfeasibleBudget, VacuousBound) as exc:
         print(f"calibration infeasible: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
     except (DatasetFormatError, OSError) as exc:

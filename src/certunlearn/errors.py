@@ -54,6 +54,19 @@ class InfeasibleBudget(CertUnlearnError):
     """A closed-form calibration formula has no solution at these parameters."""
 
 
+class VacuousBound(CertUnlearnError):
+    """The Renyi bound is infinite at every probed order, so it certifies nothing.
+
+    A sequential bound gets here once its unrolled orders alpha * 2^(i-1)
+    overflow float64 across the whole alpha grid, as from the 1025th
+    request of a stream: no step count can make it finite.
+    """
+
+    def __init__(self):
+        super().__init__("the Renyi bound is infinite at every probed order; "
+                         "no (eps, delta) certificate exists")
+
+
 class DatasetFormatError(CertUnlearnError):
     """A dataset file violates the expected CSV layout.
 

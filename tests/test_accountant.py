@@ -9,7 +9,7 @@ from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, adjacency_bound_unbiased,
                          learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
-                         weak_triangle)
+                         VacuousBound, weak_triangle)
 
 
 class TestLsiCap:
@@ -242,6 +242,26 @@ class TestRdpToDp:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             rdp_to_dp(RenyiBound.zero(), 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log10_slope=st.floats(-8.0, 2.0), log10_delta=st.floats(-12.0, -1.0))
+    def test_linear_curve_closed_form(self, log10_slope, log10_delta):
+        # s*alpha + log(1/delta)/(alpha - 1) is least at alpha* = 1 + sqrt(log(1/delta)/s),
+        # where it equals s + 2*sqrt(s*log(1/delta)); alpha* stays inside the grid here
+        s, delta = 10.0 ** log10_slope, 10.0 ** log10_delta
+        log_inv_delta = math.log(1.0 / delta)
+        eps, alpha = rdp_to_dp(RenyiBound.linear(s), delta)
+        assert eps == pytest.approx(s + 2.0 * math.sqrt(s * log_inv_delta), rel=1e-9)
+        # the objective is flat to rounding within ~sqrt(float64 eps) of alpha*
+        assert alpha == pytest.approx(1.0 + math.sqrt(log_inv_delta / s), rel=1e-6)
+
+    def test_curve_infinite_everywhere_is_vacuous(self):
+        with pytest.raises(VacuousBound):
+            rdp_to_dp(RenyiBound(lambda a: np.full_like(a, np.inf)), 1e-5)
+
+    def test_nan_curve_is_rejected_not_certified(self):
+        with pytest.raises(ValueError):
+            rdp_to_dp(RenyiBound(lambda a: np.where(a > 1e3, np.nan, 0.01 * a)), 1e-5)
 
 
 class TestSmallOps:

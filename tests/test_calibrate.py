@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from certunlearn import (BudgetUnreachable, INFINITE, NoFeasibleSigma, NoiseSchedule,
-                         RenyiBound, binary_search_sigma, converted_epsilon,
-                         find_min_k, learn_epsilon0, rdp_to_dp, sequential_epsilon,
-                         sequential_k_schedule, unlearn_epsilon)
+                         ProblemConstants, Regime, RenyiBound, VacuousBound,
+                         binary_search_sigma, calibrate, converted_epsilon, default_c0,
+                         find_min_k, learn_epsilon0, lsi_unlearn_trace, rdp_to_dp,
+                         sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
+                         unlearn_rate)
+from certunlearn.accountant import ALPHA_GRID
 
 mp.mp.dps = 40
 
@@ -31,6 +34,53 @@ ORACLE_SEQ_EPS_I3_A2 = 5.468127728167355e-09   # b=5 schedule, alpha=2
 
 def _ns(preset, sigma, k=0):
     return NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=k)
+
+
+def _recursive_sequential_epsilon(alpha, sigma, b, i, K_list, pc, regime, eta=None,
+                                  C0=None, batch_sizes=None):
+    """The recursive sequential accountant, one stack frame per request: the
+    reference the iterative sequential_epsilon must match bit for bit."""
+    if eta is None:
+        eta = 1.0 / pc.L
+    sizes = list(batch_sizes) if batch_sizes is not None else [b] * i
+    ns0 = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=0)
+    if C0 is None:
+        C0 = default_c0(pc, ns0, regime)
+
+    decays = []
+    c_start = C0
+    for j in range(i):
+        k_j = int(K_list[j])
+        ns_j = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_j)
+        if regime is Regime.STRONGLY_CONVEX:
+            decays.append(k_j * unlearn_rate(pc, ns_j, regime, c_start))
+        else:
+            trace = lsi_unlearn_trace(pc, ns_j, regime, c_start, k_j)
+            decays.append(math.fsum(unlearn_rate(pc, ns_j, regime, c)
+                                    for c in trace.values[:k_j]))
+            c_start = float(trace.values[-1])
+
+    def slope_for(size):
+        return learn_epsilon0(pc, ns0, regime, S=size, C0=C0).meta["slope"]
+
+    def evaluate(a, j):
+        decay = np.exp(-decays[j - 1] / a)
+        if j == 1:
+            return decay * slope_for(sizes[0]) * a
+        weight = (a - 0.5) / (a - 1.0)
+        prev = evaluate(2.0 * a, j - 1)
+        return decay * weight * (slope_for(sizes[j - 1]) * 2.0 * a + prev)
+
+    arr = np.asarray(alpha, dtype=float)
+    out = evaluate(arr, i)
+    if np.ndim(alpha) == 0:
+        return float(out)
+    return out
+
+
+# constants whose LSI caps stay small, so convex and non-convex traces saturate
+# within a few dozen steps and requests hand each other distinct constants
+_SMALL_CAP_PC = ProblemConstants(L=1.0, m=0.0, M=0.1, R=0.5, n=100, d=5)
 
 
 class TestFindMinK:
@@ -162,6 +212,17 @@ class TestSequential:
         assert sum(ks) == ORACLE_SEQ_TOTALS[b]
         assert all(k2 >= k1 for k1, k2 in zip(ks, ks[1:]))
 
+    def test_k_max_caps_every_request(self, mnist):
+        # a target one step meets is out of reach when no step is allowed
+        sigma = 0.03
+        one_step = RenyiBound(lambda a: sequential_epsilon(a, sigma, 5, 1, [1], mnist.pc,
+                                                           mnist.regime, eta=mnist.eta))
+        eps_hat, _ = rdp_to_dp(one_step, mnist.delta)
+        args = (eps_hat, mnist.delta, sigma, 5, 5, mnist.pc, mnist.regime)
+        assert sequential_k_schedule(*args, eta=mnist.eta) == [1]
+        with pytest.raises(BudgetUnreachable):
+            sequential_k_schedule(*args, k_max=0, eta=mnist.eta)
+
     def test_uneven_final_batch_uses_actual_size(self, mnist):
         ks = sequential_k_schedule(1.0, mnist.delta, 0.02, 7, 5, mnist.pc,
                                    mnist.regime, eta=mnist.eta)
@@ -171,6 +232,80 @@ class TestSequential:
                                         mnist.regime, eta=mnist.eta)
         assert ks_full[0] == ks[0]
         assert ks[1] <= ks_full[1]
+
+    @pytest.mark.parametrize("regime", ["strongly-convex", "convex", "non-convex"])
+    def test_matches_recursive_reference_exactly(self, mnist, regime):
+        if regime == "strongly-convex":
+            pc, reg, eta, k_hi = mnist.pc, mnist.regime, mnist.eta, 3000
+        else:
+            pc, eta, k_hi = _SMALL_CAP_PC, 1.0, 40
+            reg = Regime.CONVEX if regime == "convex" else Regime.NONCONVEX
+        rng = np.random.default_rng(20240119)
+        for _ in range(12):
+            i = int(rng.integers(1, 31))
+            sigma = float(rng.choice([0.01, 0.03, 0.2])) if pc is mnist.pc else 1.0
+            ks = rng.integers(0, k_hi, size=i).tolist()
+            sizes = rng.integers(1, 8, size=i).tolist()
+            args = (sigma, 5, i, ks, pc, reg)
+            kw = dict(eta=eta, batch_sizes=sizes)
+            np.testing.assert_array_equal(
+                sequential_epsilon(ALPHA_GRID, *args, **kw),
+                _recursive_sequential_epsilon(ALPHA_GRID, *args, **kw))
+            for a in np.concatenate([ALPHA_GRID[::97], 1.0 + 10.0 ** rng.uniform(-6, 6, 20)]):
+                got = sequential_epsilon(float(a), *args, **kw)
+                assert got == _recursive_sequential_epsilon(float(a), *args, **kw)
+                assert isinstance(got, float)
+
+    def test_k_probes_certify_what_rdp_to_dp_certifies(self, mnist, monkeypatch):
+        # every K probe of the schedule search gives exactly rdp_to_dp's
+        # certificate for sequential_epsilon at that K
+        probes = []
+        search, optimize = calibrate._least_k, calibrate._optimize_order
+        requests = []
+
+        def recording_search(ok, k_max):
+            requests.append(len(requests))
+
+            def recording_ok(k):
+                probes.append([requests[-1], k])
+                return ok(k)
+            return search(recording_ok, k_max)
+
+        def recording_optimize(*args):
+            out = optimize(*args)
+            probes[-1].append(out)
+            return out
+
+        monkeypatch.setattr(calibrate, "_least_k", recording_search)
+        monkeypatch.setattr(calibrate, "_optimize_order", recording_optimize)
+        sigma, b = 0.03, 5
+        ks = sequential_k_schedule(1.0, mnist.delta, sigma, 17, b, mnist.pc, mnist.regime,
+                                   eta=mnist.eta)
+        monkeypatch.undo()
+        assert len(ks) == 4 and len(probes) > 4 * 10
+        sizes = [5, 5, 5, 2]
+        for req, k, (eps, alpha) in probes:
+            schedule = ks[:req] + [k]
+            bound = RenyiBound(lambda a: sequential_epsilon(
+                a, sigma, b, req + 1, schedule, mnist.pc, mnist.regime, eta=mnist.eta,
+                batch_sizes=sizes))
+            assert rdp_to_dp(bound, mnist.delta) == (eps, alpha)
+
+    def test_long_stream_ends_in_certificate_or_typed_error(self, mnist):
+        # request i enters at order alpha * 2^(i-1), which overflows float64 on
+        # part of the alpha grid near i = 1010 and on all of it by i = 1100
+        for i, vacuous in ((1010, False), (1100, True)):
+            args = (0.03, 5, i, [20000] * i, mnist.pc, mnist.regime)
+            curve = sequential_epsilon(ALPHA_GRID, *args, eta=mnist.eta)
+            assert not np.isnan(curve).any() and np.isinf(curve).any()
+            assert sequential_epsilon(1e6, *args, eta=mnist.eta) == math.inf
+            bound = RenyiBound(lambda a: sequential_epsilon(a, *args, eta=mnist.eta))
+            if vacuous:
+                with pytest.raises(VacuousBound):
+                    rdp_to_dp(bound, mnist.delta)
+            else:
+                eps, alpha = rdp_to_dp(bound, mnist.delta)
+                assert math.isfinite(eps) and math.isfinite(alpha)
 
     def test_rejects_bad_indices(self, mnist):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from certunlearn import VacuousBound, cli
 from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
 
 
@@ -19,6 +20,14 @@ class TestExitCodes:
         out = tmp_path / "cal.csv"
         code = main(["calibrate-sigma", "--preset", "mnist38", "--eps", "1e-9",
                      "--out", str(out)])
+        assert code == EXIT_CALIBRATION
+
+    def test_vacuous_bound_is_calibration_infeasible(self, tmp_path, monkeypatch):
+        def vacuous(cfg):
+            raise VacuousBound()
+        monkeypatch.setattr(cli, "run_sequential", vacuous)
+        code = main(["sequential", "--preset", "mnist38", "--sigma", "0.03", "--eps", "1",
+                     "--out", str(tmp_path / "seq.csv")])
         assert code == EXIT_CALIBRATION
 
     def test_io_error(self, tmp_path):
