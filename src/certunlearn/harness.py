@@ -25,8 +25,8 @@ from .constants import (INFINITE, NoiseSchedule, Preset, ProblemConstants,
                         default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic
 from .errors import CertUnlearnError, ConfigError
-from .objectives import (Dataset, UnlearningRequest, apply_request, evaluate,
-                         logistic_objective, multiclass_objective)
+from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
+                         evaluate, logistic_objective, multiclass_objective)
 
 log = logging.getLogger("certunlearn")
 
@@ -167,14 +167,15 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
     """
     preset = cfg.resolved_preset()
     delta = cfg.resolved_delta()
-    data, test = (None, None)
+    objective = test = None
     if cfg.trials > 0:
         data, test = _load_data(cfg)
+        objective = _objective_for(preset, data)
     rows: list[TrialResult] = []
     for eps_hat in cfg.eps_targets:
         t0 = time.perf_counter()
         try:
-            rows.append(_unlearn_one_row(cfg, preset, delta, eps_hat, data, test))
+            rows.append(_unlearn_one_row(cfg, preset, delta, eps_hat, objective, test))
         except CertUnlearnError as exc:
             log.error("target eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult(cfg.method, None, eps_hat, None, None, None,
@@ -187,7 +188,7 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
 
 
 def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
-                     eps_hat: float, data: Dataset | None,
+                     eps_hat: float, objective: Objective | None,
                      test: Dataset | None) -> TrialResult:
     pc = preset.pc
     eta = preset.eta
@@ -218,17 +219,17 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
 
     accs: list[float] = []
     for t in range(cfg.trials):
-        accs.append(_one_trial(cfg, preset, sigma, unlearn_steps, data, test, t))
+        accs.append(_one_trial(cfg, preset, sigma, unlearn_steps, objective, test, t))
     mean, std = _aggregate(accs)
     return TrialResult(cfg.method, sigma, eps_hat, eps_achieved, k_total,
                        mean, std, None, cfg.seed, per_trial_acc=accs)
 
 
 def _one_trial(cfg: ExperimentConfig, preset: Preset, sigma: float,
-               unlearn_steps: int, data: Dataset, test: Dataset, t: int) -> float:
+               unlearn_steps: int, objective: Objective, test: Dataset, t: int) -> float:
     pc = preset.pc
+    data = objective.data
     rng = _pngd.make_rng(trial_seed(cfg.seed, t))
-    objective = _objective_for(preset, data)
     req = UnlearningRequest(indices=_single_request_indices(rng, data.n),
                             replacement_seed=replacement_seed(cfg.seed, t))
     updated = apply_request(data, req)
@@ -285,9 +286,10 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
     accs: list[float] = []
     if cfg.trials > 0:
         data, test = _load_data(cfg)
+        objective = _objective_for(preset, data)
         for t in range(cfg.trials):
             accs.append(_sequential_trial(cfg, preset, sigma, schedule, batch,
-                                          data, test, t))
+                                          objective, test, t))
     mean, std = _aggregate(accs)
     row = TrialResult(cfg.method, sigma, eps_hat, eps_hat,
                       int(cum[-1]) if len(cum) else 0, mean, std, None, cfg.seed,
@@ -296,13 +298,12 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
 
 
 def _sequential_trial(cfg: ExperimentConfig, preset: Preset, sigma: float,
-                      schedule: list[int], batch: int, data: Dataset,
+                      schedule: list[int], batch: int, objective: Objective,
                       test: Dataset, t: int) -> float:
     pc = preset.pc
+    data = current = objective.data
     rng = _pngd.make_rng(trial_seed(cfg.seed, t))
     removal_order = rng.choice(data.n, size=cfg.s_total, replace=False)
-    current = data
-    objective = _objective_for(preset, current)
     if cfg.method == "langevin":
         ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
         c0 = default_c0(pc, ns, preset.regime)
@@ -346,9 +347,10 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
 
     rows: list[TrialResult] = []
     plot: list[tuple] = []
-    data = test = None
+    objective = test = None
     if cfg.trials > 0:
         data, test = _load_data(cfg)
+        objective = _objective_for(preset, data)
     for sigma in cfg.sigma_grid:
         ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=0)
         try:
@@ -361,7 +363,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
             continue
         accs: list[float] = []
         for t in range(cfg.trials):
-            accs.append(_sweep_trial(cfg, preset, sigma, k, data, test, t))
+            accs.append(_sweep_trial(cfg, preset, sigma, k, objective, test, t))
         mean, std = _aggregate(accs)
         cert = converted_epsilon(pc, ns, preset.regime, S, k, delta)
         rows.append(TrialResult(cfg.method, sigma, eps_hat, cert, k, mean, std,
@@ -371,10 +373,10 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
 
 
 def _sweep_trial(cfg: ExperimentConfig, preset: Preset, sigma: float, k: int,
-                 data: Dataset, test: Dataset, t: int) -> float:
+                 objective: Objective, test: Dataset, t: int) -> float:
     pc = preset.pc
+    data = objective.data
     rng = _pngd.make_rng(trial_seed(cfg.seed, t))
-    objective = _objective_for(preset, data)
     ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=k)
     c0 = default_c0(pc, ns, preset.regime)
     w = _pngd.train(objective, ns, _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)

@@ -149,11 +149,14 @@ class Objective:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    # exp(-|t|) is exp(-t) where t >= 0 and exp(t) elsewhere, so one exp gives
+    # both branches 1/(1 + exp(-t)) and exp(t)/(1 + exp(t)) bit for bit.
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -166,6 +169,13 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     Unit-norm features keep the raw per-sample gradient norm at most 1, so
     the clip is inactive on normalized data; unnormalized data is rejected
     unless explicitly allowed.
+
+    The per-sample gradient norm is |coef| * ||x_i|| with |coef| <= 1 exactly
+    in floating point, so only rows with ||x_i|| > M can ever clip. Their
+    indices are found once here; grad checks only those rows and rescales
+    them only when one exceeds M. Every other row keeps scale 1.0 exactly,
+    so the result is bit-identical to clipping all n rows with the
+    two-branch sigmoid.
     """
     if data.is_multiclass:
         raise ValueError("logistic_objective expects binary labels; use multiclass_objective")
@@ -179,6 +189,8 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     n = data.n
     row_norms = np.linalg.norm(X, axis=1)
     M = 1.0
+    long_rows = np.flatnonzero(row_norms > M)
+    long_norms = row_norms[long_rows]
     pc = ProblemConstants(L=0.25 + lam, m=lam, M=M, R=radius, n=n, d=data.d, lam=lam)
 
     def loss(w: np.ndarray) -> float:
@@ -191,10 +203,19 @@ def logistic_objective(data: Dataset, lam: float | None = None,
         return coef[:, None] * X
 
     def grad(w: np.ndarray) -> np.ndarray:
-        coef = (_sigmoid(y * (X @ w)) - 1.0) * y
-        norms = np.abs(coef) * row_norms
-        scale = np.where(norms > M, M / np.where(norms > 0, norms, 1.0), 1.0)
-        return X.T @ (coef * scale) / n + lam * w
+        margins = X @ w
+        margins *= y
+        coef = _sigmoid(margins)
+        coef -= 1.0
+        coef *= y
+        norms = np.abs(coef[long_rows]) * long_norms
+        over = norms > M
+        if over.any():
+            coef[long_rows] *= np.where(over, M / np.where(norms > 0, norms, 1.0), 1.0)
+        g = X.T @ coef
+        g /= n
+        g += lam * w
+        return g
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
                      constants=pc, data=data, lam=lam, name="logistic")

@@ -32,7 +32,7 @@ def project_ball(v: np.ndarray, R: float) -> np.ndarray:
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
     v = np.asarray(v, dtype=float)
-    norm = float(np.sqrt(np.sum(v * v)))
+    norm = math.sqrt((v * v).sum())
     if norm <= R:
         return v
     return v * (R / norm)

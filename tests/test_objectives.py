@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from certunlearn import (Dataset, UnlearningRequest, apply_request, evaluate,
+from certunlearn import (Dataset, InitSpec, NoiseSchedule, UnlearningRequest,
+                         apply_request, d2d_train, d2d_unlearn, evaluate,
                          logistic_objective, make_rng, make_synthetic,
-                         multiclass_objective, quadratic_objective, SyntheticSpec)
+                         multiclass_objective, project_ball, quadratic_objective,
+                         SyntheticSpec, train, unlearn)
 
 
 def binary_data(n=40, d=6, seed=0):
@@ -246,3 +250,141 @@ class TestEvaluate:
              - data.features[data.labels == -1].mean(axis=0))
         _, acc = evaluate(u, data)
         assert acc > 0.95
+
+
+# Reference: the two-branch sigmoid and the all-rows clip that the lean
+# logistic gradient must reproduce bit for bit.
+def ref_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def ref_coef_scale(data, w, M=1.0):
+    X, y = data.features, data.labels.astype(float)
+    coef = (ref_sigmoid(y * (X @ w)) - 1.0) * y
+    norms = np.abs(coef) * np.linalg.norm(X, axis=1)
+    scale = np.where(norms > M, M / np.where(norms > 0, norms, 1.0), 1.0)
+    return coef, scale
+
+
+def ref_grad(data, lam, w):
+    coef, scale = ref_coef_scale(data, w)
+    return data.features.T @ (coef * scale) / data.n + lam * w
+
+
+def ref_project_ball(v, R):
+    v = np.asarray(v, dtype=float)
+    norm = float(np.sqrt(np.sum(v * v)))
+    return v if norm <= R else v * (R / norm)
+
+
+def long_row_data(n=300, d=7, seed=0):
+    """Unnormalized binary data with row norms spread over [0.1, 4]."""
+    rng = make_rng(seed)
+    X = rng.standard_normal((n, d))
+    X *= rng.uniform(0.1, 4.0, (n, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    y = rng.integers(0, 2, n) * 2 - 1
+    return Dataset(features=X, labels=y.astype(int), normalized=False)
+
+
+class TestExactGradient:
+    """The logistic gradient equals the reference formula exactly."""
+
+    def test_normalized_synthetic(self):
+        data = make_synthetic(SyntheticSpec(n=2000, d=20), seed=0)
+        obj = logistic_objective(data, lam=0.002)
+        rng = make_rng(2)
+        for scale in (0.0, 0.1, 1.0, 10.0, 100.0):
+            for _ in range(10):
+                w = scale * rng.standard_normal(data.d)
+                assert np.array_equal(obj.grad(w), ref_grad(data, 0.002, w))
+
+    def test_unnormalized_clip_fires(self):
+        data = long_row_data()
+        obj = logistic_objective(data, lam=0.01, allow_unnormalized=True)
+        rng = make_rng(3)
+        fired = 0
+        for _ in range(200):
+            w = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(data.d)
+            fired += np.any(ref_coef_scale(data, w)[1] < 1.0)
+            assert np.array_equal(obj.grad(w), ref_grad(data, 0.01, w))
+        assert fired > 100
+
+    def test_zero_coef_on_long_rows_warns_nothing(self):
+        data = long_row_data(seed=4)
+        obj = logistic_objective(data, lam=0.01, allow_unnormalized=True)
+        rng = make_rng(5)
+        w = 1e4 * rng.standard_normal(data.d)
+        coef, scale = ref_coef_scale(data, w)
+        long = np.linalg.norm(data.features, axis=1) > 1.0
+        assert np.any(coef[long] == 0.0) and np.any(scale < 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = obj.grad(w)
+        assert np.array_equal(got, ref_grad(data, 0.01, w))
+
+    def test_per_sample_grad(self):
+        data = long_row_data(seed=6)
+        obj = logistic_objective(data, lam=0.0, allow_unnormalized=True)
+        rng = make_rng(7)
+        for _ in range(20):
+            w = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(data.d)
+            coef, _ = ref_coef_scale(data, w)
+            assert np.array_equal(obj.per_sample_grad(w), coef[:, None] * data.features)
+
+    def test_project_ball(self):
+        rng = make_rng(8)
+        for shape in ((9,), (6, 4)):
+            for _ in range(200):
+                v = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(shape)
+                R = 10.0 ** rng.uniform(-2, 3)
+                assert np.array_equal(project_ball(v, R), ref_project_ball(v, R))
+
+
+def same_state(a, b):
+    """Generator states are equal (Philox keeps its counter in arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestExactTrajectory:
+    """Engine runs with the logistic gradient and with the reference gradient
+    from the same seed end in the same weights and generator state."""
+
+    def reference_pair(self):
+        data = make_synthetic(SyntheticSpec(n=300, d=8), seed=11)
+        updated = apply_request(data, UnlearningRequest(indices=(17,), replacement_seed=3))
+        pair = []
+        for d in (data, updated):
+            obj = logistic_objective(d, lam=0.01)
+            ref = dataclasses.replace(obj, grad=lambda w, d=d: ref_grad(d, 0.01, w))
+            pair.append((obj, ref))
+        return pair
+
+    def test_train_then_unlearn(self):
+        (obj, ref), (obj2, ref2) = self.reference_pair()
+        ns = NoiseSchedule(eta=1.0, sigma=0.05, T=300, K=20)
+        ends = []
+        for o, o2 in ((obj, obj2), (ref, ref2)):
+            rng = make_rng(21)
+            w = train(o, ns, InitSpec(mean=50.0, variance=0.5), rng)
+            w = unlearn(w, o2, ns.K, ns, rng)
+            ends.append((w, rng.bit_generator.state))
+        assert np.array_equal(ends[0][0], ends[1][0])
+        assert same_state(ends[0][1], ends[1][1])
+
+    def test_d2d_train_then_unlearn(self):
+        (obj, ref), (obj2, ref2) = self.reference_pair()
+        ends = []
+        for o, o2 in ((obj, obj2), (ref, ref2)):
+            rng = make_rng(22)
+            w = d2d_train(o, 300, np.full(8, 40.0))
+            w = d2d_unlearn(w, o2, 10, 0.05, rng)
+            ends.append((w, rng.bit_generator.state))
+        assert np.array_equal(ends[0][0], ends[1][0])
+        assert same_state(ends[0][1], ends[1][1])
