@@ -51,8 +51,12 @@ class RenyiBound:
     """A privacy-loss curve eps(alpha) defined for every alpha > 1.
 
     Wraps a closed-form parameterization so the curve can be evaluated at
-    any order, scalar or ndarray. `meta` carries the parameters that built
-    the curve (slope, decay sum, ...), for introspection and tests.
+    any order, scalar or ndarray. `fn` receives a float order as is (the
+    golden-section probes of `rdp_to_dp` are floats, and wrapping each in a
+    0-d array costs more than the curve) and any other order as a float
+    ndarray, so it must accept both, as numpy ufuncs and `np.where` do.
+    `meta` carries the parameters that built the curve (slope, decay sum,
+    ...), for introspection and tests.
     """
 
     def __init__(self, fn: Callable[[ArrayLike], ArrayLike], description: str = "",
@@ -62,8 +66,13 @@ class RenyiBound:
         self.meta = meta
 
     def __call__(self, alpha: ArrayLike) -> ArrayLike:
+        # `not >` rather than `<=`, so that a nan order is rejected too
+        if isinstance(alpha, float):  # also np.float64, a float subclass
+            if not alpha > 1.0:
+                raise ValueError("Renyi order alpha must be > 1")
+            return float(self._fn(alpha))
         arr = np.asarray(alpha, dtype=float)
-        if np.any(arr <= 1.0):
+        if not (arr > 1.0).all():
             raise ValueError("Renyi order alpha must be > 1")
         out = self._fn(arr)
         if np.ndim(alpha) == 0:
@@ -173,7 +182,9 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
 
     C0 defaults to the regime's standard initialization constant and K to
     the schedule's K. The rate sum is alpha-independent, so the returned
-    curve is the input curve scaled by exp(-decay/alpha).
+    curve is the input curve scaled by exp(-decay/alpha). It scales the
+    input's function, not the input curve, so that the order is checked
+    once, by the returned curve.
     """
     if C0 is None:
         C0 = default_c0(pc, ns, regime)
@@ -184,7 +195,8 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
         decay = K * unlearn_rate(pc, ns, regime, C0)
     else:
         decay = math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K])
-    return RenyiBound(lambda a: np.exp(-decay / a) * eps0(a),
+    base = eps0._fn
+    return RenyiBound(lambda a: np.exp(-decay / a) * base(a),
                       description=f"unlearned K={K} from [{eps0.description}]",
                       decay_sum=decay, K=K, C0=C0, base=eps0)
 

@@ -11,6 +11,7 @@ always go to the stderr log.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -72,8 +73,25 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 0")
         if not self.eps_targets:
             raise ConfigError("need at least one eps target")
-        if any(e <= 0 for e in self.eps_targets):
+        # the float checks negate an in-range test, so that nan fails them too
+        if any(not e > 0 for e in self.eps_targets):
             raise ConfigError("eps targets must be positive")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        if self.k_budget < 0:
+            raise ConfigError(f"k_budget must be >= 0, got {self.k_budget}")
+        if self.batch < 1:
+            raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if self.s_total < 1:
+            raise ConfigError(f"total removals must be >= 1, got {self.s_total}")
+        if self.n_iter < 0:
+            raise ConfigError(f"n_iter must be >= 0, got {self.n_iter}")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
+        if any(not s > 0 for s in self.sigma_grid):
+            raise ConfigError(f"sigma grid values must be > 0, got {self.sigma_grid}")
+        if not math.isfinite(self.init_mean):
+            raise ConfigError(f"init_mean must be finite, got {self.init_mean}")
 
     def resolved_preset(self) -> Preset:
         if self.constants is not None:

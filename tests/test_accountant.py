@@ -7,9 +7,32 @@ from hypothesis import strategies as st
 
 from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, adjacency_bound_unbiased,
+                         binary_search_sigma, calibrate, converted_epsilon, get_preset,
                          learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
                          VacuousBound, weak_triangle)
+
+
+def _reference_call(curve, alpha):
+    """The array-only RenyiBound.__call__: every order, scalars included, is
+    wrapped in a float ndarray and checked by a numpy reduction. The scalar
+    path must return exactly what this returns."""
+    arr = np.asarray(alpha, dtype=float)
+    if np.any(arr <= 1.0):
+        raise ValueError("Renyi order alpha must be > 1")
+    out = curve._fn(arr)
+    if np.ndim(alpha) == 0:
+        return float(out)
+    return out
+
+
+def _reference_unlearn_epsilon(eps0, pc, ns, regime, C0=None, K=None):
+    """unlearn_epsilon as it composed before: the decay factor times a second
+    call of the input curve."""
+    meta = unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=K).meta
+    decay = meta["decay_sum"]
+    return RenyiBound(lambda a: np.exp(-decay / a) * eps0(a), decay_sum=decay,
+                      K=meta["K"], C0=meta["C0"], base=eps0)
 
 
 class TestLsiCap:
@@ -307,6 +330,11 @@ class TestRenyiBoundProperties:
             bound(1.0)
         with pytest.raises(ValueError):
             bound(np.array([2.0, 0.5]))
+        # nan compares False both ways, so it must be rejected, not evaluated
+        for order in (math.nan, np.float64(math.nan), np.array(math.nan),
+                      np.array([2.0, math.nan])):
+            with pytest.raises(ValueError):
+                bound(order)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(m=st.floats(1e-3, 0.9), sigma=st.floats(0.01, 5.0),
@@ -320,3 +348,98 @@ class TestRenyiBoundProperties:
         vals = np.asarray(bound(alphas))
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals) >= -1e-18)
+
+
+# a strongly convex, a convex and a non-convex bundle whose LSI caps stay finite
+_CURVE_SETUPS = (
+    (ProblemConstants(L=1.0, m=0.25, M=1.0, R=10.0, n=500, d=4, lam=0.25),
+     NoiseSchedule(eta=1.0, sigma=1.0, T=INFINITE, K=5), Regime.STRONGLY_CONVEX),
+    (ProblemConstants(L=1.0, m=0.0, M=1.0, R=2.9, n=100, d=5),
+     NoiseSchedule(eta=0.1, sigma=1.0, T=40, K=7), Regime.CONVEX),
+    (ProblemConstants(L=1.0, m=0.0, M=1.0, R=2.9, n=100, d=5),
+     NoiseSchedule(eta=0.1, sigma=1.0, T=40, K=7), Regime.NONCONVEX),
+)
+
+# curves written with ndarrays in mind, as a user would pass them
+_USER_CURVES = (
+    RenyiBound(lambda a: np.full_like(a, 0.3)),
+    RenyiBound(lambda a: np.where(a < 20.0, 0.01 * a, 0.2 + np.log(a / 20.0))),
+    RenyiBound(lambda a: np.minimum(a, 50.0) * 1e-3 + np.log1p(a) * 1e-4),
+)
+
+
+def _same(x, y):
+    """Bit equality of two float results, type included."""
+    return type(x) is type(y) and float(x).hex() == float(y).hex()
+
+
+class TestScalarFastPath:
+    """Scalar orders skip the ndarray wrapping; every result must stay identical."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(alpha=st.floats(1.0, 1e7, exclude_min=True),
+           log10_slope=st.floats(-9.0, 2.0))
+    def test_scalar_curves_equal_reference(self, alpha, log10_slope):
+        eps0 = RenyiBound.linear(10.0 ** log10_slope)
+        curves = [eps0, *_USER_CURVES]
+        for pc, ns, regime in _CURVE_SETUPS:
+            learned = learn_epsilon0(pc, ns, regime)
+            for base in (eps0, learned):
+                curves.append(unlearn_epsilon(base, pc, ns, regime))
+                reference = _reference_unlearn_epsilon(base, pc, ns, regime)
+                # the old composition, evaluated wholly on the reference path
+                for order in (alpha, np.float64(alpha)):
+                    got = unlearn_epsilon(base, pc, ns, regime)(order)
+                    assert _same(got, _reference_call(reference, order))
+        for curve in curves:
+            for order in (alpha, np.float64(alpha)):
+                assert _same(curve(order), _reference_call(curve, order))
+
+    def test_array_orders_keep_the_array_path(self, mnist):
+        ns = NoiseSchedule(eta=mnist.eta, sigma=0.01, T=INFINITE, K=3)
+        eps0 = learn_epsilon0(mnist.pc, ns, mnist.regime)
+        bound = unlearn_epsilon(eps0, mnist.pc, ns, mnist.regime)
+        reference = _reference_unlearn_epsilon(eps0, mnist.pc, ns, mnist.regime)
+        alphas = np.geomspace(1.0 + 1e-6, 1e6, 300)
+        assert np.array_equal(bound(alphas), _reference_call(reference, alphas))
+        for order in (2, np.array(2.5), np.float32(3.0)):  # not floats: array path
+            assert _same(bound(order), _reference_call(reference, order))
+
+    def test_ndarray_curve_accepts_a_float(self):
+        for curve in _USER_CURVES:
+            for order in (1.5, 30.0, 1e5):
+                assert isinstance(curve(order), float)
+            delta = 1e-5
+            got = rdp_to_dp(curve, delta)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(RenyiBound, "__call__", _reference_call)
+                want = rdp_to_dp(curve, delta)
+            assert all(_same(g, w) for g, w in zip(got, want))
+
+    def test_calibration_bit_equal_to_reference(self):
+        # the 18 published cells (K=1, S=1), plus K in {2, 5} at S=5 on mnist38
+        cells = [(name, eps, 1, 1) for name in ("mnist38", "cifar10-binary", "cifar10-multi")
+                 for eps in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0)]
+        cells += [("mnist38", eps, k, 5) for eps in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0)
+                  for k in (2, 5)]
+
+        def certify():
+            out = []
+            for name, eps, k, S in cells:
+                pr = get_preset(name)
+                sigma = binary_search_sigma(eps, pr.delta, k, pr.pc, pr.regime, S=S,
+                                            eta=pr.eta)
+                ns = NoiseSchedule(eta=pr.eta, sigma=sigma, T=INFINITE, K=k)
+                out.append((sigma, converted_epsilon(pr.pc, ns, pr.regime, S, k, pr.delta)))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            # every curve evaluation and every unlearning curve of the searches
+            # on the reference path
+            mp.setattr(RenyiBound, "__call__", _reference_call)
+            mp.setattr(calibrate, "unlearn_epsilon", _reference_unlearn_epsilon)
+            want = certify()
+        got = certify()
+        for cell, (sigma, cert), (ref_sigma, ref_cert) in zip(cells, got, want):
+            assert _same(sigma, ref_sigma), cell
+            assert _same(cert, ref_cert), cell

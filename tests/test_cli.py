@@ -40,6 +40,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate-sigma", "--k-budget", "-1"],
+        ["calibrate-sigma", "--delta", "2"],
+        ["calibrate-sigma", "--batch", "0"],
+        ["sequential", "--sigma", "0"],
+        ["sequential", "--sigma", "0.03", "--batch", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_config_error(self, tmp_path, argv):
+        code = main([*argv, "--preset", "mnist38", "--eps", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_data_for_real_preset(self, tmp_path):
         code = main(["unlearn-one", "--preset", "mnist38", "--eps", "1",
                      "--trials", "1", "--out", str(tmp_path / "x.csv")])

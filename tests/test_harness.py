@@ -21,6 +21,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(method="gradient-ascent")
 
+    @pytest.mark.parametrize("field,value", [
+        ("delta", 0.0), ("delta", 1.0), ("delta", float("nan")), ("k_budget", -1),
+        ("batch", 0), ("s_total", 0), ("n_iter", -1), ("sigma", 0.0),
+        ("sigma", float("inf")), ("sigma", float("nan")), ("sigma_grid", (0.1, 0.0)),
+        ("sigma_grid", (float("nan"),)), ("eps_targets", (float("nan"),)),
+        ("init_mean", float("nan")), ("init_mean", float("inf")),
+    ])
+    def test_rejects_out_of_range_numbers(self, field, value):
+        with pytest.raises(ConfigError):
+            tiny_cfg(**{field: value})
+
     def test_delta_defaults_to_reciprocal_n(self):
         cfg = tiny_cfg()
         assert cfg.resolved_delta() == pytest.approx(1.0 / 2000)
