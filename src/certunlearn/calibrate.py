@@ -14,7 +14,7 @@ import numpy as np
 from .accountant import (ALPHA_GRID, _optimize_order, learn_epsilon0, lsi_unlearn_trace,
                          rdp_to_dp, unlearn_epsilon, unlearn_rate)
 from .constants import INFINITE, NoiseSchedule, ProblemConstants, Regime, default_c0
-from .errors import BudgetUnreachable, NoFeasibleSigma
+from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
 DEFAULT_K_MAX = 10 ** 6
 DEFAULT_SIGMA_LO = 1e-6
@@ -88,7 +88,9 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     returns the feasible endpoint. Feasibility of a sigma is probed as
     "certificate at exactly k_hat steps <= eps_hat", which equals
     find_min_k(sigma) <= k_hat because the certificate is non-increasing in
-    K; this keeps each probe O(1). The step size defaults to 1/L.
+    K; this keeps each probe O(1). A probe whose bound is vacuous (an
+    overflowing LSI cap or an infinite Renyi curve) does not certify. The
+    step size defaults to 1/L.
     """
     if not (sigma_lo > 0 and sigma_lo < sigma_hi):
         raise ValueError(f"need 0 < sigma_lo < sigma_hi, got {sigma_lo}, {sigma_hi}")
@@ -101,7 +103,10 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
 
     def feasible(sigma: float) -> bool:
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
-        return converted_epsilon(pc, ns, regime, S, k_hat, delta) <= eps_hat
+        try:
+            return converted_epsilon(pc, ns, regime, S, k_hat, delta) <= eps_hat
+        except (CapOverflow, VacuousBound):
+            return False
 
     # the reported upper endpoint must be checked with the budget semantics
     ns_hi = NoiseSchedule(eta=eta, sigma=sigma_hi, T=INFINITE, K=k_hat)
@@ -248,7 +253,7 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
     decay, _ = stream.decay(int(K_list[i - 1]))
 
     arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 1.0):
+    if not (arr > 1.0).all():  # negated so that a nan order fails too
         raise ValueError("alpha must be > 1")
     if np.ndim(alpha) == 0:
         return stream.scalar_curve(slope, decay)(float(arr))

@@ -93,7 +93,7 @@ class NoiseSchedule:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if math.isinf(self.T):
             if self.T < 0:

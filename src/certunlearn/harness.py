@@ -1,12 +1,16 @@
 """Experiment orchestration: calibration, trial loops, and result emission.
 
+Every protocol runs its trials through one runner: train, then serve a
+list of removal requests (none for `evaluate`, one for `unlearn-one` and
+`sweep`, a stream for `sequential`).
+
 Determinism contract: every experiment is a pure function of its config.
-The generator for trial t is Philox keyed by `seed XOR t`; the replacement
-request of trial t (and sequential request r) draws from key
-`seed XOR t XOR REPLACEMENT_TAG XOR r`. Reruns with the same master seed
-therefore produce byte-identical output files. Wall-clock timing is opt-in
-(`timing=True`) because real timings would break that guarantee; timings
-always go to the stderr log.
+The generator for trial t is Philox keyed by `seed XOR t`; it draws the
+trial's whole removal order first, before training. The replacement rows of
+request r of trial t draw from key `seed XOR t XOR REPLACEMENT_TAG XOR r`.
+Reruns with the same master seed therefore produce byte-identical output
+files. Wall-clock timing is opt-in (`timing=True`) because real timings
+would break that guarantee; timings always go to the stderr log.
 """
 from __future__ import annotations
 
@@ -166,13 +170,51 @@ def _objective_for(preset: Preset, data: Dataset):
     return logistic_objective(data, lam=preset.pc.lam, radius=preset.pc.R)
 
 
-def _single_request_indices(rng: np.random.Generator, n: int) -> tuple[int, ...]:
-    return (int(rng.integers(0, n)),)
+def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
+               requests: list[tuple[int, int]], objective: Objective,
+               test: Dataset, t: int) -> float:
+    """Test accuracy of trial t: train, then serve `requests` in turn.
 
+    Each request is (points removed, unlearning steps). The trial's
+    generator draws the whole removal order before training. Langevin
+    trains by noisy GD from the C0 initialization and fine-tunes by noisy
+    GD; retrain applies every request and then trains once on what
+    remains; the delete-to-descent methods train deterministically from a
+    unit-variance start and add sigma-noise after each request's steps.
+    """
+    data = objective.data
+    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
+    order = rng.choice(data.n, size=sum(size for size, _ in requests),
+                       replace=False).tolist()
 
-def _langevin_certificate(preset: Preset, ns: NoiseSchedule, S: int, K: int,
-                          delta: float) -> float:
-    return converted_epsilon(preset.pc, ns, preset.regime, S, K, delta)
+    def served():
+        """(objective on the post-request data, steps) per request."""
+        current, lo = data, 0
+        for r, (size, steps) in enumerate(requests):
+            req = UnlearningRequest(indices=tuple(order[lo:lo + size]),
+                                    replacement_seed=replacement_seed(cfg.seed, t, r))
+            current, lo = apply_request(current, req), lo + size
+            yield _objective_for(preset, current), steps
+
+    if method in ("langevin", "retrain"):
+        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter)
+        init = _pngd.InitSpec(mean=cfg.init_mean,
+                              variance=default_c0(preset.pc, ns, preset.regime))
+        if method == "retrain":  # exact removal: train once on what remains
+            for objective, _ in served():
+                pass
+            return evaluate(_pngd.train(objective, ns, init, rng), test)[1]
+        w = _pngd.train(objective, ns, init, rng)
+        for updated, steps in served():
+            w = _pngd.unlearn(w, updated, steps, ns, rng)
+    else:
+        shape = (data.d, data.n_classes) if data.is_multiclass else (data.d,)
+        w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
+                            shape, preset.pc.R, rng)
+        w = _d2d.d2d_train(objective, cfg.n_iter, w)
+        for updated, steps in served():
+            w = _d2d.d2d_unlearn(w, updated, steps, sigma, rng)
+    return evaluate(w, test)[1]
 
 
 def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
@@ -220,55 +262,26 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
                                         S=1, eta=eta)
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
         if cfg.method == "langevin":
-            eps_achieved = _langevin_certificate(preset, ns, 1, k_hat, delta)
+            eps_achieved = converted_epsilon(pc, ns, preset.regime, 1, k_hat, delta)
             k_total = k_hat
         else:
             eps_achieved = 0.0  # retraining is exact removal
             k_total = cfg.n_iter
-        unlearn_steps, d2d_cal = k_hat, None
+        unlearn_steps = k_hat
     elif cfg.method == "d2d_thm9":
         sigma = _d2d.d2d_sigma_thm9(eps_hat, delta, k_hat, pc.M, pc.m, pc.n, pc.L)
-        eps_achieved, k_total, unlearn_steps, d2d_cal = eps_hat, k_hat, k_hat, None
+        eps_achieved, k_total, unlearn_steps = eps_hat, k_hat, k_hat
     else:  # d2d_thm28
         cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
         sigma = cal.sigma
         unlearn_steps = cal.iterations(1)
-        eps_achieved, k_total, d2d_cal = eps_hat, unlearn_steps, cal
+        eps_achieved, k_total = eps_hat, unlearn_steps
 
-    accs: list[float] = []
-    for t in range(cfg.trials):
-        accs.append(_one_trial(cfg, preset, sigma, unlearn_steps, objective, test, t))
+    accs = [_run_trial(cfg, preset, cfg.method, sigma, [(1, unlearn_steps)],
+                       objective, test, t) for t in range(cfg.trials)]
     mean, std = _aggregate(accs)
     return TrialResult(cfg.method, sigma, eps_hat, eps_achieved, k_total,
                        mean, std, None, cfg.seed, per_trial_acc=accs)
-
-
-def _one_trial(cfg: ExperimentConfig, preset: Preset, sigma: float,
-               unlearn_steps: int, objective: Objective, test: Dataset, t: int) -> float:
-    pc = preset.pc
-    data = objective.data
-    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
-    req = UnlearningRequest(indices=_single_request_indices(rng, data.n),
-                            replacement_seed=replacement_seed(cfg.seed, t))
-    updated = apply_request(data, req)
-    updated_objective = _objective_for(preset, updated)
-
-    if cfg.method in ("langevin", "retrain"):
-        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=unlearn_steps)
-        c0 = default_c0(pc, ns, preset.regime)
-        init = _pngd.InitSpec(mean=cfg.init_mean, variance=c0)
-        if cfg.method == "langevin":
-            w = _pngd.train(objective, ns, init, rng)
-            w = _pngd.unlearn(w, updated_objective, unlearn_steps, ns, rng)
-        else:
-            w = _pngd.train(updated_objective, ns, init, rng)
-    else:
-        shape = ((data.d, data.n_classes) if data.is_multiclass else (data.d,))
-        init_w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
-                                 shape, pc.R, rng)
-        w = _d2d.d2d_train(objective, cfg.n_iter, init_w)
-        w = _d2d.d2d_unlearn(w, updated_objective, unlearn_steps, sigma, rng)
-    return evaluate(w, test)[1]
 
 
 def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple]]:
@@ -300,52 +313,20 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
     cum = np.cumsum(schedule)
     plot = [(min((i + 1) * batch, cfg.s_total), int(c), 0.0)
             for i, c in enumerate(cum)]
+    requests = [(min(batch, cfg.s_total - r * batch), steps)
+                for r, steps in enumerate(schedule)]
 
     accs: list[float] = []
     if cfg.trials > 0:
         data, test = _load_data(cfg)
         objective = _objective_for(preset, data)
-        for t in range(cfg.trials):
-            accs.append(_sequential_trial(cfg, preset, sigma, schedule, batch,
-                                          objective, test, t))
+        accs = [_run_trial(cfg, preset, cfg.method, sigma, requests, objective, test, t)
+                for t in range(cfg.trials)]
     mean, std = _aggregate(accs)
     row = TrialResult(cfg.method, sigma, eps_hat, eps_hat,
                       int(cum[-1]) if len(cum) else 0, mean, std, None, cfg.seed,
                       per_trial_acc=accs)
     return [row], plot
-
-
-def _sequential_trial(cfg: ExperimentConfig, preset: Preset, sigma: float,
-                      schedule: list[int], batch: int, objective: Objective,
-                      test: Dataset, t: int) -> float:
-    pc = preset.pc
-    data = current = objective.data
-    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
-    removal_order = rng.choice(data.n, size=cfg.s_total, replace=False)
-    if cfg.method == "langevin":
-        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
-        c0 = default_c0(pc, ns, preset.regime)
-        w = _pngd.train(objective, ns,
-                        _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)
-    else:
-        shape = ((data.d, data.n_classes) if data.is_multiclass else (data.d,))
-        init_w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
-                                 shape, pc.R, rng)
-        w = _d2d.d2d_train(objective, cfg.n_iter, init_w)
-
-    for r, steps in enumerate(schedule):
-        lo, hi = r * batch, min((r + 1) * batch, cfg.s_total)
-        idx = tuple(int(i) for i in removal_order[lo:hi])
-        req = UnlearningRequest(indices=idx,
-                                replacement_seed=replacement_seed(cfg.seed, t, r))
-        current = apply_request(current, req)
-        updated_objective = _objective_for(preset, current)
-        if cfg.method == "langevin":
-            ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=0, K=steps)
-            w = _pngd.unlearn(w, updated_objective, steps, ns, rng)
-        else:
-            w = _d2d.d2d_unlearn(w, updated_objective, steps, sigma, rng)
-    return evaluate(w, test)[1]
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple]]:
@@ -379,9 +360,8 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
             rows.append(TrialResult(cfg.method, sigma, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
             continue
-        accs: list[float] = []
-        for t in range(cfg.trials):
-            accs.append(_sweep_trial(cfg, preset, sigma, k, objective, test, t))
+        accs = [_run_trial(cfg, preset, "langevin", sigma, [(S, k)], objective, test, t)
+                for t in range(cfg.trials)]
         mean, std = _aggregate(accs)
         cert = converted_epsilon(pc, ns, preset.regime, S, k, delta)
         rows.append(TrialResult(cfg.method, sigma, eps_hat, cert, k, mean, std,
@@ -390,36 +370,14 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
     return rows, plot
 
 
-def _sweep_trial(cfg: ExperimentConfig, preset: Preset, sigma: float, k: int,
-                 objective: Objective, test: Dataset, t: int) -> float:
-    pc = preset.pc
-    data = objective.data
-    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
-    ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=k)
-    c0 = default_c0(pc, ns, preset.regime)
-    w = _pngd.train(objective, ns, _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)
-    removal = rng.choice(data.n, size=cfg.s_total, replace=False)
-    req = UnlearningRequest(indices=tuple(int(i) for i in removal),
-                            replacement_seed=replacement_seed(cfg.seed, t))
-    updated = apply_request(data, req)
-    w = _pngd.unlearn(w, _objective_for(preset, updated), k, ns, rng)
-    return evaluate(w, test)[1]
-
-
 def run_evaluate(cfg: ExperimentConfig) -> list[TrialResult]:
     """Train from scratch (no removal) and report test accuracy."""
     preset = cfg.resolved_preset()
     sigma = cfg.sigma if cfg.sigma is not None else 0.03
     data, test = _load_data(cfg)
     objective = _objective_for(preset, data)
-    ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
-    c0 = default_c0(preset.pc, ns, preset.regime)
-    accs: list[float] = []
-    for t in range(max(cfg.trials, 1)):
-        rng = _pngd.make_rng(trial_seed(cfg.seed, t))
-        w = _pngd.train(objective, ns,
-                        _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)
-        accs.append(evaluate(w, test)[1])
+    accs = [_run_trial(cfg, preset, "langevin", sigma, [], objective, test, t)
+            for t in range(max(cfg.trials, 1))]
     mean, std = _aggregate(accs)
     return [TrialResult("evaluate", sigma, cfg.eps_targets[0], None, cfg.n_iter,
                         mean, std, None, cfg.seed, per_trial_acc=accs)]

@@ -65,6 +65,12 @@ class InitSpec:
     mean: float = 1000.0
     variance: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"init mean must be finite, got {self.mean}")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ValueError(f"init variance must be finite and >= 0, got {self.variance}")
+
 
 def draw_init(spec: InitSpec, shape: tuple[int, ...], R: float,
               rng: np.random.Generator) -> np.ndarray:

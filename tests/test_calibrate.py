@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from certunlearn import (BudgetUnreachable, INFINITE, NoFeasibleSigma, NoiseSchedule,
-                         ProblemConstants, Regime, RenyiBound, VacuousBound,
+from certunlearn import (BudgetUnreachable, CapOverflow, INFINITE, NoFeasibleSigma,
+                         NoiseSchedule, ProblemConstants, Regime, RenyiBound, VacuousBound,
                          binary_search_sigma, calibrate, converted_epsilon, default_c0,
                          find_min_k, learn_epsilon0, lsi_unlearn_trace, rdp_to_dp,
                          sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
@@ -141,6 +141,27 @@ class TestBinarySearchSigma:
         with pytest.raises(NoFeasibleSigma):
             binary_search_sigma(1.0, mnist.delta, 1, mnist.pc, mnist.regime,
                                 S=1, sigma_lo=1e-6, sigma_hi=2e-6, eta=mnist.eta)
+
+    def test_convex_overflowing_probes_do_not_certify(self):
+        # the LSI caps overflow below sigma ~ 0.015 (default sigma_lo is 1e-6),
+        # so the bisection must treat those probes as infeasible, not raise
+        pc = ProblemConstants(L=1.0, m=0.0, M=0.1, R=0.1, n=10, d=5)
+        sigma = binary_search_sigma(1.0, 1e-4, 5, pc, Regime.CONVEX, sigma_hi=4.0)
+
+        def cert(s):
+            ns = NoiseSchedule(eta=1.0, sigma=s, T=INFINITE, K=5)
+            return converted_epsilon(pc, ns, Regime.CONVEX, 1, 5, 1e-4)
+        assert 0.4 < sigma < 0.45
+        assert cert(sigma) <= 1.0 < cert(sigma / (1.0 + 1e-4))
+        with pytest.raises(CapOverflow):
+            cert(1e-6)
+
+    def test_empty_convex_bracket_raises_typed_error(self):
+        pc = ProblemConstants(L=1.0, m=0.0, M=0.1, R=0.1, n=10, d=5)
+        with pytest.raises(CapOverflow):  # the upfront find_min_k at sigma_hi
+            binary_search_sigma(1.0, 1e-4, 5, pc, Regime.CONVEX, sigma_hi=1e-3)
+        with pytest.raises(NoFeasibleSigma):
+            binary_search_sigma(1.0, 1e-4, 5, pc, Regime.CONVEX, sigma_hi=0.3)
 
 
 class TestSequential:
@@ -314,6 +335,10 @@ class TestSequential:
             sequential_epsilon(2.0, 0.03, 5, 2, [3], mnist.pc, mnist.regime)
         with pytest.raises(ValueError):
             sequential_epsilon(1.0, 0.03, 5, 1, [3], mnist.pc, mnist.regime)
+        # nan compares False both ways, so it must be rejected, not evaluated
+        for order in (math.nan, np.array(math.nan), np.array([2.0, math.nan])):
+            with pytest.raises(ValueError, match="alpha"):
+                sequential_epsilon(order, 0.03, 5, 2, [10, 10], mnist.pc, mnist.regime)
 
 
 class TestConvertedEpsilonChain:

@@ -62,6 +62,16 @@ class TestParamsProtocol:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("cls,param", [
+    (NoisyGDClassifier, dict(init_mean=np.nan)), (D2DClassifier, dict(init_mean=np.nan)),
+    (NoisyGDClassifier, dict(sigma=np.nan)),
+])
+def test_fit_rejects_nan_hyperparameters(blobs, cls, param):
+    X, y = blobs
+    with pytest.raises(ValueError, match="init mean|sigma"):
+        cls(n_iter=5, **param).fit(X, y)
+
+
 class TestNoisyGDClassifier:
     def test_fit_predict_score(self, blobs):
         X, y = blobs

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from certunlearn import (ConfigError, INFINITE, NoiseSchedule, converted_epsilon,
-                         get_preset)
-from certunlearn.harness import (ExperimentConfig, TrialResult, emit_results,
-                                 plot_data_path, run_evaluate, run_sequential,
+from certunlearn import (ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
+                         UnlearningRequest, apply_request, converted_epsilon,
+                         default_c0, evaluate, get_preset, sequential_k_schedule)
+from certunlearn import d2d as _d2d
+from certunlearn import harness
+from certunlearn import pngd as _pngd
+from certunlearn.harness import (ExperimentConfig, TrialResult, _load_data,
+                                 _objective_for, emit_results, plot_data_path,
+                                 replacement_seed, run_evaluate, run_sequential,
                                  run_tradeoff_sweep, run_unlearn_one, trial_seed,
                                  trials_log_path)
 
@@ -14,6 +19,191 @@ def tiny_cfg(**kw):
                 trials=3, seed=7, n_iter=150, out="unused.csv")
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+# The per-protocol trial bodies that the single request-stream runner
+# replaced, kept as references (the one-index draw helper inlined): the
+# runner must reproduce each trial's weights and accuracy bit for bit.
+def _ref_one_trial(cfg, preset, sigma, unlearn_steps, objective, test, t):
+    pc = preset.pc
+    data = objective.data
+    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
+    req = UnlearningRequest(indices=(int(rng.integers(0, data.n)),),
+                            replacement_seed=replacement_seed(cfg.seed, t))
+    updated = apply_request(data, req)
+    updated_objective = _objective_for(preset, updated)
+
+    if cfg.method in ("langevin", "retrain"):
+        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=unlearn_steps)
+        c0 = default_c0(pc, ns, preset.regime)
+        init = _pngd.InitSpec(mean=cfg.init_mean, variance=c0)
+        if cfg.method == "langevin":
+            w = _pngd.train(objective, ns, init, rng)
+            w = _pngd.unlearn(w, updated_objective, unlearn_steps, ns, rng)
+        else:
+            w = _pngd.train(updated_objective, ns, init, rng)
+    else:
+        shape = ((data.d, data.n_classes) if data.is_multiclass else (data.d,))
+        init_w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
+                                 shape, pc.R, rng)
+        w = _d2d.d2d_train(objective, cfg.n_iter, init_w)
+        w = _d2d.d2d_unlearn(w, updated_objective, unlearn_steps, sigma, rng)
+    return evaluate(w, test)[1]
+
+
+def _ref_sequential_trial(cfg, preset, sigma, schedule, batch, objective, test, t):
+    pc = preset.pc
+    data = current = objective.data
+    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
+    removal_order = rng.choice(data.n, size=cfg.s_total, replace=False)
+    if cfg.method == "langevin":
+        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
+        c0 = default_c0(pc, ns, preset.regime)
+        w = _pngd.train(objective, ns,
+                        _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)
+    else:
+        shape = ((data.d, data.n_classes) if data.is_multiclass else (data.d,))
+        init_w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
+                                 shape, pc.R, rng)
+        w = _d2d.d2d_train(objective, cfg.n_iter, init_w)
+
+    for r, steps in enumerate(schedule):
+        lo, hi = r * batch, min((r + 1) * batch, cfg.s_total)
+        idx = tuple(int(i) for i in removal_order[lo:hi])
+        req = UnlearningRequest(indices=idx,
+                                replacement_seed=replacement_seed(cfg.seed, t, r))
+        current = apply_request(current, req)
+        updated_objective = _objective_for(preset, current)
+        if cfg.method == "langevin":
+            ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=0, K=steps)
+            w = _pngd.unlearn(w, updated_objective, steps, ns, rng)
+        else:
+            w = _d2d.d2d_unlearn(w, updated_objective, steps, sigma, rng)
+    return evaluate(w, test)[1]
+
+
+def _ref_sweep_trial(cfg, preset, sigma, k, objective, test, t):
+    # the old sweep trial drew its removal set after training; the runner
+    # draws every removal order first, so the draw moves ahead of train
+    pc = preset.pc
+    data = objective.data
+    rng = _pngd.make_rng(trial_seed(cfg.seed, t))
+    removal = rng.choice(data.n, size=cfg.s_total, replace=False)
+    ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=k)
+    c0 = default_c0(pc, ns, preset.regime)
+    w = _pngd.train(objective, ns, _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)
+    req = UnlearningRequest(indices=tuple(int(i) for i in removal),
+                            replacement_seed=replacement_seed(cfg.seed, t))
+    updated = apply_request(data, req)
+    w = _pngd.unlearn(w, _objective_for(preset, updated), k, ns, rng)
+    return evaluate(w, test)[1]
+
+
+def _ref_evaluate_accs(cfg):
+    preset = cfg.resolved_preset()
+    sigma = cfg.sigma if cfg.sigma is not None else 0.03
+    data, test = _load_data(cfg)
+    objective = _objective_for(preset, data)
+    ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
+    c0 = default_c0(preset.pc, ns, preset.regime)
+    accs = []
+    for t in range(max(cfg.trials, 1)):
+        rng = _pngd.make_rng(trial_seed(cfg.seed, t))
+        w = _pngd.train(objective, ns,
+                        _pngd.InitSpec(mean=cfg.init_mean, variance=c0), rng)
+        accs.append(evaluate(w, test)[1])
+    return accs
+
+
+def _trial_inputs(cfg):
+    preset = cfg.resolved_preset()
+    data, test = _load_data(cfg)
+    return preset, _objective_for(preset, data), test
+
+
+_THREE_CLASS = ProblemConstants(L=1.002, m=0.002, M=1.0, R=100.0, n=300, d=6, lam=0.002)
+
+
+@pytest.fixture
+def weights(monkeypatch):
+    """Bytes of every weight vector evaluated by the runner or a reference:
+    accuracy alone is too coarse to tell two trajectories apart."""
+    seen = []
+    real = evaluate
+
+    def recording(w, data, *args, **kwargs):
+        seen.append(np.asarray(w).tobytes())
+        return real(w, data, *args, **kwargs)
+    monkeypatch.setattr(harness, "evaluate", recording)
+    monkeypatch.setitem(globals(), "evaluate", recording)
+    return seen
+
+
+def _assert_same_trials(weights, accs, reference):
+    """The runner's accuracies (already computed) and weight vectors equal
+    the reference's, bit for bit."""
+    got = list(weights)
+    weights.clear()
+    assert accs == reference()
+    assert got == weights and got
+
+
+class TestRunnerMatchesReferences:
+    @pytest.mark.parametrize("kw", [
+        dict(method="langevin"), dict(method="retrain"), dict(method="d2d_thm9"),
+        dict(method="d2d_thm28"), dict(method="langevin", k_budget=3),
+        dict(method="langevin", constants=_THREE_CLASS, n_classes=3, n_iter=80),
+    ], ids=["langevin", "retrain", "d2d_thm9", "d2d_thm28", "k_budget_3", "three_class"])
+    def test_unlearn_one(self, kw, weights):
+        cfg = tiny_cfg(**kw)
+        preset, objective, test = _trial_inputs(cfg)
+        row, = run_unlearn_one(cfg)
+        assert row.error is None
+        steps = row.k_total if cfg.method == "d2d_thm28" else cfg.k_budget
+        _assert_same_trials(weights, row.per_trial_acc, lambda: [
+            _ref_one_trial(cfg, preset, row.sigma, steps, objective, test, t)
+            for t in range(cfg.trials)])
+
+    @pytest.mark.parametrize("kw", [
+        dict(method="langevin", sigma=0.3, s_total=5, batch=2),
+        dict(method="d2d_thm28", s_total=3),
+    ], ids=["langevin_uneven_batch", "d2d_thm28"])
+    def test_sequential(self, kw, weights):
+        cfg = tiny_cfg(trials=2, n_iter=100, **kw)
+        preset, objective, test = _trial_inputs(cfg)
+        row, = run_sequential(cfg)[0]
+        pc = preset.pc
+        if cfg.method == "langevin":
+            schedule = sequential_k_schedule(1.0, cfg.resolved_delta(), cfg.sigma,
+                                             cfg.s_total, cfg.batch, pc, preset.regime,
+                                             eta=preset.eta)
+            batch = cfg.batch
+        else:
+            cal = _d2d.d2d_sigma_thm28(1.0, cfg.resolved_delta(), pc.M, pc.m, pc.n,
+                                       pc.L, pc.d)
+            schedule = [cal.iterations(i) for i in range(1, cfg.s_total + 1)]
+            batch = 1
+        assert sum(schedule) == row.k_total and len(row.per_trial_acc) == 2
+        assert all(k > 0 for k in schedule[1:])  # later requests move the weights
+        _assert_same_trials(weights, row.per_trial_acc, lambda: [
+            _ref_sequential_trial(cfg, preset, row.sigma, schedule, batch, objective,
+                                  test, t) for t in range(cfg.trials)])
+
+    def test_sweep(self, weights):
+        cfg = tiny_cfg(sigma_grid=(0.3, 0.5), s_total=3, trials=2, n_iter=60)
+        preset, objective, test = _trial_inputs(cfg)
+        rows, _ = run_tradeoff_sweep(cfg)
+        assert rows[0].k_total > 0
+        _assert_same_trials(weights, [row.per_trial_acc for row in rows], lambda: [
+            [_ref_sweep_trial(cfg, preset, row.sigma, row.k_total, objective, test, t)
+             for t in range(cfg.trials)] for row in rows])
+
+    @pytest.mark.parametrize("trials", [2, 0])
+    def test_evaluate(self, trials, weights):
+        cfg = tiny_cfg(trials=trials, sigma=0.05, n_iter=120)
+        row, = run_evaluate(cfg)
+        assert len(row.per_trial_acc) == max(trials, 1)
+        _assert_same_trials(weights, row.per_trial_acc, lambda: _ref_evaluate_accs(cfg))
 
 
 class TestConfig:
