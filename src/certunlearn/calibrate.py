@@ -39,20 +39,22 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     """Smallest K whose certificate meets eps_hat.
 
     Galloping doubling followed by bisection on the (non-increasing in K)
-    converted epsilon; raises BudgetUnreachable past k_max.
+    converted epsilon; raises BudgetUnreachable past k_max. The learning
+    curve does not depend on K, so every probe shares one.
     """
     if not eps_hat > 0:
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    def ok(k: int) -> bool:
-        return converted_epsilon(pc, ns, regime, S, k, delta, C0=C0) <= eps_hat
+    eps0 = learn_epsilon0(pc, ns, regime, S=S, C0=C0)
 
-    k = _least_k(ok, k_max)
+    def eps_at(k: int) -> float:
+        return rdp_to_dp(unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=k), delta)[0]
+
+    k = _least_k(lambda k: eps_at(k) <= eps_hat, k_max)
     if k is None:
-        raise BudgetUnreachable(eps_hat, k_max,
-                                best=converted_epsilon(pc, ns, regime, S, k_max, delta, C0=C0))
+        raise BudgetUnreachable(eps_hat, k_max, best=eps_at(k_max))
     return k
 
 

@@ -1,10 +1,12 @@
-"""Command-line interface.
+"""Command-line interface: calibrate-sigma, unlearn-one, sequential, sweep,
+d2d, evaluate and make-data.
 
-Subcommands: calibrate-sigma, unlearn-one, sequential, sweep, d2d, evaluate.
-A key=value config file (--config) may set any flag; explicit flags win.
-Exit codes: 0 success, 2 calibration infeasible, 3 I/O error, 4 invalid
-config. Diagnostics go to stderr (level from UNLEARN_LOG in
-{error, info, debug}); results go only to --out.
+Each flag's dest is an ExperimentConfig field, whose defaults are the only
+ones. A key=value config file (--config) is parsed as --key=value flags ahead
+of the explicit ones, which win. Exit codes: 0 success, 2 calibration
+infeasible, 3 I/O error, 4 invalid config or a malformed flag. Diagnostics go
+to stderr (level from UNLEARN_LOG in {error, info, debug}); results go only
+to --out.
 """
 from __future__ import annotations
 
@@ -20,8 +22,9 @@ from .data import SyntheticSpec, make_synthetic, save_dataset
 from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError,
                      DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
                      VacuousBound)
-from .harness import (ExperimentConfig, TrialResult, emit_results, run_evaluate,
-                      run_sequential, run_tradeoff_sweep, run_unlearn_one)
+from .harness import (METHODS, ExperimentConfig, TrialResult, emit_results,
+                      run_evaluate, run_sequential, run_tradeoff_sweep,
+                      run_unlearn_one)
 
 log = logging.getLogger("certunlearn")
 
@@ -42,32 +45,48 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed flag, key or value as a ConfigError (exit 4)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated floats, as --eps and --sigma-grid take them."""
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Every flag's dest is an ExperimentConfig field; defaults live there."""
     p.add_argument("--config", help="key=value file; flags given explicitly override it")
-    p.add_argument("--preset", default="synthetic", choices=sorted(PRESETS),
-                   help="constants bundle (default: synthetic)")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--eps", default=None,
-                   help="target epsilon or comma-separated list (default: 1)")
-    p.add_argument("--delta", type=float, default=None, help="default: 1/n of the preset")
-    p.add_argument("--k-budget", type=int, default=1)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--total-removals", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="results.csv")
-    p.add_argument("--method", default="langevin",
-                   choices=["langevin", "d2d_thm9", "d2d_thm28", "retrain"])
-    p.add_argument("--n-iter", type=int, default=10000, help="training iterations")
-    p.add_argument("--sigma-grid", default=None, help="comma-separated sweep values")
-    p.add_argument("--data", default=None, help="training dataset CSV")
-    p.add_argument("--test-data", default=None, help="held-out evaluation CSV")
-    p.add_argument("--init-mean", type=float, default=1000.0)
+    p.add_argument("--preset", choices=sorted(PRESETS), help="constants bundle")
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--eps", dest="eps_targets", type=_float_list, help="target epsilons")
+    p.add_argument("--delta", type=float, help="default: 1/n of the preset")
+    p.add_argument("--k-budget", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--total-removals", dest="s_total", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--n-iter", type=int, help="training iterations")
+    p.add_argument("--sigma-grid", type=_float_list, help="comma-separated sweep values")
+    p.add_argument("--data", dest="data_path", help="training dataset CSV")
+    p.add_argument("--test-data", dest="test_data_path", help="held-out evaluation CSV")
+    p.add_argument("--init-mean", type=float)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock in the CSV (breaks byte-for-byte reruns)")
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _config_flags(path: str) -> list[str]:
+    """The flags a key=value config file stands for: `key = value` becomes
+    `--key=value`, and `timing`, the one flag without a value, becomes
+    `--timing` when true and nothing when false."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -81,68 +100,19 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        values[key.strip().replace("_", "-")] = value.strip()
+    timing = values.pop("timing", "false").lower()
+    if timing not in ("1", "true", "yes", "0", "false", "no"):
+        raise ConfigError(f"config key 'timing' must be true or false, got {timing!r}")
+    flags = [f"--{key}={value}" for key, value in values.items()]
+    return flags + ["--timing"] if timing in ("1", "true", "yes") else flags
 
 
-_CONFIG_COERCERS = {
-    "sigma": float, "delta": float, "k_budget": int, "batch": int,
-    "total_removals": int, "trials": int, "seed": int, "n_iter": int,
-    "init_mean": float, "timing": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Apply config-file values for flags the user did not pass explicitly."""
-    if not args.config:
-        return
-    values = _parse_config_file(args.config)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
-    for key, raw in values.items():
-        if key in explicit or not hasattr(args, key):
-            if not hasattr(args, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            continue
-        coerce = _CONFIG_COERCERS.get(key, str)
-        try:
-            setattr(args, key, coerce(raw))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _eps_list(args: argparse.Namespace) -> tuple[float, ...]:
-    if args.eps is None:
-        return (1.0,)
-    try:
-        return tuple(float(tok) for tok in str(args.eps).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --eps value {args.eps!r}: {exc}") from exc
-
-
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    grid = ()
-    if args.sigma_grid:
-        try:
-            grid = tuple(float(tok) for tok in str(args.sigma_grid).split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --sigma-grid value: {exc}") from exc
-    return ExperimentConfig(
-        preset=args.preset, method=args.method, eps_targets=_eps_list(args),
-        delta=args.delta, sigma=args.sigma, k_budget=args.k_budget,
-        trials=args.trials, seed=args.seed, s_total=args.total_removals,
-        batch=args.batch, n_iter=args.n_iter, sigma_grid=grid,
-        init_mean=args.init_mean, data_path=args.data,
-        test_data_path=args.test_data, out=args.out, timing=args.timing)
-
-
-def _cmd_calibrate_sigma(args) -> int:
+def _cmd_calibrate_sigma(cfg: ExperimentConfig) -> int:
     """Pure accountant run: least sigma per target at the step budget."""
-    cfg = _build_config(args)
     preset = cfg.resolved_preset()
     delta = cfg.resolved_delta()
     rows: list[TrialResult] = []
-    failures = 0
     for eps_hat in cfg.eps_targets:
         try:
             sigma = binary_search_sigma(eps_hat, delta, cfg.k_budget, preset.pc,
@@ -156,39 +126,33 @@ def _cmd_calibrate_sigma(args) -> int:
             log.error("eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult("langevin", None, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
-            failures += 1
     emit_results(rows, cfg.out)
-    return EXIT_CALIBRATION if failures == len(rows) else EXIT_OK
+    return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
 
 
-def _cmd_unlearn_one(args) -> int:
-    cfg = _build_config(args)
+def _cmd_unlearn_one(cfg: ExperimentConfig) -> int:
     rows = run_unlearn_one(cfg)
     emit_results(rows, cfg.out)
     return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
 
 
-def _cmd_sequential(args) -> int:
-    cfg = _build_config(args)
+def _cmd_sequential(cfg: ExperimentConfig) -> int:
     rows, plot = run_sequential(cfg)
     emit_results(rows, cfg.out, plot=plot)
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+def _cmd_sweep(cfg: ExperimentConfig) -> int:
     rows, plot = run_tradeoff_sweep(cfg)
     emit_results(rows, cfg.out, plot=plot)
     return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
 
 
-def _cmd_d2d(args) -> int:
+def _cmd_d2d(cfg: ExperimentConfig) -> int:
     """Emit both closed-form noise calibrations plus the reference-table
     comparison (diagnostic; the formulas are the source of truth)."""
-    cfg = _build_config(args)
-    preset = cfg.resolved_preset()
+    pc = cfg.resolved_preset().pc
     delta = cfg.resolved_delta()
-    pc = preset.pc
     lines = ["preset,theorem,I,eps,sigma_formula,sigma_reference,ratio"]
     reference = _d2d.REFERENCE_SIGMAS_THM9.get(cfg.preset, {})
     for i_steps in (1, 2, 5):
@@ -216,17 +180,15 @@ def _cmd_d2d(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(cfg: ExperimentConfig) -> int:
     """Train on the configured data (no removal) and report test accuracy."""
-    cfg = _build_config(args)
     rows = run_evaluate(cfg)
     emit_results(rows, cfg.out)
     return EXIT_OK
 
 
-def _cmd_make_data(args) -> int:
+def _cmd_make_data(cfg: ExperimentConfig) -> int:
     """Generate a synthetic dataset CSV (helper for offline runs)."""
-    cfg = _build_config(args)
     preset = cfg.resolved_preset()
     spec = SyntheticSpec(n=preset.pc.n, d=preset.pc.d, n_classes=preset.n_classes)
     save_dataset(make_synthetic(spec, cfg.seed), cfg.out)
@@ -234,7 +196,7 @@ def _cmd_make_data(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="certunlearn",
         description="Certified machine unlearning: PNGD training/unlearning, a "
                     "Renyi accountant, and benchmark protocols.")
@@ -250,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "make-data": (_cmd_make_data, "write a synthetic dataset CSV"),
     }
     for name, (fn, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         _add_common(p)
         p.set_defaults(handler=fn)
     return parser
@@ -260,10 +222,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _configure_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _merge_config(args, argv)
-        return args.handler(args)
+        args = parser.parse_args(argv)
+        if hasattr(args, "config"):  # the file's flags go first, so explicit ones win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
+        settings = {key: value for key, value in vars(args).items()
+                    if key not in ("command", "config", "handler")}
+        return args.handler(ExperimentConfig(**settings))
     except ConfigError as exc:
         log.error("%s", exc)
         print(f"config error: {exc}", file=sys.stderr)

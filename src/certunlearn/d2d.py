@@ -6,8 +6,7 @@ unlearning runs I more deterministic steps on the updated data and then
 perturbs the result once. The calibration with an internal non-private
 state (the server keeps the pre-noise iterate) needs less noise than the
 stateless one, which must also lower-bound the per-request iteration count.
-Both formulas are stated for add/remove dataset adjacency; outputs are
-labelled accordingly by callers that mix adjacency conventions.
+Both formulas are stated for add/remove dataset adjacency.
 """
 from __future__ import annotations
 
@@ -18,8 +17,6 @@ import numpy as np
 
 from .errors import InfeasibleBudget
 from .pngd import project_ball
-
-ADJACENCY = "add/remove"
 
 
 @dataclass(frozen=True)
@@ -41,28 +38,26 @@ class D2DConfig:
                          internal_state=internal_state)
 
 
-def d2d_train(objective, T: int, init: np.ndarray, R: float | None = None) -> np.ndarray:
+def d2d_train(objective, T: int, init: np.ndarray) -> np.ndarray:
     """Deterministic projected GD at step 2/(L + m); bit-identical across runs."""
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
     pc = objective.constants
-    if R is None:
-        R = pc.R
     step = 2.0 / (pc.L + pc.m)
-    w = project_ball(np.array(init, dtype=float), R)
+    w = project_ball(np.array(init, dtype=float), pc.R)
     for _ in range(int(T)):
-        w = project_ball(w - step * objective.grad(w), R)
+        w = project_ball(w - step * objective.grad(w), pc.R)
     return w
 
 
 def d2d_unlearn(params: np.ndarray, objective, I: int, sigma: float,
-                rng: np.random.Generator, R: float | None = None) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """I deterministic GD steps on the updated data, then one Gaussian
     perturbation N(0, sigma^2 I). Only the perturbed iterate is returned, so
     a stateless caller never sees the non-private intermediate."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    w = d2d_train(objective, I, params, R=R)
+    w = d2d_train(objective, I, params)
     if sigma == 0.0:
         return w
     return w + sigma * rng.standard_normal(w.shape)

@@ -26,7 +26,7 @@ from . import pngd as _pngd
 from .accountant import learn_epsilon0, rdp_to_dp
 from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_k_schedule)
-from .constants import (INFINITE, NoiseSchedule, Preset, ProblemConstants,
+from .constants import (INFINITE, PRESETS, NoiseSchedule, Preset, ProblemConstants,
                         default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic
 from .errors import CertUnlearnError, ConfigError
@@ -71,6 +71,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}; "
+                              f"choose from {sorted(PRESETS)}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.trials < 0:

@@ -78,19 +78,17 @@ def draw_init(spec: InitSpec, shape: tuple[int, ...], R: float,
     return project_ball(w0, R)
 
 
-def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator,
-          R: float | None = None) -> np.ndarray:
+def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator) -> np.ndarray:
     """Run ns.T noisy projected steps from `init`.
 
     `init` is either a parameter array or an InitSpec (drawn through `rng`
-    before the first step). The projection radius defaults to the
-    objective's certified R. T must be finite here; the accountant owns the
+    before the first step). The projection radius is the objective's
+    certified R. T must be finite here; the accountant owns the
     converged-training limits.
     """
     if math.isinf(ns.T):
         raise ValueError("train needs a finite T; INFINITE is an accountant-only value")
-    if R is None:
-        R = objective.constants.R
+    R = objective.constants.R
     if isinstance(init, InitSpec):
         d, c = _objective_shape(objective)
         shape = (d,) if c is None else (d, c)
@@ -103,7 +101,7 @@ def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator,
 
 
 def unlearn(params: np.ndarray, objective, K: int, ns: NoiseSchedule,
-            rng: np.random.Generator, R: float | None = None) -> np.ndarray:
+            rng: np.random.Generator) -> np.ndarray:
     """Fine-tune trained parameters for K steps against the updated dataset.
 
     `objective` must be built on the post-request dataset; K = 0 returns the
@@ -111,8 +109,7 @@ def unlearn(params: np.ndarray, objective, K: int, ns: NoiseSchedule,
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    if R is None:
-        R = objective.constants.R
+    R = objective.constants.R
     w = np.array(params, dtype=float)
     for _ in range(K):
         w = pngd_step(w, objective.grad, ns.eta, ns.sigma, R, rng)

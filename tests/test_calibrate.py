@@ -119,6 +119,20 @@ class TestFindMinK:
         with pytest.raises(BudgetUnreachable):
             find_min_k(*args, S=100, k_max=2011)
 
+    def test_one_learning_curve_per_search(self, mnist, monkeypatch):
+        # the learning curve does not depend on K, so every K probe shares one
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return learn_epsilon0(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "learn_epsilon0", counting)
+        ns = _ns(mnist, 0.03)
+        k = find_min_k(1.0, mnist.delta, mnist.pc, ns, mnist.regime, S=100)
+        assert k == ORACLE_FIND_K_S100
+        assert len(calls) == 1
+
 
 class TestBinarySearchSigma:
     @pytest.mark.parametrize("preset_name", sorted(ORACLE_SIGMA))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from certunlearn import VacuousBound, cli
 from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
+from certunlearn.harness import ExperimentConfig
 
 
 class TestExitCodes:
@@ -46,11 +48,13 @@ class TestExitCodes:
         ["calibrate-sigma", "--batch", "0"],
         ["sequential", "--sigma", "0"],
         ["sequential", "--sigma", "0.03", "--batch", "0"],
+        ["calibrate-sigma", "--k-budget", "abc"],
     ], ids=" ".join)
-    def test_out_of_range_flag_is_config_error(self, tmp_path, argv):
+    def test_out_of_range_flag_is_config_error(self, tmp_path, capsys, argv):
         code = main([*argv, "--preset", "mnist38", "--eps", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_data_for_real_preset(self, tmp_path):
@@ -68,6 +72,36 @@ class TestExitCodes:
 
 
 class TestConfigFile:
+    def test_abbreviated_flag_beats_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 9\n")
+        out = tmp_path / "x.csv"
+        code = main(["calibrate-sigma", "--config", str(cfg), "--preset", "mnist38",
+                     "--eps", "1", "--se", "5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1].endswith(",5")
+
+    @pytest.mark.parametrize("text", ["preset = bogus\n", "timing = maybe\n"],
+                             ids=["preset", "timing"])
+    def test_bad_value_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main(["calibrate-sigma", "--config", str(cfg), "--eps", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_timing_true_fills_wall_ms(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timing = true\n")
+        out = tmp_path / "u.csv"
+        code = main(["unlearn-one", "--config", str(cfg), "--trials", "1",
+                     "--n-iter", "20", "--out", str(out)])
+        assert code == EXIT_OK
+        row = out.read_text().splitlines()[1].split(",")
+        assert float(row[7]) > 0.0  # wall_ms, empty unless timing is on
+
     def test_file_sets_flags_and_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\npreset = mnist38\neps = 1,2\nseed = 9\n"
@@ -93,6 +127,14 @@ class TestConfigFile:
         code = main(["calibrate-sigma", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
+
+
+def test_every_flag_sets_a_config_field():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"config"}
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    for name, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        assert dests <= fields, (name, dests - fields)
 
 
 class TestOutputs:

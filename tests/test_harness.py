@@ -216,7 +216,7 @@ class TestConfig:
         ("batch", 0), ("s_total", 0), ("n_iter", -1), ("sigma", 0.0),
         ("sigma", float("inf")), ("sigma", float("nan")), ("sigma_grid", (0.1, 0.0)),
         ("sigma_grid", (float("nan"),)), ("eps_targets", (float("nan"),)),
-        ("init_mean", float("nan")), ("init_mean", float("inf")),
+        ("init_mean", float("nan")), ("init_mean", float("inf")), ("preset", "bogus"),
     ])
     def test_rejects_out_of_range_numbers(self, field, value):
         with pytest.raises(ConfigError):
