@@ -175,6 +175,17 @@ def unlearn_rate(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     return math.log1p(noise / ((1.0 + ns.eta * pc.L) ** 2 * C_k))
 
 
+def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
+               C0: float, K: int) -> tuple[float, float]:
+    """Sum of the rates R_k over K fine-tuning steps from LSI constant C0,
+    and the LSI constant after them (C0 itself when strongly convex)."""
+    trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
+    if regime is Regime.STRONGLY_CONVEX:
+        return K * unlearn_rate(pc, ns, regime, C0), C0
+    return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K]),
+            float(trace.values[-1]))
+
+
 def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
                     regime: Regime, C0: float | None = None,
                     K: int | None = None) -> RenyiBound:
@@ -190,11 +201,7 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
         C0 = default_c0(pc, ns, regime)
     if K is None:
         K = ns.K
-    trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
-    if regime is Regime.STRONGLY_CONVEX:
-        decay = K * unlearn_rate(pc, ns, regime, C0)
-    else:
-        decay = math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K])
+    decay, _ = _decay_sum(pc, ns, regime, C0, K)
     base = eps0._fn
     return RenyiBound(lambda a: np.exp(-decay / a) * base(a),
                       description=f"unlearned K={K} from [{eps0.description}]",

@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (ALPHA_GRID, _optimize_order, learn_epsilon0, lsi_unlearn_trace,
-                         rdp_to_dp, unlearn_epsilon, unlearn_rate)
+from .accountant import (ALPHA_GRID, _decay_sum, _optimize_order, learn_epsilon0,
+                         rdp_to_dp, unlearn_epsilon)
 from .constants import INFINITE, NoiseSchedule, ProblemConstants, Regime, default_c0
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
@@ -23,19 +23,17 @@ DEFAULT_SIGMA_REL_TOL = 1e-4
 
 
 def converted_epsilon(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
-                      S: int, K: int, delta: float,
-                      C0: float | None = None) -> float:
+                      S: int, K: int, delta: float) -> float:
     """(eps, delta) certificate after training to convergence and K
     fine-tuning steps: the full accountant chain at one (sigma, K)."""
-    eps0 = learn_epsilon0(pc, ns, regime, S=S, C0=C0)
-    bound = unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=K)
+    eps0 = learn_epsilon0(pc, ns, regime, S=S)
+    bound = unlearn_epsilon(eps0, pc, ns, regime, K=K)
     eps, _ = rdp_to_dp(bound, delta)
     return eps
 
 
 def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSchedule,
-               regime: Regime, S: int = 1, k_max: int = DEFAULT_K_MAX,
-               C0: float | None = None) -> int:
+               regime: Regime, S: int = 1, k_max: int = DEFAULT_K_MAX) -> int:
     """Smallest K whose certificate meets eps_hat.
 
     Galloping doubling followed by bisection on the (non-increasing in K)
@@ -47,10 +45,10 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    eps0 = learn_epsilon0(pc, ns, regime, S=S, C0=C0)
+    eps0 = learn_epsilon0(pc, ns, regime, S=S)
 
     def eps_at(k: int) -> float:
-        return rdp_to_dp(unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=k), delta)[0]
+        return rdp_to_dp(unlearn_epsilon(eps0, pc, ns, regime, K=k), delta)[0]
 
     k = _least_k(lambda k: eps_at(k) <= eps_hat, k_max)
     if k is None:
@@ -82,22 +80,19 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
                         pc: ProblemConstants, regime: Regime, S: int = 1,
                         sigma_lo: float = DEFAULT_SIGMA_LO,
                         sigma_hi: float = DEFAULT_SIGMA_HI,
-                        rel_tol: float = DEFAULT_SIGMA_REL_TOL,
                         eta: float | None = None) -> float:
     """Smallest noise level whose least step count fits the budget k_hat.
 
-    Bisects sigma until the bracket's relative width drops below rel_tol and
-    returns the feasible endpoint. Feasibility of a sigma is probed as
-    "certificate at exactly k_hat steps <= eps_hat", which equals
-    find_min_k(sigma) <= k_hat because the certificate is non-increasing in
-    K; this keeps each probe O(1). A probe whose bound is vacuous (an
-    overflowing LSI cap or an infinite Renyi curve) does not certify. The
-    step size defaults to 1/L.
+    Bisects sigma until the bracket's relative width drops below
+    DEFAULT_SIGMA_REL_TOL and returns the feasible endpoint. Feasibility of
+    a sigma is probed as "certificate at exactly k_hat steps <= eps_hat",
+    which equals find_min_k(sigma) <= k_hat because the certificate is
+    non-increasing in K; this keeps each probe O(1). A probe whose bound is
+    vacuous (an overflowing LSI cap or an infinite Renyi curve) does not
+    certify. The step size defaults to 1/L.
     """
     if not (sigma_lo > 0 and sigma_lo < sigma_hi):
         raise ValueError(f"need 0 < sigma_lo < sigma_hi, got {sigma_lo}, {sigma_hi}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if k_hat < 0:
         raise ValueError(f"k_hat must be >= 0, got {k_hat}")
     if eta is None:
@@ -119,7 +114,7 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     lo, hi = sigma_lo, sigma_hi
     if feasible(lo):
         return lo
-    while (hi - lo) / lo >= rel_tol:
+    while (hi - lo) / lo >= DEFAULT_SIGMA_REL_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -160,30 +155,24 @@ class _Stream:
     """
 
     def __init__(self, sigma: float, pc: ProblemConstants, regime: Regime,
-                 eta: float | None, C0: float | None):
+                 eta: float | None):
         self.pc, self.regime = pc, regime
         self.ns = NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma,
                                 T=INFINITE, K=0)
-        self.C0 = default_c0(pc, self.ns, regime) if C0 is None else C0
-        self.c_start = self.C0
+        self.c_start = default_c0(pc, self.ns, regime)
         self.slopes: list[float] = []
         self.decays: list[float] = []
         self._slope_of: dict[int, float] = {}
 
     def slope(self, size: int) -> float:
         if size not in self._slope_of:
-            self._slope_of[size] = learn_epsilon0(self.pc, self.ns, self.regime, S=size,
-                                                  C0=self.C0).meta["slope"]
+            self._slope_of[size] = learn_epsilon0(self.pc, self.ns, self.regime,
+                                                  S=size).meta["slope"]
         return self._slope_of[size]
 
     def decay(self, k: int) -> tuple[float, float]:
         """Decay sum of a next request of k steps, and its final LSI constant."""
-        pc, ns, regime = self.pc, self.ns, self.regime
-        if regime is Regime.STRONGLY_CONVEX:
-            return k * unlearn_rate(pc, ns, regime, self.c_start), self.c_start
-        trace = lsi_unlearn_trace(pc, ns, regime, self.c_start, k)
-        return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:k]),
-                float(trace.values[-1]))
+        return _decay_sum(self.pc, self.ns, self.regime, self.c_start, k)
 
     def admit(self, size: int, k: int) -> None:
         decay, self.c_start = self.decay(k)
@@ -200,31 +189,31 @@ class _Stream:
             out = _level_on(orders, slope, decay, out)
         return out
 
-    def scalar_curve(self, slope: float, decay: float) -> Callable[[float], float]:
-        """Loss at one order after the admitted requests plus one of (slope, decay).
 
-        O(i) per order: the i decay factors come from one vectorized exp
-        (bit-identical to per-order numpy exp, unlike math.exp), then the
-        levels run on Python floats.
-        """
-        slopes = self.slopes + [slope]
-        neg_decays = -np.array(self.decays + [decay])
-        shifts = np.arange(len(slopes) - 1, -1, -1)
+def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[[float], float]:
+    """Loss at one order after requests of these learning slopes and decay sums.
 
-        def at(alpha: float) -> float:
-            with np.errstate(over="ignore"):
-                orders = np.ldexp(alpha, shifts)
-            out = None
-            for factor, a, s in zip(np.exp(neg_decays / orders).tolist(), orders.tolist(),
-                                    slopes):
-                out = _level(factor, a, s, out)
-            return math.inf if math.isnan(out) else out
-        return at
+    O(i) per order: the i decay factors come from one vectorized exp
+    (bit-identical to per-order numpy exp, unlike math.exp), then the
+    levels run on Python floats.
+    """
+    neg_decays = -np.array(decays)
+    shifts = np.arange(len(slopes) - 1, -1, -1)
+
+    def at(alpha: float) -> float:
+        with np.errstate(over="ignore"):
+            orders = np.ldexp(alpha, shifts)
+        out = None
+        for factor, a, s in zip(np.exp(neg_decays / orders).tolist(), orders.tolist(),
+                                slopes):
+            out = _level(factor, a, s, out)
+        return math.inf if math.isnan(out) else out
+    return at
 
 
 def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int],
                        pc: ProblemConstants, regime: Regime,
-                       eta: float | None = None, C0: float | None = None,
+                       eta: float | None = None,
                        batch_sizes: Sequence[int] | None = None):
     """Renyi unlearning loss after the i-th batched removal request.
 
@@ -248,25 +237,22 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
     if len(sizes) < i:
         raise ValueError("batch_sizes must cover every request")
 
-    stream = _Stream(sigma, pc, regime, eta, C0)
-    for j in range(i - 1):
+    stream = _Stream(sigma, pc, regime, eta)
+    for j in range(i):
         stream.admit(sizes[j], int(K_list[j]))
-    slope = stream.slope(sizes[i - 1])
-    decay, _ = stream.decay(int(K_list[i - 1]))
 
     arr = np.asarray(alpha, dtype=float)
     if not (arr > 1.0).all():  # negated so that a nan order fails too
         raise ValueError("alpha must be > 1")
     if np.ndim(alpha) == 0:
-        return stream.scalar_curve(slope, decay)(float(arr))
-    prev = stream.curve(2.0 * arr) if i > 1 else None
-    return _level_on(arr, slope, decay, prev)
+        return _scalar_curve(stream.slopes, stream.decays)(float(arr))
+    return stream.curve(arr)
 
 
 def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: int,
                           b: int, pc: ProblemConstants, regime: Regime,
-                          k_max: int = DEFAULT_K_MAX, eta: float | None = None,
-                          C0: float | None = None) -> list[int]:
+                          k_max: int = DEFAULT_K_MAX,
+                          eta: float | None = None) -> list[int]:
     """Least fine-tuning steps per removal request in a batched stream.
 
     Requests remove b samples each (a smaller final batch is allowed and
@@ -280,7 +266,7 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
     full, rem = divmod(s_total, b)
     sizes = [b] * full + ([rem] if rem else [])
 
-    stream = _Stream(sigma, pc, regime, eta, C0)
+    stream = _Stream(sigma, pc, regime, eta)
     schedule: list[int] = []
     for size in sizes:
         slope = stream.slope(size)
@@ -288,8 +274,8 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
 
         def ok(k: int) -> bool:
             decay, _ = stream.decay(k)
-            eps, _ = _optimize_order(_level_on(ALPHA_GRID, slope, decay, prev),
-                                     stream.scalar_curve(slope, decay), delta)
+            at = _scalar_curve(stream.slopes + [slope], stream.decays + [decay])
+            eps, _ = _optimize_order(_level_on(ALPHA_GRID, slope, decay, prev), at, delta)
             return eps <= eps_hat
 
         k = _least_k(ok, k_max)

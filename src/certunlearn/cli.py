@@ -1,5 +1,7 @@
-"""Command-line interface: calibrate-sigma, unlearn-one, sequential, sweep,
-d2d, evaluate and make-data.
+"""Command-line interface. Five subcommands run a harness protocol and write
+its result table through one handler: calibrate-sigma, unlearn-one,
+sequential, sweep and evaluate. Two are commands of their own: d2d (a
+calibration report) and make-data (a dataset CSV).
 
 Each flag's dest is an ExperimentConfig field, whose defaults are the only
 ones. A key=value config file (--config) is parsed as --key=value flags ahead
@@ -16,15 +18,14 @@ import os
 import sys
 
 from . import d2d as _d2d
-from .calibrate import binary_search_sigma, converted_epsilon
-from .constants import INFINITE, NoiseSchedule, PRESETS
+from .constants import PRESETS
 from .data import SyntheticSpec, make_synthetic, save_dataset
 from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError,
                      DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
                      VacuousBound)
-from .harness import (METHODS, ExperimentConfig, TrialResult, emit_results,
+from .harness import (METHODS, ExperimentConfig, emit_results, run_calibrate_sigma,
                       run_evaluate, run_sequential, run_tradeoff_sweep,
-                      run_unlearn_one)
+                      run_unlearn_one, write_csv)
 
 log = logging.getLogger("certunlearn")
 
@@ -108,44 +109,15 @@ def _config_flags(path: str) -> list[str]:
     return flags + ["--timing"] if timing in ("1", "true", "yes") else flags
 
 
-def _cmd_calibrate_sigma(cfg: ExperimentConfig) -> int:
-    """Pure accountant run: least sigma per target at the step budget."""
-    preset = cfg.resolved_preset()
-    delta = cfg.resolved_delta()
-    rows: list[TrialResult] = []
-    for eps_hat in cfg.eps_targets:
-        try:
-            sigma = binary_search_sigma(eps_hat, delta, cfg.k_budget, preset.pc,
-                                        preset.regime, S=cfg.batch, eta=preset.eta)
-            ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=cfg.k_budget)
-            cert = converted_epsilon(preset.pc, ns, preset.regime, cfg.batch,
-                                     cfg.k_budget, delta)
-            rows.append(TrialResult("langevin", sigma, eps_hat, cert, cfg.k_budget,
-                                    None, None, None, cfg.seed))
-        except (NoFeasibleSigma, BudgetUnreachable) as exc:
-            log.error("eps=%g: %s", eps_hat, exc)
-            rows.append(TrialResult("langevin", None, eps_hat, None, None, None,
-                                    None, None, cfg.seed, error=str(exc)))
-    emit_results(rows, cfg.out)
-    return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
-
-
-def _cmd_unlearn_one(cfg: ExperimentConfig) -> int:
-    rows = run_unlearn_one(cfg)
-    emit_results(rows, cfg.out)
-    return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
-
-
-def _cmd_sequential(cfg: ExperimentConfig) -> int:
-    rows, plot = run_sequential(cfg)
-    emit_results(rows, cfg.out, plot=plot)
-    return EXIT_OK
-
-
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    rows, plot = run_tradeoff_sweep(cfg)
-    emit_results(rows, cfg.out, plot=plot)
-    return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
+def _table(protocol):
+    """Handler that runs a harness protocol and writes its rows (and plot
+    points, if it returns them); exit 2 only when every row is an error row."""
+    def handler(cfg: ExperimentConfig) -> int:
+        out = protocol(cfg)
+        rows, plot = out if isinstance(out, tuple) else (out, None)
+        emit_results(rows, cfg.out, plot=plot)
+        return EXIT_CALIBRATION if all(r.error for r in rows) else EXIT_OK
+    return handler
 
 
 def _cmd_d2d(cfg: ExperimentConfig) -> int:
@@ -153,37 +125,25 @@ def _cmd_d2d(cfg: ExperimentConfig) -> int:
     comparison (diagnostic; the formulas are the source of truth)."""
     pc = cfg.resolved_preset().pc
     delta = cfg.resolved_delta()
-    lines = ["preset,theorem,I,eps,sigma_formula,sigma_reference,ratio"]
+    rows = []
     reference = _d2d.REFERENCE_SIGMAS_THM9.get(cfg.preset, {})
     for i_steps in (1, 2, 5):
         ref_row = reference.get(i_steps)
         for j, eps in enumerate(_d2d.REFERENCE_EPS_GRID):
             sigma = _d2d.d2d_sigma_thm9(eps, delta, i_steps, pc.M, pc.m, pc.n, pc.L)
             ref = ref_row[j] if ref_row else None
-            ratio = sigma / ref if ref else None
-            lines.append(f"{cfg.preset},internal_state,{i_steps},{eps:g},"
-                         f"{sigma:.6g},{'' if ref is None else ref},"
-                         f"{'' if ratio is None else format(ratio, '.6g')}")
+            rows.append([cfg.preset, "internal_state", str(i_steps), f"{eps:g}",
+                         f"{sigma:.6g}", "" if ref is None else str(ref),
+                         f"{sigma / ref:.6g}" if ref else ""])
     for eps in cfg.eps_targets:
         try:
             cal = _d2d.d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
-            lines.append(f"{cfg.preset},stateless,{cal.I_min},{eps:g},"
-                         f"{cal.sigma:.6g},,")
+            rows.append([cfg.preset, "stateless", str(cal.I_min), f"{eps:g}",
+                         f"{cal.sigma:.6g}", "", ""])
         except InfeasibleBudget as exc:
             log.error("thm28 eps=%g: %s", eps, exc)
-            lines.append(f"{cfg.preset},stateless,,{eps:g},,,")
-    try:
-        with open(cfg.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {cfg.out!r}: {exc}") from exc
-    return EXIT_OK
-
-
-def _cmd_evaluate(cfg: ExperimentConfig) -> int:
-    """Train on the configured data (no removal) and report test accuracy."""
-    rows = run_evaluate(cfg)
-    emit_results(rows, cfg.out)
+            rows.append([cfg.preset, "stateless", "", f"{eps:g}", "", "", ""])
+    write_csv(cfg.out, "preset,theorem,I,eps,sigma_formula,sigma_reference,ratio", rows)
     return EXIT_OK
 
 
@@ -201,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified machine unlearning: PNGD training/unlearning, a "
                     "Renyi accountant, and benchmark protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "calibrate-sigma": (_cmd_calibrate_sigma,
+    commands = {  # built per call, so the protocol names are looked up then
+        "calibrate-sigma": (_table(run_calibrate_sigma),
                             "least noise per target at a fixed step budget"),
-        "unlearn-one": (_cmd_unlearn_one, "single-point removal benchmark"),
-        "sequential": (_cmd_sequential, "streamed removals and step schedules"),
-        "sweep": (_cmd_sweep, "noise sweep at a fixed target"),
+        "unlearn-one": (_table(run_unlearn_one), "single-point removal benchmark"),
+        "sequential": (_table(run_sequential), "streamed removals and step schedules"),
+        "sweep": (_table(run_tradeoff_sweep), "noise sweep at a fixed target"),
         "d2d": (_cmd_d2d, "delete-to-descent noise calibrations"),
-        "evaluate": (_cmd_evaluate, "train once and report test accuracy"),
+        "evaluate": (_table(run_evaluate), "train once and report test accuracy"),
         "make-data": (_cmd_make_data, "write a synthetic dataset CSV"),
     }
     for name, (fn, help_text) in commands.items():
@@ -231,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
                     if key not in ("command", "config", "handler")}
         return args.handler(ExperimentConfig(**settings))
     except ConfigError as exc:
-        log.error("%s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoFeasibleSigma, BudgetUnreachable, InfeasibleBudget, VacuousBound) as exc:

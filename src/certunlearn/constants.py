@@ -10,6 +10,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+from .errors import ConfigError
+
 
 class Regime(enum.Enum):
     """Curvature assumption under which the accountant bounds are valid."""
@@ -177,4 +179,4 @@ def get_preset(name: str) -> Preset:
     try:
         return PRESETS[name]
     except KeyError:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
+        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None

@@ -14,7 +14,7 @@ import numpy as np
 from . import d2d as _d2d
 from . import pngd as _pngd
 from .constants import NoiseSchedule, default_c0, regime_for
-from .objectives import Dataset, evaluate, logistic_objective, multiclass_objective
+from .objectives import Dataset, evaluate, objective_for
 from .validation import check_X_y, check_array, check_is_fitted
 
 
@@ -65,11 +65,8 @@ class _LinearClassifierMixin:
         return Dataset(features=X, labels=onehot, normalized=normalized)
 
     def _objective(self, data: Dataset):
-        kw = dict(lam=self.lam, radius=self.radius,
-                  allow_unnormalized=not data.normalized)
-        if data.is_multiclass:
-            return multiclass_objective(data, **kw)
-        return logistic_objective(data, **kw)
+        return objective_for(data, lam=self.lam, radius=self.radius,
+                             allow_unnormalized=not data.normalized)
 
     def decision_function(self, X):
         check_is_fitted(self)
@@ -171,9 +168,8 @@ class D2DClassifier(BaseEstimator, _LinearClassifierMixin):
         data = self._build_dataset(X, y)
         objective = self._objective(data)
         self._rng = _pngd.make_rng(self.random_state)
-        shape = (data.d, data.n_classes) if data.is_multiclass else (data.d,)
         init = _pngd.draw_init(_pngd.InitSpec(mean=self.init_mean, variance=1.0),
-                               shape, self.radius, self._rng)
+                               objective.shape, self.radius, self._rng)
         w = _d2d.d2d_train(objective, int(self.n_iter), init)
         self._clean_coef = w if self.internal_state else None
         self.coef_ = w

@@ -1,8 +1,7 @@
-"""Experiment orchestration: calibration, trial loops, and result emission.
-
-Every protocol runs its trials through one runner: train, then serve a
-list of removal requests (none for `evaluate`, one for `unlearn-one` and
-`sweep`, a stream for `sequential`).
+"""The paper's protocols, one `run_*` function per CLI result table, and
+the one CSV writer. Every protocol but the sigma table runs its trials
+through one runner: train, then serve a list of removal requests (none for
+`evaluate`, one for `unlearn-one` and `sweep`, a stream for `sequential`).
 
 Determinism contract: every experiment is a pure function of its config.
 The generator for trial t is Philox keyed by `seed XOR t`; it draws the
@@ -18,6 +17,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from . import pngd as _pngd
 from .accountant import learn_epsilon0, rdp_to_dp
 from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_k_schedule)
-from .constants import (INFINITE, PRESETS, NoiseSchedule, Preset, ProblemConstants,
+from .constants import (INFINITE, NoiseSchedule, Preset, ProblemConstants,
                         default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic
-from .errors import CertUnlearnError, ConfigError
+from .errors import BudgetUnreachable, CertUnlearnError, ConfigError, NoFeasibleSigma
 from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
-                         evaluate, logistic_objective, multiclass_objective)
+                         evaluate, objective_for)
 
 log = logging.getLogger("certunlearn")
 
@@ -71,9 +71,7 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; "
-                              f"choose from {sorted(PRESETS)}")
+        get_preset(self.preset)  # ConfigError for an unknown name
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.trials < 0:
@@ -167,10 +165,8 @@ def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _objective_for(preset: Preset, data: Dataset):
-    if data.is_multiclass:
-        return multiclass_objective(data, lam=preset.pc.lam, radius=preset.pc.R)
-    return logistic_objective(data, lam=preset.pc.lam, radius=preset.pc.R)
+def _objective_for(preset: Preset, data: Dataset) -> Objective:
+    return objective_for(data, lam=preset.pc.lam, radius=preset.pc.R)
 
 
 def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
@@ -211,13 +207,34 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
         for updated, steps in served():
             w = _pngd.unlearn(w, updated, steps, ns, rng)
     else:
-        shape = (data.d, data.n_classes) if data.is_multiclass else (data.d,)
         w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
-                            shape, preset.pc.R, rng)
+                            objective.shape, preset.pc.R, rng)
         w = _d2d.d2d_train(objective, cfg.n_iter, w)
         for updated, steps in served():
             w = _d2d.d2d_unlearn(w, updated, steps, sigma, rng)
     return evaluate(w, test)[1]
+
+
+def run_calibrate_sigma(cfg: ExperimentConfig) -> list[TrialResult]:
+    """Least sigma per target at the step budget (accountant only); a target
+    that no sigma certifies within the budget gives an error row."""
+    preset = cfg.resolved_preset()
+    delta = cfg.resolved_delta()
+    rows: list[TrialResult] = []
+    for eps_hat in cfg.eps_targets:
+        try:
+            sigma = binary_search_sigma(eps_hat, delta, cfg.k_budget, preset.pc,
+                                        preset.regime, S=cfg.batch, eta=preset.eta)
+            ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=cfg.k_budget)
+            cert = converted_epsilon(preset.pc, ns, preset.regime, cfg.batch,
+                                     cfg.k_budget, delta)
+            rows.append(TrialResult("langevin", sigma, eps_hat, cert, cfg.k_budget,
+                                    None, None, None, cfg.seed))
+        except (NoFeasibleSigma, BudgetUnreachable) as exc:
+            log.error("eps=%g: %s", eps_hat, exc)
+            rows.append(TrialResult("langevin", None, eps_hat, None, None, None,
+                                    None, None, cfg.seed, error=str(exc)))
+    return rows
 
 
 def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
@@ -387,6 +404,7 @@ def run_evaluate(cfg: ExperimentConfig) -> list[TrialResult]:
 
 
 CSV_HEADER = "method,sigma,epsilon_target,epsilon_achieved,K_total,acc_mean,acc_std,wall_ms,seed"
+TRIALS_HEADER = "method,sigma,epsilon_target,trial,trial_seed,acc"
 
 
 def _fmt(v) -> str:
@@ -405,36 +423,34 @@ def plot_data_path(path: str) -> str:
     return (path[:-4] if path.endswith(".csv") else path) + ".plot.csv"
 
 
+def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write a header line and one comma-joined line per row (ascii, \\n ends)."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
+
+
 def emit_results(table: list[TrialResult], path: str,
                  plot: list[tuple] | None = None) -> str:
     """Write the results CSV (stable column order), the raw per-trial log,
     and optionally a plot-data file of (x, y, yerr) triples."""
     if not table:
         raise ValueError("refusing to emit an empty result table")
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in table:
-                fh.write(",".join([
-                    row.method, _fmt(row.sigma), _fmt(row.epsilon_target),
-                    _fmt(row.epsilon_achieved), _fmt(row.k_total),
-                    _fmt(row.acc_mean), _fmt(row.acc_std), _fmt(row.wall_ms),
-                    str(row.seed),
-                ]) + "\n")
-        if any(row.per_trial_acc for row in table):
-            with open(trials_log_path(path), "w", encoding="ascii", newline="\n") as fh:
-                fh.write("method,sigma,epsilon_target,trial,trial_seed,acc\n")
-                for row in table:
-                    for t, acc in enumerate(row.per_trial_acc):
-                        fh.write(",".join([
-                            row.method, _fmt(row.sigma), _fmt(row.epsilon_target),
-                            str(t), str(trial_seed(row.seed, t)), _fmt(acc),
-                        ]) + "\n")
-        if plot:
-            with open(plot_data_path(path), "w", encoding="ascii", newline="\n") as fh:
-                fh.write("x,y,yerr\n")
-                for x, y, yerr in plot:
-                    fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(yerr)}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
+    write_csv(path, CSV_HEADER, ([
+        row.method, _fmt(row.sigma), _fmt(row.epsilon_target),
+        _fmt(row.epsilon_achieved), _fmt(row.k_total), _fmt(row.acc_mean),
+        _fmt(row.acc_std), _fmt(row.wall_ms), str(row.seed),
+    ] for row in table))
+    if any(row.per_trial_acc for row in table):
+        write_csv(trials_log_path(path), TRIALS_HEADER, ([
+            row.method, _fmt(row.sigma), _fmt(row.epsilon_target), str(t),
+            str(trial_seed(row.seed, t)), _fmt(acc),
+        ] for row in table for t, acc in enumerate(row.per_trial_acc)))
+    if plot:
+        write_csv(plot_data_path(path), "x,y,yerr",
+                  ([_fmt(x), _fmt(y), _fmt(yerr)] for x, y, yerr in plot))
     return path

@@ -147,6 +147,12 @@ class Objective:
     lam: float = 0.0
     name: str = "objective"
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Parameter shape: (d, c) for one-hot data, else (constants.d,)."""
+        onehot = self.data is not None and self.data.is_multiclass
+        return (self.data.d, self.data.n_classes) if onehot else (self.constants.d,)
+
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # exp(-|t|) is exp(-t) where t >= 0 and exp(t) elsewhere, so one exp gives
@@ -272,6 +278,12 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
                      constants=pc, data=data, lam=lam, name="multiclass")
+
+
+def objective_for(data: Dataset, **kw) -> Objective:
+    """The softmax objective for one-hot data, else the logistic one."""
+    build = multiclass_objective if data.is_multiclass else logistic_objective
+    return build(data, **kw)
 
 
 def _check_weight_shape(W: np.ndarray, d: int, c: int) -> None:

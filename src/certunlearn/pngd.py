@@ -90,9 +90,7 @@ def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator) -> np.nd
         raise ValueError("train needs a finite T; INFINITE is an accountant-only value")
     R = objective.constants.R
     if isinstance(init, InitSpec):
-        d, c = _objective_shape(objective)
-        shape = (d,) if c is None else (d, c)
-        w = draw_init(init, shape, R, rng)
+        w = draw_init(init, objective.shape, R, rng)
     else:
         w = project_ball(np.array(init, dtype=float), R)
     for _ in range(int(ns.T)):
@@ -114,13 +112,3 @@ def unlearn(params: np.ndarray, objective, K: int, ns: NoiseSchedule,
     for _ in range(K):
         w = pngd_step(w, objective.grad, ns.eta, ns.sigma, R, rng)
     return w
-
-
-def _objective_shape(objective) -> tuple[int, int | None]:
-    """Parameter shape implied by an objective bundle: (d, classes or None)."""
-    data = getattr(objective, "data", None)
-    if data is not None and data.is_multiclass:
-        return data.d, data.n_classes
-    if data is not None:
-        return data.d, None
-    return objective.constants.d, None

@@ -10,6 +10,15 @@ from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, ma
 from certunlearn.harness import ExperimentConfig
 
 
+def _assert_config_error_once(err, caplog):
+    """The message reaches stderr once, as the `config error:` line: it is
+    neither repeated there nor logged as well."""
+    assert err.startswith("config error: ")
+    message = err[len("config error: "):].strip()
+    assert err.count(message) == 1
+    assert not [r for r in caplog.records if message in r.getMessage()]
+
+
 class TestExitCodes:
     def test_calibrate_ok(self, tmp_path):
         out = tmp_path / "cal.csv"
@@ -32,10 +41,12 @@ class TestExitCodes:
                      "--out", str(tmp_path / "seq.csv")])
         assert code == EXIT_CALIBRATION
 
-    def test_io_error(self, tmp_path):
-        code = main(["calibrate-sigma", "--preset", "mnist38", "--eps", "1",
-                     "--out", "/nonexistent-dir/x.csv"])
-        assert code == EXIT_IO
+    def test_io_error(self, tmp_path, capsys):
+        for command in ("calibrate-sigma", "d2d"):  # both go through one writer
+            code = main([command, "--preset", "mnist38", "--eps", "1",
+                         "--out", str(tmp_path / "missing" / "x.csv")])
+            assert code == EXIT_IO, command
+            assert capsys.readouterr().err.startswith("i/o error: cannot write results to")
 
     def test_bad_eps_is_config_error(self, tmp_path):
         code = main(["calibrate-sigma", "--eps", "banana",
@@ -50,11 +61,11 @@ class TestExitCodes:
         ["sequential", "--sigma", "0.03", "--batch", "0"],
         ["calibrate-sigma", "--k-budget", "abc"],
     ], ids=" ".join)
-    def test_out_of_range_flag_is_config_error(self, tmp_path, capsys, argv):
+    def test_out_of_range_flag_is_config_error(self, tmp_path, capsys, caplog, argv):
         code = main([*argv, "--preset", "mnist38", "--eps", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        _assert_config_error_once(capsys.readouterr().err, caplog)
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_data_for_real_preset(self, tmp_path):
@@ -83,13 +94,13 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("text", ["preset = bogus\n", "timing = maybe\n"],
                              ids=["preset", "timing"])
-    def test_bad_value_rejected(self, tmp_path, capsys, text):
+    def test_bad_value_rejected(self, tmp_path, capsys, caplog, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code = main(["calibrate-sigma", "--config", str(cfg), "--eps", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        _assert_config_error_once(capsys.readouterr().err, caplog)
         assert not (tmp_path / "x.csv").exists()
 
     def test_timing_true_fills_wall_ms(self, tmp_path):

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from certunlearn import (INFINITE, NoiseSchedule, ProblemConstants, Regime,
-                         default_c0, get_preset, regime_for, validate_schedule)
+from certunlearn import (INFINITE, ConfigError, NoiseSchedule, ProblemConstants,
+                         Regime, default_c0, get_preset, regime_for, validate_schedule)
 
 
 class TestProblemConstants:
@@ -30,7 +30,7 @@ class TestProblemConstants:
         assert multi.pc.L == pytest.approx(1.0499)
         assert multi.pc.M == 2.0
         assert multi.delta == pytest.approx(2e-5)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="unknown preset 'imagenet'"):
             get_preset("imagenet")
 
 

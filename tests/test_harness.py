@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from certunlearn import (ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
-                         UnlearningRequest, apply_request, converted_epsilon,
-                         default_c0, evaluate, get_preset, sequential_k_schedule)
+                         UnlearningRequest, apply_request, binary_search_sigma,
+                         converted_epsilon, default_c0, evaluate, get_preset,
+                         sequential_k_schedule)
 from certunlearn import d2d as _d2d
 from certunlearn import harness
 from certunlearn import pngd as _pngd
 from certunlearn.harness import (ExperimentConfig, TrialResult, _load_data,
                                  _objective_for, emit_results, plot_data_path,
-                                 replacement_seed, run_evaluate, run_sequential,
+                                 replacement_seed, run_calibrate_sigma,
+                                 run_evaluate, run_sequential,
                                  run_tradeoff_sweep, run_unlearn_one, trial_seed,
                                  trials_log_path)
 
@@ -241,6 +243,22 @@ class TestConfig:
         assert cfg.resolved_delta() == pytest.approx(1.0 / 500)
         rows = run_unlearn_one(cfg)
         assert rows[0].error is None and 0.0 <= rows[0].acc_mean <= 1.0
+
+
+class TestCalibrateSigma:
+    def test_feasible_target_and_error_row(self):
+        cfg = tiny_cfg(preset="mnist38", eps_targets=(1.0, 1e-9), seed=4)
+        ok, bad = run_calibrate_sigma(cfg)
+        preset, delta = cfg.resolved_preset(), cfg.resolved_delta()
+        sigma = binary_search_sigma(1.0, delta, 1, preset.pc, preset.regime, S=1,
+                                    eta=preset.eta)
+        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=1)
+        cert = converted_epsilon(preset.pc, ns, preset.regime, 1, 1, delta)
+        assert (ok.method, ok.sigma, ok.epsilon_achieved, ok.k_total, ok.seed) == \
+            ("langevin", sigma, cert, 1, 4)
+        assert ok.error is None and cert <= 1.0 and ok.per_trial_acc == []
+        assert bad.epsilon_target == 1e-9 and "unreachable" in bad.error
+        assert (bad.sigma, bad.epsilon_achieved, bad.k_total) == (None, None, None)
 
 
 class TestUnlearnOne:

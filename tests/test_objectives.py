@@ -10,6 +10,7 @@ from certunlearn import (Dataset, InitSpec, NoiseSchedule, UnlearningRequest,
                          logistic_objective, make_rng, make_synthetic,
                          multiclass_objective, project_ball, quadratic_objective,
                          SyntheticSpec, train, unlearn)
+from certunlearn.objectives import objective_for
 
 
 def binary_data(n=40, d=6, seed=0):
@@ -173,6 +174,15 @@ class TestQuadratic:
     def test_constants_equal_curvature(self):
         obj = quadratic_objective(np.zeros(3), 0.4)
         assert obj.constants.L == obj.constants.m == 0.4
+
+
+class TestObjectiveFor:
+    def test_builder_and_shape_follow_the_labels(self):
+        binary = objective_for(binary_data(), lam=0.01, radius=5.0)
+        onehot = objective_for(onehot_data(c=3), lam=0.01, radius=5.0)
+        assert (binary.name, binary.shape, binary.constants.R) == ("logistic", (6,), 5.0)
+        assert (onehot.name, onehot.shape, onehot.constants.d) == ("multiclass", (6, 3), 18)
+        assert quadratic_objective(np.zeros(4), 1.0).shape == (4,)
 
 
 class TestApplyRequest:
