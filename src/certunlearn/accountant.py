@@ -312,12 +312,17 @@ def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
 
 
 def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
-                    delta: float) -> tuple[float, float]:
+                    delta: float, target: float | None = None) -> tuple[float, float]:
     """rdp_to_dp given the curve's values on ALPHA_GRID and the curve at one order.
 
     Callers that can evaluate the whole grid more cheaply than order by order
     pass its values in; `curve` serves the golden-section probes. Neither may
     hold nan: +inf marks an order at which the curve is vacuous.
+
+    A search that only asks whether the certificate meets `target` passes it:
+    refinement can only lower the grid minimum, so when that minimum already
+    meets the target it is returned unrefined, and `eps <= target` answers
+    the question as rdp_to_dp's eps would.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -331,6 +336,8 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
         raise VacuousBound()
     i = int(np.argmin(obj))
     best_eps, best_alpha = float(obj[i]), float(grid[i])
+    if target is not None and best_eps <= target:
+        return best_eps, best_alpha
 
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, _ALPHA_GRID_POINTS - 1)]

@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (ALPHA_GRID, _decay_sum, _optimize_order, learn_epsilon0,
-                         rdp_to_dp, unlearn_epsilon)
+from .accountant import (ALPHA_GRID, RenyiBound, _decay_sum, _optimize_order,
+                         learn_epsilon0, rdp_to_dp, unlearn_epsilon)
 from .constants import INFINITE, NoiseSchedule, ProblemConstants, Regime, default_c0
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
@@ -26,10 +26,20 @@ def converted_epsilon(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                       S: int, K: int, delta: float) -> float:
     """(eps, delta) certificate after training to convergence and K
     fine-tuning steps: the full accountant chain at one (sigma, K)."""
-    eps0 = learn_epsilon0(pc, ns, regime, S=S)
-    bound = unlearn_epsilon(eps0, pc, ns, regime, K=K)
-    eps, _ = rdp_to_dp(bound, delta)
+    eps, _ = rdp_to_dp(_unlearned(pc, ns, regime, S, K), delta)
     return eps
+
+
+def _unlearned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
+               S: int, K: int) -> RenyiBound:
+    """Renyi curve after training to convergence and K fine-tuning steps."""
+    return unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
+
+
+def _certifies(bound: RenyiBound, delta: float, eps_hat: float) -> bool:
+    """rdp_to_dp(bound, delta)[0] <= eps_hat, without refining the order when
+    the alpha grid alone already certifies."""
+    return _optimize_order(bound(ALPHA_GRID), bound, delta, eps_hat)[0] <= eps_hat
 
 
 def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSchedule,
@@ -47,26 +57,44 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
 
     eps0 = learn_epsilon0(pc, ns, regime, S=S)
 
-    def eps_at(k: int) -> float:
-        return rdp_to_dp(unlearn_epsilon(eps0, pc, ns, regime, K=k), delta)[0]
+    def bound_at(k: int) -> RenyiBound:
+        return unlearn_epsilon(eps0, pc, ns, regime, K=k)
 
-    k = _least_k(lambda k: eps_at(k) <= eps_hat, k_max)
+    k = _least_k(lambda k: _certifies(bound_at(k), delta, eps_hat), k_max)
     if k is None:
-        raise BudgetUnreachable(eps_hat, k_max, best=eps_at(k_max))
+        raise BudgetUnreachable(eps_hat, k_max, best=rdp_to_dp(bound_at(k_max), delta)[0])
     return k
 
 
-def _least_k(ok: Callable[[int], bool], k_max: int) -> int | None:
+def _least_k(ok: Callable[[int], bool], k_max: int, guess: int = 0) -> int | None:
     """Least k in [0, k_max] with ok(k), for an ok that fails below some k and
-    holds from it on: galloping doubling, then bisection. None when even
-    ok(k_max) fails."""
-    if ok(0):
-        return 0
-    lo, hi = 0, min(1, k_max)
-    while not ok(hi):
-        if hi >= k_max:
-            return None
-        lo, hi = hi, min(2 * hi, k_max)
+    holds from it on; None when even ok(k_max) fails.
+
+    Probes the guess (clamped to [0, k_max]) first, gallops away from it by
+    1, 2, 4, ... until ok flips, then bisects the last gap: an answer d
+    steps from the guess takes at most 2*ceil(log2(d + 1)) + 2 probes. From
+    guess 0 this is plain galloping doubling.
+    """
+    g = max(0, min(guess, k_max))
+    step = 1
+    if ok(g):
+        hi = g
+        while True:  # down until a k fails
+            if hi == 0:
+                return 0
+            lo = max(g - step, 0)
+            if not ok(lo):
+                break
+            hi, step = lo, 2 * step
+    else:
+        lo = g
+        while True:  # up until a k passes
+            if lo >= k_max:
+                return None
+            hi = min(g + step, k_max)
+            if ok(hi):
+                break
+            lo, step = hi, 2 * step
     while hi - lo > 1:  # lo fails, hi passes
         mid = (lo + hi) // 2
         if ok(mid):
@@ -101,7 +129,7 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     def feasible(sigma: float) -> bool:
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
         try:
-            return converted_epsilon(pc, ns, regime, S, k_hat, delta) <= eps_hat
+            return _certifies(_unlearned(pc, ns, regime, S, k_hat), delta, eps_hat)
         except (CapOverflow, VacuousBound):
             return False
 
@@ -195,14 +223,22 @@ def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[[float],
 
     O(i) per order: the i decay factors come from one vectorized exp
     (bit-identical to per-order numpy exp, unlike math.exp), then the
-    levels run on Python floats.
+    levels run on Python floats. Request j's order alpha*2^(i-j) is alpha
+    times an exact power of two, as exact as ldexp; past float64 it is +inf.
     """
     neg_decays = -np.array(decays)
-    shifts = np.arange(len(slopes) - 1, -1, -1)
+    top = len(slopes) - 1
+    with np.errstate(over="ignore"):
+        scales = np.ldexp(1.0, np.arange(top, -1, -1))
+    # alpha * 2^top stays finite exactly below 2^(1024 - top)
+    finite_below = math.ldexp(1.0, 1024 - top) if top else math.inf
 
     def at(alpha: float) -> float:
-        with np.errstate(over="ignore"):
-            orders = np.ldexp(alpha, shifts)
+        if alpha < finite_below:
+            orders = alpha * scales
+        else:
+            with np.errstate(over="ignore"):
+                orders = alpha * scales
         out = None
         for factor, a, s in zip(np.exp(neg_decays / orders).tolist(), orders.tolist(),
                                 slopes):
@@ -259,7 +295,8 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
     uses its actual size as the group size); each request's K is the least
     count certifying eps_hat, with earlier entries frozen. Each K probe
     certifies exactly what rdp_to_dp on sequential_epsilon would, with the
-    previous request's curve on the alpha grid computed once per request.
+    previous request's curve on the alpha grid computed once per request,
+    and each request's search starts from the K its predecessors predict.
     """
     if s_total < 1 or b < 1:
         raise ValueError("s_total and b must be >= 1")
@@ -275,10 +312,13 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
         def ok(k: int) -> bool:
             decay, _ = stream.decay(k)
             at = _scalar_curve(stream.slopes + [slope], stream.decays + [decay])
-            eps, _ = _optimize_order(_level_on(ALPHA_GRID, slope, decay, prev), at, delta)
-            return eps <= eps_hat
+            on_grid = _level_on(ALPHA_GRID, slope, decay, prev)
+            return _optimize_order(on_grid, at, delta, eps_hat)[0] <= eps_hat
 
-        k = _least_k(ok, k_max)
+        # K grows about linearly along a stream: extrapolate the last two
+        guess = (2 * schedule[-1] - schedule[-2] if len(schedule) > 1
+                 else schedule[-1] if schedule else 0)
+        k = _least_k(ok, k_max, guess)
         if k is None:
             raise BudgetUnreachable(eps_hat, k_max)
         stream.admit(size, k)

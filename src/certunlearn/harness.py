@@ -222,6 +222,7 @@ def run_calibrate_sigma(cfg: ExperimentConfig) -> list[TrialResult]:
     delta = cfg.resolved_delta()
     rows: list[TrialResult] = []
     for eps_hat in cfg.eps_targets:
+        t0 = time.perf_counter()
         try:
             sigma = binary_search_sigma(eps_hat, delta, cfg.k_budget, preset.pc,
                                         preset.regime, S=cfg.batch, eta=preset.eta)
@@ -234,6 +235,8 @@ def run_calibrate_sigma(cfg: ExperimentConfig) -> list[TrialResult]:
             log.error("eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult("langevin", None, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
+        if cfg.timing:
+            rows[-1].wall_ms = 1e3 * (time.perf_counter() - t0)
     return rows
 
 
@@ -260,7 +263,7 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
             log.error("target eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult(cfg.method, None, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
-        if cfg.timing and rows[-1].wall_ms is None:
+        if cfg.timing:
             rows[-1].wall_ms = 1e3 * (time.perf_counter() - t0)
         log.info("unlearn-one eps=%g done in %.1f ms", eps_hat,
                  1e3 * (time.perf_counter() - t0))

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certunlearn import (BudgetUnreachable, CapOverflow, INFINITE, NoFeasibleSigma,
                          NoiseSchedule, ProblemConstants, Regime, RenyiBound, VacuousBound,
@@ -30,6 +32,8 @@ ORACLE_SEQ_TOTALS = {5: 26726, 10: 11847, 20: 6858}
 ORACLE_SEQ_HEADS = {5: [359, 721, 796], 10: [785, 1053, 1093], 20: [1172, 1397, 1416]}
 ORACLE_FIND_K_S100 = 2012          # sigma=0.03, eps=1, S=100, mnist38
 ORACLE_SEQ_EPS_I3_A2 = 5.468127728167355e-09   # b=5 schedule, alpha=2
+# b=1, 300 removals, sigma=0.03, eps=1, mnist38: head, last K and total
+ORACLE_SEQ_B1_300 = ([0, 0, 29], 24218, 3677992)
 
 
 def _ns(preset, sigma, k=0):
@@ -83,6 +87,69 @@ def _recursive_sequential_epsilon(alpha, sigma, b, i, K_list, pc, regime, eta=No
 _SMALL_CAP_PC = ProblemConstants(L=1.0, m=0.0, M=0.1, R=0.5, n=100, d=5)
 
 
+def _cold_least_k(ok, k_max, guess=0):
+    """The K search without a starting guess (which it ignores): galloping
+    doubling from 0, then bisection. The warm search must agree with it."""
+    if ok(0):
+        return 0
+    lo, hi = 0, min(1, k_max)
+    while not ok(hi):
+        if hi >= k_max:
+            return None
+        lo, hi = hi, min(2 * hi, k_max)
+    while hi - lo > 1:  # lo fails, hi passes
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _schedule_or_error(*args, **kwargs):
+    try:
+        return sequential_k_schedule(*args, **kwargs)
+    except BudgetUnreachable as exc:
+        return type(exc)
+
+
+@st.composite
+def _searches(draw):
+    """(k_max, threshold or None when unreachable, starting guess)."""
+    k_max = draw(st.integers(0, 10 ** 6))
+    t = draw(st.one_of(st.none(), st.integers(0, k_max)))
+    near = [0, k_max, k_max + 1, -1] + ([t, t - 1, t + 1] if t is not None else [])
+    guess = draw(st.one_of(st.sampled_from(near), st.integers(-10 ** 7, 10 ** 7)))
+    return k_max, t, guess
+
+
+class TestLeastK:
+    @settings(max_examples=400, deadline=None)
+    @given(_searches())
+    def test_warm_search_matches_cold_within_log_probes(self, case):
+        k_max, t, guess = case
+        probed = []
+
+        def ok(k):
+            assert 0 <= k <= max(k_max, 0)
+            probed.append(k)
+            return t is not None and k >= t
+
+        got = calibrate._least_k(ok, k_max, guess)
+        assert got == _cold_least_k(lambda k: t is not None and k >= t, k_max)
+        reach = k_max + 1 if t is None else t
+        assert len(probed) <= 2 * math.ceil(math.log2(abs(guess - reach) + 1)) + 3
+
+    def test_guess_zero_probes_as_the_cold_search(self):
+        for t in (0, 1, 5, 1000, 2013, None):
+            seqs = []
+            for search in (calibrate._least_k, _cold_least_k):
+                probed = []
+                search(lambda k: probed.append(k) or (t is not None and k >= t), 2012)
+                seqs.append(probed)
+            assert seqs[0] == seqs[1]
+
+
 class TestFindMinK:
     def test_zero_when_target_already_met(self, mnist):
         ns = _ns(mnist, 0.03)
@@ -132,6 +199,59 @@ class TestFindMinK:
         k = find_min_k(1.0, mnist.delta, mnist.pc, ns, mnist.regime, S=100)
         assert k == ORACLE_FIND_K_S100
         assert len(calls) == 1
+
+
+def _record_optimize(monkeypatch):
+    """Record every _optimize_order call of the calibration searches: its
+    curve, delta, target, result and whether it refined the order."""
+    optimize = calibrate._optimize_order
+    calls = []
+
+    def recording(on_grid, curve, delta, target=None):
+        refined = []
+
+        def counting(a):
+            refined.append(a)
+            return curve(a)
+        out = optimize(on_grid, counting, delta, target)
+        calls.append({"curve": curve, "delta": delta, "target": target, "out": out,
+                      "refined": bool(refined)})
+        return out
+
+    monkeypatch.setattr(calibrate, "_optimize_order", recording)
+    return calls
+
+
+def _assert_probe_matches_rdp_to_dp(probe, bound, delta, eps_hat):
+    exact = rdp_to_dp(bound, delta)
+    assert probe["target"] == eps_hat
+    assert (probe["out"][0] <= eps_hat) == (exact[0] <= eps_hat)
+    if "verdict" in probe:
+        assert probe["verdict"] == (exact[0] <= eps_hat)
+    if probe["refined"]:
+        assert probe["out"] == exact
+    else:  # skipped only where the grid alone certifies
+        assert probe["out"][0] <= eps_hat
+
+
+class TestGridCertifiedProbes:
+    @pytest.mark.parametrize("preset_name", ["mnist", "cifar_multi"])
+    @pytest.mark.parametrize("k_hat", [1, 5])
+    @pytest.mark.parametrize("S", [1, 5])
+    def test_probes_reach_rdp_to_dp_verdict(self, preset_name, k_hat, S, request,
+                                            monkeypatch):
+        pr = request.getfixturevalue(preset_name)
+        calls = _record_optimize(monkeypatch)
+        sigma = binary_search_sigma(1.0, pr.delta, k_hat, pr.pc, pr.regime, S=S,
+                                    eta=pr.eta)
+        # below the calibrated sigma, the least K exceeds the budget
+        k = find_min_k(1.0, pr.delta, pr.pc, _ns(pr, 0.5 * sigma), pr.regime, S=S)
+        monkeypatch.undo()
+        assert k > k_hat and len(calls) > 20
+        for call in calls:
+            _assert_probe_matches_rdp_to_dp(call, call["curve"], call["delta"], 1.0)
+        refined = [c["refined"] for c in calls]
+        assert any(refined) and not all(refined)
 
 
 class TestBinarySearchSigma:
@@ -247,6 +367,33 @@ class TestSequential:
         assert sum(ks) == ORACLE_SEQ_TOTALS[b]
         assert all(k2 >= k1 for k1, k2 in zip(ks, ks[1:]))
 
+    @pytest.mark.parametrize("b", [1, 3, 7])
+    def test_warm_schedule_equals_cold_search(self, mnist, b, monkeypatch):
+        args = (1.0, mnist.delta, 0.03, 100, b, mnist.pc, mnist.regime)
+        warm = sequential_k_schedule(*args, eta=mnist.eta)
+        monkeypatch.setattr(calibrate, "_least_k", _cold_least_k)
+        assert warm == sequential_k_schedule(*args, eta=mnist.eta)
+        if b == 1:
+            assert sum(warm) == 421661
+
+    @pytest.mark.parametrize("regime", [Regime.CONVEX, Regime.NONCONVEX])
+    def test_warm_small_cap_schedules_equal_cold_search(self, regime, monkeypatch):
+        # eps=1 leaves early requests at K=0 and later ones rising; eps=0.3
+        # adds streams that run out of budget
+        cases = [(eps, 1e-3, sigma, 12, b, _SMALL_CAP_PC, regime)
+                 for eps in (1.0, 0.3) for sigma in (1.0, 2.0) for b in (1, 2)]
+        warm = [_schedule_or_error(*c, k_max=5000, eta=1.0) for c in cases]
+        monkeypatch.setattr(calibrate, "_least_k", _cold_least_k)
+        assert warm == [_schedule_or_error(*c, k_max=5000, eta=1.0) for c in cases]
+        assert any(isinstance(w, list) and sum(w) > 0 for w in warm)
+
+    @pytest.mark.slow
+    def test_long_single_removal_schedule_matches_frozen_oracle(self, mnist):
+        ks = sequential_k_schedule(1.0, mnist.delta, 0.03, 300, 1, mnist.pc,
+                                   mnist.regime, eta=mnist.eta)
+        head, last, total = ORACLE_SEQ_B1_300
+        assert (ks[:3], ks[-1], sum(ks), len(ks)) == (head, last, total, 300)
+
     def test_k_max_caps_every_request(self, mnist):
         # a target one step meets is out of reach when no step is allowed
         sigma = 0.03
@@ -292,43 +439,45 @@ class TestSequential:
                 assert isinstance(got, float)
 
     def test_k_probes_certify_what_rdp_to_dp_certifies(self, mnist, monkeypatch):
-        # every K probe of the schedule search gives exactly rdp_to_dp's
-        # certificate for sequential_epsilon at that K
+        # every K probe of the schedule search reaches rdp_to_dp's verdict on
+        # sequential_epsilon at that K, and a probe that refines the order
+        # returns exactly rdp_to_dp's (eps, alpha)
         probes = []
-        search, optimize = calibrate._least_k, calibrate._optimize_order
+        search = calibrate._least_k
         requests = []
+        calls = _record_optimize(monkeypatch)
 
-        def recording_search(ok, k_max):
+        def recording_search(ok, k_max, guess=0):
             requests.append(len(requests))
 
-            def recording_ok(k):
-                probes.append([requests[-1], k])
-                return ok(k)
-            return search(recording_ok, k_max)
-
-        def recording_optimize(*args):
-            out = optimize(*args)
-            probes[-1].append(out)
-            return out
+            def recording_ok(k):  # one _optimize_order call per probe
+                verdict = ok(k)
+                probes.append(dict(calls[-1], req=requests[-1], k=k, verdict=verdict))
+                return verdict
+            return search(recording_ok, k_max, guess)
 
         monkeypatch.setattr(calibrate, "_least_k", recording_search)
-        monkeypatch.setattr(calibrate, "_optimize_order", recording_optimize)
         sigma, b = 0.03, 5
         ks = sequential_k_schedule(1.0, mnist.delta, sigma, 17, b, mnist.pc, mnist.regime,
                                    eta=mnist.eta)
         monkeypatch.undo()
         assert len(ks) == 4 and len(probes) > 4 * 10
         sizes = [5, 5, 5, 2]
-        for req, k, (eps, alpha) in probes:
+        for probe in probes:
+            req, k = probe["req"], probe["k"]
             schedule = ks[:req] + [k]
             bound = RenyiBound(lambda a: sequential_epsilon(
                 a, sigma, b, req + 1, schedule, mnist.pc, mnist.regime, eta=mnist.eta,
                 batch_sizes=sizes))
-            assert rdp_to_dp(bound, mnist.delta) == (eps, alpha)
+            _assert_probe_matches_rdp_to_dp(probe, bound, mnist.delta, 1.0)
+        refined = [p["refined"] for p in probes]
+        assert any(refined) and not all(refined)
 
+    @pytest.mark.filterwarnings("error")
     def test_long_stream_ends_in_certificate_or_typed_error(self, mnist):
         # request i enters at order alpha * 2^(i-1), which overflows float64 on
-        # part of the alpha grid near i = 1010 and on all of it by i = 1100
+        # part of the alpha grid near i = 1010 and on all of it by i = 1100;
+        # those orders are +inf without an overflow warning
         for i, vacuous in ((1010, False), (1100, True)):
             args = (0.03, 5, i, [20000] * i, mnist.pc, mnist.regime)
             curve = sequential_epsilon(ALPHA_GRID, *args, eta=mnist.eta)

@@ -113,6 +113,13 @@ class TestConfigFile:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[7]) > 0.0  # wall_ms, empty unless timing is on
 
+    def test_calibrate_sigma_timing_fills_wall_ms(self, tmp_path):
+        out = tmp_path / "c.csv"
+        code = main(["calibrate-sigma", "--eps", "1,2", "--timing", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(float(row[7]) > 0.0 for row in rows)
+
     def test_file_sets_flags_and_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\npreset = mnist38\neps = 1,2\nseed = 9\n"
