@@ -13,8 +13,8 @@ from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_epsilon, sequential_k_schedule)
 from .constants import (INFINITE, PRESETS, NoiseSchedule, Preset, ProblemConstants,
                         Regime, default_c0, get_preset, regime_for, validate_schedule)
-from .d2d import (D2DConfig, Thm28Calibration, d2d_sigma_thm9, d2d_sigma_thm28,
-                  d2d_train, d2d_unlearn)
+from .d2d import (Thm28Calibration, d2d_sigma_thm9, d2d_sigma_thm28, d2d_train,
+                  d2d_unlearn)
 from .data import SyntheticSpec, load_dataset, make_synthetic, save_dataset
 from .errors import (BudgetUnreachable, CapOverflow, CertUnlearnError, ConfigError,
                      DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetUnreachable", "CapOverflow", "CertUnlearnError", "ConfigError",
-    "D2DClassifier", "D2DConfig", "Dataset", "DatasetFormatError", "INFINITE",
+    "D2DClassifier", "Dataset", "DatasetFormatError", "INFINITE",
     "InfeasibleBudget", "InitSpec", "LsiTrace", "NoFeasibleSigma",
     "NoiseSchedule", "NoisyGDClassifier", "Objective", "PRESETS", "Preset",
     "ProblemConstants", "Regime", "RenyiBound", "SyntheticSpec",

@@ -43,9 +43,6 @@ ALPHA_GRID = 1.0 + np.logspace(math.log10(_ALPHA_MIN_OFFSET),
                                math.log10(_ALPHA_MAX - 1.0), _ALPHA_GRID_POINTS)
 ALPHA_GRID.flags.writeable = False
 
-# fixed-point iteration guard for converged-training bounds
-_MAX_FIXED_POINT_ITERS = 2_000_000
-
 
 class RenyiBound:
     """A privacy-loss curve eps(alpha) defined for every alpha > 1.
@@ -232,36 +229,6 @@ def _sum_product_finite(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     return math.fsum(products.tolist())
 
 
-def _sum_product_converged(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
-                           C0: float) -> float:
-    """Limit of the sum-product as T grows.
-
-    The forward recursion is Q <- r_t * (Q + 1) with r_t rising toward
-    rbar = (1 + half/cap)^-1: the LSI constants grow by at least `half` per
-    step, so they always saturate at the cap, after which the recursion is a
-    contraction whose fixed point rbar/(1 - rbar) = cap/half forgets every
-    pre-saturation term. Iterate with a per-step 1e-15 relative stopping
-    rule until saturation; if saturation lies beyond the iteration budget,
-    the limit is the fixed point regardless.
-    """
-    cap = _learning_caps(pc, ns)
-    half = ns.eta * ns.sigma ** 2
-    growth = (1.0 + ns.eta * pc.L) ** 2 if regime is Regime.NONCONVEX else 1.0
-    q = 0.0
-    c = C0
-    for _ in range(_MAX_FIXED_POINT_ITERS):
-        c_half = min(growth * c + half, cap)
-        if c_half >= cap:
-            return cap / half
-        r = 1.0 / (1.0 + half / c_half)
-        q_next = r * (q + 1.0)
-        if abs(q_next - q) < 1e-15 * q_next:
-            return q_next
-        q = q_next
-        c = min(c_half + half, cap)
-    return cap / half
-
-
 def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                    S: int = 1, T: float | None = None,
                    C0: float | None = None) -> RenyiBound:
@@ -270,8 +237,8 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     The curve is linear in alpha. Strongly convex chains admit the closed
     form 4*alpha*S^2*M^2/(m*sigma^2*n^2) * (1 - exp(-m*eta*T)); the other
     regimes use the sum-product of per-step noise gains driven by the LSI
-    recursion (capped by the ball geometry, so the T = INFINITE limit is
-    finite). T = INFINITE selects the converged-training bound.
+    recursion, capped by the ball geometry, so the T = INFINITE limit is
+    cap/(eta*sigma^2). T = INFINITE selects the converged-training bound.
     """
     if S < 1:
         raise ValueError(f"group size S must be >= 1, got {S}")
@@ -291,7 +258,9 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
         slope = base * factor
     else:
         if math.isinf(T):
-            q = _sum_product_converged(pc, ns, regime, C0)
+            # the LSI constants saturate at the cap, where Q <- r(Q + 1) has
+            # the fixed point r/(1 - r) = cap/(eta sigma^2)
+            q = _learning_caps(pc, ns) / (ns.eta * ns.sigma ** 2)
         else:
             q = _sum_product_finite(pc, ns, regime, C0, T)
         slope = 2.0 * ns.eta * S * S * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q

@@ -1,14 +1,11 @@
 """Command-line interface. Five subcommands run a harness protocol and write
-its result table through one handler: calibrate-sigma, unlearn-one,
-sequential, sweep and evaluate. Two are commands of their own: d2d (a
-calibration report) and make-data (a dataset CSV).
-
-Each flag's dest is an ExperimentConfig field, whose defaults are the only
-ones. A key=value config file (--config) is parsed as --key=value flags ahead
+its result table through one handler (calibrate-sigma, unlearn-one,
+sequential, sweep, evaluate); d2d writes a calibration report and make-data a
+dataset CSV. Each takes --config, --out and the flags of the ExperimentConfig
+fields it reads; a key=value config file is read as --key=value flags ahead
 of the explicit ones, which win. Exit codes: 0 success, 2 calibration
-infeasible, 3 I/O error, 4 invalid config or a malformed flag. Diagnostics go
-to stderr (level from UNLEARN_LOG in {error, info, debug}); results go only
-to --out.
+infeasible, 3 I/O error, 4 invalid config or flag. Diagnostics go to stderr
+(level from UNLEARN_LOG in {error, info, debug}); results go only to --out.
 """
 from __future__ import annotations
 
@@ -20,12 +17,12 @@ import sys
 from . import d2d as _d2d
 from .constants import PRESETS
 from .data import SyntheticSpec, make_synthetic, save_dataset
-from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError,
-                     DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
-                     VacuousBound)
-from .harness import (METHODS, ExperimentConfig, emit_results, run_calibrate_sigma,
-                      run_evaluate, run_sequential, run_tradeoff_sweep,
-                      run_unlearn_one, write_csv)
+from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError, DatasetFormatError,
+                     InfeasibleBudget, NoFeasibleSigma, VacuousBound)
+from .harness import (_CALIBRATE_SIGMA_READS, _EVALUATE_READS, _SEQUENTIAL_READS,
+                      _SWEEP_READS, _UNLEARN_ONE_READS, METHODS, ExperimentConfig,
+                      emit_results, run_calibrate_sigma, run_evaluate, run_sequential,
+                      run_tradeoff_sweep, run_unlearn_one, write_csv)
 
 log = logging.getLogger("certunlearn")
 
@@ -52,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def _get_option_tuples(self, option_string):
+        """Abbreviations; a foreign flag (sweep --sigma) abbreviates nothing."""
+        if option_string.split("=", 1)[0] in _FLAG_NAMES:
+            return []
+        return super()._get_option_tuples(option_string)
+
 
 def _float_list(text: str) -> tuple[float, ...]:
     """Comma-separated floats, as --eps and --sigma-grid take them."""
@@ -61,52 +64,53 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """Every flag's dest is an ExperimentConfig field; defaults live there."""
-    p.add_argument("--config", help="key=value file; flags given explicitly override it")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="constants bundle")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--eps", dest="eps_targets", type=_float_list, help="target epsilons")
-    p.add_argument("--delta", type=float, help="default: 1/n of the preset")
-    p.add_argument("--k-budget", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--total-removals", dest="s_total", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--n-iter", type=int, help="training iterations")
-    p.add_argument("--sigma-grid", type=_float_list, help="comma-separated sweep values")
-    p.add_argument("--data", dest="data_path", help="training dataset CSV")
-    p.add_argument("--test-data", dest="test_data_path", help="held-out evaluation CSV")
-    p.add_argument("--init-mean", type=float)
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock in the CSV (breaks byte-for-byte reruns)")
+def _bool(text: str) -> bool:
+    """--timing's optional value, as a config file's `timing = ...` gives it."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"must be true or false, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
+# ExperimentConfig field -> (flag, add_argument keywords); defaults live there
+_FLAGS = {
+    "preset": ("--preset", dict(choices=sorted(PRESETS), help="constants bundle")),
+    "method": ("--method", dict(choices=METHODS)),
+    "eps_targets": ("--eps", dict(type=_float_list, help="target epsilons")),
+    "delta": ("--delta", dict(type=float, help="default: 1/n of the preset")),
+    "sigma": ("--sigma", dict(type=float)),
+    "sigma_grid": ("--sigma-grid", dict(type=_float_list, help="comma-separated values")),
+    "k_budget": ("--k-budget", dict(type=int)),
+    "batch": ("--batch", dict(type=int)),
+    "s_total": ("--total-removals", dict(type=int)),
+    "trials": ("--trials", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "n_iter": ("--n-iter", dict(type=int, help="training iterations")),
+    "init_mean": ("--init-mean", dict(type=float)),
+    "data_path": ("--data", dict(help="training dataset CSV")),
+    "test_data_path": ("--test-data", dict(help="held-out evaluation CSV")),
+    "timing": ("--timing", dict(type=_bool, nargs="?", const=True,
+                                help="fill wall_ms (breaks byte-for-byte reruns)")),
+}
+_FLAG_NAMES = {flag for flag, _ in _FLAGS.values()}
 
 
 def _config_flags(path: str) -> list[str]:
-    """The flags a key=value config file stands for: `key = value` becomes
-    `--key=value`, and `timing`, the one flag without a value, becomes
-    `--timing` when true and nothing when false."""
+    """The flags a config file stands for: `key = value` lines become
+    `--key=value`; blank lines and `#` comments are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = [line.strip() for line in fh.read().splitlines()]
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    flags = []
+    for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("_", "-")] = value.strip()
-    timing = values.pop("timing", "false").lower()
-    if timing not in ("1", "true", "yes", "0", "false", "no"):
-        raise ConfigError(f"config key 'timing' must be true or false, got {timing!r}")
-    flags = [f"--{key}={value}" for key, value in values.items()]
-    return flags + ["--timing"] if timing in ("1", "true", "yes") else flags
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _table(protocol):
@@ -120,31 +124,19 @@ def _table(protocol):
     return handler
 
 
+_D2D_READS = ("preset", "eps_targets", "delta")
+
+
 def _cmd_d2d(cfg: ExperimentConfig) -> int:
     """Emit both closed-form noise calibrations plus the reference-table
     comparison (diagnostic; the formulas are the source of truth)."""
-    pc = cfg.resolved_preset().pc
-    delta = cfg.resolved_delta()
-    rows = []
-    reference = _d2d.REFERENCE_SIGMAS_THM9.get(cfg.preset, {})
-    for i_steps in (1, 2, 5):
-        ref_row = reference.get(i_steps)
-        for j, eps in enumerate(_d2d.REFERENCE_EPS_GRID):
-            sigma = _d2d.d2d_sigma_thm9(eps, delta, i_steps, pc.M, pc.m, pc.n, pc.L)
-            ref = ref_row[j] if ref_row else None
-            rows.append([cfg.preset, "internal_state", str(i_steps), f"{eps:g}",
-                         f"{sigma:.6g}", "" if ref is None else str(ref),
-                         f"{sigma / ref:.6g}" if ref else ""])
-    for eps in cfg.eps_targets:
-        try:
-            cal = _d2d.d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
-            rows.append([cfg.preset, "stateless", str(cal.I_min), f"{eps:g}",
-                         f"{cal.sigma:.6g}", "", ""])
-        except InfeasibleBudget as exc:
-            log.error("thm28 eps=%g: %s", eps, exc)
-            rows.append([cfg.preset, "stateless", "", f"{eps:g}", "", "", ""])
+    rows = _d2d._report_rows(cfg.preset, cfg.resolved_preset().pc, cfg.resolved_delta(),
+                             cfg.eps_targets)
     write_csv(cfg.out, "preset,theorem,I,eps,sigma_formula,sigma_reference,ratio", rows)
     return EXIT_OK
+
+
+_MAKE_DATA_READS = ("preset", "seed")
 
 
 def _cmd_make_data(cfg: ExperimentConfig) -> int:
@@ -162,18 +154,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "Renyi accountant, and benchmark protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {  # built per call, so the protocol names are looked up then
-        "calibrate-sigma": (_table(run_calibrate_sigma),
+        "calibrate-sigma": (_table(run_calibrate_sigma), _CALIBRATE_SIGMA_READS,
                             "least noise per target at a fixed step budget"),
-        "unlearn-one": (_table(run_unlearn_one), "single-point removal benchmark"),
-        "sequential": (_table(run_sequential), "streamed removals and step schedules"),
-        "sweep": (_table(run_tradeoff_sweep), "noise sweep at a fixed target"),
-        "d2d": (_cmd_d2d, "delete-to-descent noise calibrations"),
-        "evaluate": (_table(run_evaluate), "train once and report test accuracy"),
-        "make-data": (_cmd_make_data, "write a synthetic dataset CSV"),
+        "unlearn-one": (_table(run_unlearn_one), _UNLEARN_ONE_READS,
+                        "single-point removal benchmark"),
+        "sequential": (_table(run_sequential), _SEQUENTIAL_READS,
+                       "streamed removals and step schedules"),
+        "sweep": (_table(run_tradeoff_sweep), _SWEEP_READS,
+                  "Langevin noise sweep at a fixed target"),
+        "d2d": (_cmd_d2d, _D2D_READS, "delete-to-descent noise calibrations"),
+        "evaluate": (_table(run_evaluate), _EVALUATE_READS,
+                     "train once and report test accuracy"),
+        "make-data": (_cmd_make_data, _MAKE_DATA_READS, "write a synthetic dataset CSV"),
     }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, reads, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        _add_common(p)
+        p.add_argument("--config", help="key=value file; explicit flags override it")
+        p.add_argument("--out")
+        for field in reads:
+            p.add_argument(_FLAGS[field][0], dest=field, **_FLAGS[field][1])
         p.set_defaults(handler=fn)
     return parser
 

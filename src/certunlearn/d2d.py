@@ -10,32 +10,26 @@ Both formulas are stated for add/remove dataset adjacency.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import ProblemConstants
 from .errors import InfeasibleBudget
 from .pngd import project_ball
 
+log = logging.getLogger("certunlearn")
 
-@dataclass(frozen=True)
-class D2DConfig:
-    """Contraction data of the deterministic fine-tuning map."""
 
-    gamma: float
-    step: float
-    I: int
-    internal_state: bool
-
-    @staticmethod
-    def from_constants(L: float, m: float, I: int, internal_state: bool) -> "D2DConfig":
-        if not m > 0:
-            raise ValueError("Delete-to-Descent requires strong convexity (m > 0)")
-        if not m < L:
-            raise ValueError(f"need m < L for a contraction, got m={m}, L={L}")
-        return D2DConfig(gamma=(L - m) / (L + m), step=2.0 / (L + m), I=I,
-                         internal_state=internal_state)
+def _contraction(L: float, m: float) -> float:
+    """gamma = (L - m)/(L + m), the contraction factor of one fine-tuning step."""
+    if not m > 0:
+        raise ValueError("Delete-to-Descent requires strong convexity (m > 0)")
+    if not m < L:
+        raise ValueError(f"need m < L for a contraction, got m={m}, L={L}")
+    return (L - m) / (L + m)
 
 
 def d2d_train(objective, T: int, init: np.ndarray) -> np.ndarray:
@@ -72,9 +66,8 @@ def d2d_sigma_thm9(eps: float, delta: float, I: int, M: float, m: float,
     """
     _check_eps_delta(eps, delta)
     if I < 1:
-        raise ValueError(f"I must be >= 1, got {I}")
-    cfg = D2DConfig.from_constants(L, m, I, internal_state=True)
-    gI = cfg.gamma ** I
+        raise InfeasibleBudget(f"I must be >= 1, got {I}")
+    gI = _contraction(L, m) ** I
     log_inv = math.log(1.0 / delta)
     denom = m * n * (1.0 - gI) * (math.sqrt(log_inv + eps) - math.sqrt(log_inv))
     return 4.0 * math.sqrt(2.0) * M * gI / denom
@@ -118,16 +111,13 @@ def d2d_sigma_thm28(eps: float, delta: float, M: float, m: float, n: int,
     _check_eps_delta(eps, delta)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    cfg = D2DConfig.from_constants(L, m, 1, internal_state=False)
-    gamma = cfg.gamma
+    gamma = _contraction(L, m)
     b2 = 2.0 * math.log(2.0 / delta)
     gap = math.sqrt(b2 + eps) - math.sqrt(b2)
     arg = math.sqrt(2.0 * d) / (1.0 - gamma) / gap
     if arg <= 0:
         raise InfeasibleBudget("iteration lower bound has a non-positive log argument")
-    I_min = int(math.ceil(math.log(arg) / math.log(1.0 / gamma)))
-    if I_min < 1:
-        I_min = 1
+    I_min = max(1, int(math.ceil(math.log(arg) / math.log(1.0 / gamma))))
     gI = gamma ** I_min
     denom = m * n * (1.0 - gI) * (math.sqrt(b2 + 3.0 * eps) - math.sqrt(b2 + 2.0 * eps))
     sigma = 8.0 * M * gI / denom
@@ -163,3 +153,27 @@ REFERENCE_SIGMAS_THM9 = {
         5: (5.6774, 2.8424, 0.5744, 0.2908, 0.1489, 0.0634),
     },
 }
+
+
+def _report_rows(name: str, pc: ProblemConstants, delta: float,
+                 eps_targets: tuple[float, ...]) -> list[list[str]]:
+    """Rows of the `d2d` report: the internal-state noise at I = 1, 2, 5 over
+    the reference eps grid beside the reference value and their ratio, then
+    the stateless calibration per eps target (blank where it is infeasible)."""
+    rows = []
+    grid = REFERENCE_EPS_GRID
+    for i_steps in (1, 2, 5):
+        refs = REFERENCE_SIGMAS_THM9.get(name, {}).get(i_steps, (None,) * len(grid))
+        for eps, ref in zip(grid, refs):
+            sigma = d2d_sigma_thm9(eps, delta, i_steps, pc.M, pc.m, pc.n, pc.L)
+            rows.append([name, "internal_state", str(i_steps), f"{eps:g}", f"{sigma:.6g}",
+                         "" if ref is None else str(ref), f"{sigma / ref:.6g}" if ref else ""])
+    for eps in eps_targets:
+        try:
+            cal = d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
+            rows.append([name, "stateless", str(cal.I_min), f"{eps:g}", f"{cal.sigma:.6g}",
+                         "", ""])
+        except InfeasibleBudget as exc:
+            log.error("thm28 eps=%g: %s", eps, exc)
+            rows.append([name, "stateless", "", f"{eps:g}", "", "", ""])
+    return rows

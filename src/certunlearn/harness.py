@@ -91,10 +91,9 @@ class ExperimentConfig:
             raise ConfigError(f"total removals must be >= 1, got {self.s_total}")
         if self.n_iter < 0:
             raise ConfigError(f"n_iter must be >= 0, got {self.n_iter}")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
-        if any(not s > 0 for s in self.sigma_grid):
-            raise ConfigError(f"sigma grid values must be > 0, got {self.sigma_grid}")
+        noise = self.sigma_grid + (() if self.sigma is None else (self.sigma,))
+        if any(not 1e-150 <= s <= 1e150 for s in noise):  # squares keep float64 headroom
+            raise ConfigError(f"sigma values must lie in [1e-150, 1e150], got {noise}")
         if not math.isfinite(self.init_mean):
             raise ConfigError(f"init_mean must be finite, got {self.init_mean}")
 
@@ -215,6 +214,21 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
     return evaluate(w, test)[1]
 
 
+# The ExperimentConfig fields each protocol below reads; the CLI gives its
+# subcommand exactly these flags, plus --config and --out. _TRIAL_READS is
+# what _load_data and _run_trial read.
+_TRIAL_READS = ("preset", "trials", "seed", "n_iter", "init_mean", "data_path",
+                "test_data_path")
+_CALIBRATE_SIGMA_READS = ("preset", "eps_targets", "delta", "k_budget", "batch", "seed",
+                          "timing")
+_UNLEARN_ONE_READS = (*_TRIAL_READS, "method", "eps_targets", "delta", "sigma", "k_budget",
+                      "timing")
+_SEQUENTIAL_READS = (*_TRIAL_READS, "method", "eps_targets", "delta", "sigma", "batch",
+                     "s_total")
+_SWEEP_READS = (*_TRIAL_READS, "eps_targets", "delta", "sigma_grid", "s_total")
+_EVALUATE_READS = (*_TRIAL_READS, "sigma")
+
+
 def run_calibrate_sigma(cfg: ExperimentConfig) -> list[TrialResult]:
     """Least sigma per target at the step budget (accountant only); a target
     that no sigma certifies within the budget gives an error row."""
@@ -278,11 +292,8 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
     k_hat = int(cfg.k_budget)
 
     if cfg.method in ("langevin", "retrain"):
-        if cfg.sigma is not None:
-            sigma = cfg.sigma
-        else:
-            sigma = binary_search_sigma(eps_hat, delta, k_hat, pc, preset.regime,
-                                        S=1, eta=eta)
+        sigma = cfg.sigma if cfg.sigma is not None else binary_search_sigma(
+            eps_hat, delta, k_hat, pc, preset.regime, S=1, eta=eta)
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
         if cfg.method == "langevin":
             eps_achieved = converted_epsilon(pc, ns, preset.regime, 1, k_hat, delta)
@@ -307,6 +318,12 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
                        mean, std, None, cfg.seed, per_trial_acc=accs)
 
 
+def _single_target(cfg: ExperimentConfig) -> float:
+    if len(cfg.eps_targets) != 1:
+        raise ConfigError(f"this protocol takes one eps target, got {cfg.eps_targets}")
+    return cfg.eps_targets[0]
+
+
 def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple]]:
     """Streamed removals: per-request step schedule plus cumulative cost.
 
@@ -317,7 +334,7 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
     preset = cfg.resolved_preset()
     delta = cfg.resolved_delta()
     pc = preset.pc
-    eps_hat = cfg.eps_targets[0]
+    eps_hat = _single_target(cfg)
     if cfg.method == "langevin":
         if cfg.sigma is None:
             raise ConfigError("sequential langevin runs need an explicit sigma")
@@ -346,16 +363,15 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
         accs = [_run_trial(cfg, preset, cfg.method, sigma, requests, objective, test, t)
                 for t in range(cfg.trials)]
     mean, std = _aggregate(accs)
-    row = TrialResult(cfg.method, sigma, eps_hat, eps_hat,
-                      int(cum[-1]) if len(cum) else 0, mean, std, None, cfg.seed,
-                      per_trial_acc=accs)
+    row = TrialResult(cfg.method, sigma, eps_hat, eps_hat, int(cum[-1]), mean, std, None,
+                      cfg.seed, per_trial_acc=accs)
     return [row], plot
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple]]:
-    """Noise sweep at a fixed target: per sigma, the converted privacy loss
-    of training alone, the least fine-tuning steps for the target, and
-    (optionally) post-unlearning accuracy.
+    """Langevin noise sweep at a fixed target: per sigma, the converted
+    privacy loss of training alone, the least fine-tuning steps for the
+    target, and (optionally) post-unlearning accuracy.
 
     Plot points are (sigma, converted initial epsilon, 0) triples.
     """
@@ -364,7 +380,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
     preset = cfg.resolved_preset()
     delta = cfg.resolved_delta()
     pc = preset.pc
-    eps_hat = cfg.eps_targets[0]
+    eps_hat = _single_target(cfg)
     S = cfg.s_total
 
     rows: list[TrialResult] = []
@@ -380,21 +396,22 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
             k = find_min_k(eps_hat, delta, pc, ns, preset.regime, S=S)
         except CertUnlearnError as exc:
             log.error("sigma=%g: %s", sigma, exc)
-            rows.append(TrialResult(cfg.method, sigma, eps_hat, None, None, None,
+            rows.append(TrialResult("langevin", sigma, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
             continue
         accs = [_run_trial(cfg, preset, "langevin", sigma, [(S, k)], objective, test, t)
                 for t in range(cfg.trials)]
         mean, std = _aggregate(accs)
         cert = converted_epsilon(pc, ns, preset.regime, S, k, delta)
-        rows.append(TrialResult(cfg.method, sigma, eps_hat, cert, k, mean, std,
+        rows.append(TrialResult("langevin", sigma, eps_hat, cert, k, mean, std,
                                 None, cfg.seed, per_trial_acc=accs))
         plot.append((sigma, eps0, 0.0))
     return rows, plot
 
 
 def run_evaluate(cfg: ExperimentConfig) -> list[TrialResult]:
-    """Train from scratch (no removal) and report test accuracy."""
+    """Train from scratch (no removal) and report test accuracy. No target
+    applies; the row's epsilon_target column carries the default one."""
     preset = cfg.resolved_preset()
     sigma = cfg.sigma if cfg.sigma is not None else 0.03
     data, test = _load_data(cfg)
@@ -402,8 +419,8 @@ def run_evaluate(cfg: ExperimentConfig) -> list[TrialResult]:
     accs = [_run_trial(cfg, preset, "langevin", sigma, [], objective, test, t)
             for t in range(max(cfg.trials, 1))]
     mean, std = _aggregate(accs)
-    return [TrialResult("evaluate", sigma, cfg.eps_targets[0], None, cfg.n_iter,
-                        mean, std, None, cfg.seed, per_trial_acc=accs)]
+    return [TrialResult("evaluate", sigma, ExperimentConfig.eps_targets[0], None,
+                        cfg.n_iter, mean, std, None, cfg.seed, per_trial_acc=accs)]
 
 
 CSV_HEADER = "method,sigma,epsilon_target,epsilon_achieved,K_total,acc_mean,acc_std,wall_ms,seed"

@@ -1,14 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, adjacency_bound_unbiased,
-                         binary_search_sigma, calibrate, converted_epsilon, get_preset,
-                         learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
+                         binary_search_sigma, calibrate, converted_epsilon, default_c0,
+                         get_preset, learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
                          VacuousBound, weak_triangle)
 
@@ -24,6 +25,28 @@ def _reference_call(curve, alpha):
     if np.ndim(alpha) == 0:
         return float(out)
     return out
+
+
+def _converged_sum_product_loop(pc, ns, regime, C0, max_iters=2_000_000):
+    """The loop learn_epsilon0(T=INFINITE) ran before its closed form: the
+    forward recursion Q <- r_t (Q + 1) with a 1e-15 relative stop, run until
+    the LSI constants saturate at the cap. Returns (Q, how the loop ended)."""
+    cap = lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
+    half = ns.eta * ns.sigma ** 2
+    growth = (1.0 + ns.eta * pc.L) ** 2 if regime is Regime.NONCONVEX else 1.0
+    q = 0.0
+    c = C0
+    for _ in range(max_iters):
+        c_half = min(growth * c + half, cap)
+        if c_half >= cap:
+            return cap / half, "saturated"
+        r = 1.0 / (1.0 + half / c_half)
+        q_next = r * (q + 1.0)
+        if abs(q_next - q) < 1e-15 * q_next:
+            return q_next, "stopped"
+        q = q_next
+        c = min(c_half + half, cap)
+    return cap / half, "budget"
 
 
 def _reference_unlearn_epsilon(eps0, pc, ns, regime, C0=None, K=None):
@@ -227,6 +250,43 @@ class TestLearnEpsilon0:
         assert lim == pytest.approx(
             2.0 * ns.eta * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * cap
             / (ns.eta * ns.sigma ** 2), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nonconvex=st.booleans(), log_L=st.floats(-1, 1), log_M=st.floats(-1, 1),
+           log_R=st.floats(-2, math.log10(3)), log_n=st.floats(1, 5),
+           log_sigma=st.floats(math.log10(0.3), math.log10(30)),
+           eta_L=st.floats(0.01, 1.0))
+    def test_converged_slope_is_the_loops_limit(self, nonconvex, log_L, log_M, log_R,
+                                                log_n, log_sigma, eta_L):
+        """The closed form cap/(eta sigma^2) equals the old loop bit for bit
+        at the default C0. Draws the loop would run past 50k steps for are
+        skipped (about a fifth, seconds each): there it saturates or spends
+        its budget, and both return cap/(eta sigma^2) by construction."""
+        regime = Regime.NONCONVEX if nonconvex else Regime.CONVEX
+        L = 10.0 ** log_L
+        pc = ProblemConstants(L=L, m=0.0, M=10.0 ** log_M, R=10.0 ** log_R,
+                              n=int(10.0 ** log_n), d=5)
+        ns = NoiseSchedule(eta=eta_L * (3.0 if nonconvex else 2.0) / L,
+                           sigma=10.0 ** log_sigma)
+        try:
+            got = learn_epsilon0(pc, ns, regime, T=INFINITE).meta["slope"]
+        except CapOverflow:
+            with pytest.raises(CapOverflow):
+                lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
+            return
+        q, ended = _converged_sum_product_loop(pc, ns, regime, default_c0(pc, ns, regime),
+                                               max_iters=50_000)
+        assume(ended != "budget")
+        assert got == 2.0 * ns.eta * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q
+
+    def test_convex_sigma_search_is_fast(self):
+        # the converged curve of every probe took up to 2M loop steps
+        pc = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10_000, d=5)
+        t0 = time.perf_counter()
+        sigma = binary_search_sigma(1.0, 1e-4, 5, pc, Regime.CONVEX, eta=1.0, sigma_hi=4.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert converted_epsilon(pc, NoiseSchedule(eta=1.0, sigma=sigma, T=INFINITE, K=5),
+                                 Regime.CONVEX, 1, 5, 1e-4) <= 1.0
 
     def test_nonconvex_realistic_radius_overflows(self, mnist):
         ns = NoiseSchedule(eta=mnist.eta, sigma=0.03)

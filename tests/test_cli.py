@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import subprocess
 import sys
@@ -7,7 +8,26 @@ import pytest
 
 from certunlearn import VacuousBound, cli
 from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
-from certunlearn.harness import ExperimentConfig
+from certunlearn.harness import METHODS, ExperimentConfig
+
+
+def _subcommand_fields():
+    """{subcommand: the ExperimentConfig fields its flags set}, --config and
+    --out aside."""
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    return {name: {a.dest for a in parser._actions} - {"help", "config", "out"}
+            for name, parser in sub.choices.items()}
+
+
+# a well-formed value for each flag (None: the flag takes none)
+_SAMPLE_VALUES = {
+    "preset": "mnist38", "method": "retrain", "eps_targets": "1", "delta": "0.001",
+    "sigma": "0.5", "sigma_grid": "0.5", "k_budget": "2", "batch": "2", "s_total": "2",
+    "trials": "0", "seed": "1", "n_iter": "5", "init_mean": "0",
+    "data_path": "data.csv", "test_data_path": "data.csv", "timing": None,
+}
+_FOREIGN = [(name, field) for name, fields in _subcommand_fields().items()
+            for field in cli._FLAGS if field not in fields]
 
 
 def _assert_config_error_once(err, caplog):
@@ -227,3 +247,114 @@ class TestLoggingEnv:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "unlearn-one" in proc.stderr
+
+
+class TestFlagsPerSubcommand:
+    def test_flag_table_covers_every_flag_once(self):
+        assert set(_SAMPLE_VALUES) == set(cli._FLAGS)
+        for name, fields in _subcommand_fields().items():
+            assert fields <= set(cli._FLAGS), name
+        pairs = sum(len(fields) + 2 for fields in _subcommand_fields().values())
+        assert (pairs, len(_FOREIGN)) == (71, 55)  # 7 subcommands x 18 flags before
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,field", _FOREIGN, ids=[" ".join(p) for p in _FOREIGN])
+    def test_foreign_flag_exits_4(self, tmp_path, capsys, via, command, field):
+        flag, value = cli._FLAGS[field][0], _SAMPLE_VALUES[field]
+        if via == "flag":
+            argv = [command, flag] + ([] if value is None else [value])
+        else:  # a false timing adds no flag, yet is foreign all the same
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]} = {'false' if value is None else value}\n")
+            argv = [command, "--config", str(cfg)]
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--method", "retrain", "--sigma-grid", "0.5", "--trials", "0"],
+        ["sweep", "--method", "d2d_thm9", "--sigma-grid", "0.5", "--trials", "0"],
+        ["sweep", "--sigma", "0.5", "--trials", "0"],  # not short for --sigma-grid
+        ["sweep", "--sigma-grid", "0.5", "--eps", "1,5", "--trials", "0"],
+        ["sequential", "--eps", "1,5", "--sigma", "0.03", "--trials", "0"],
+        ["calibrate-sigma", "--trials", "7", "--sigma-grid", "3", "--method", "d2d_thm9",
+         "--data", "/nonexistent", "--n-iter", "5"],
+        ["evaluate", "--method", "d2d_thm28", "--k-budget", "9", "--batch", "4"],
+        ["evaluate", "--eps", "1", "--trials", "0"],
+        ["make-data", "--sigma", "2", "--method", "retrain"],
+    ], ids=" ".join)
+    def test_runs_that_did_something_else_exit_4(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv,filled", [
+        ([], False), (["--timing"], True), (["--timing=yes"], True),
+        (["--timing", "false"], False),
+    ], ids=["absent", "bare", "yes", "false"])
+    def test_timing_takes_an_optional_value(self, tmp_path, argv, filled):
+        out = tmp_path / "c.csv"
+        assert main(["calibrate-sigma", *argv, "--out", str(out)]) == EXIT_OK
+        assert bool(out.read_text().splitlines()[1].split(",")[7]) == filled
+
+    def test_each_subcommand_declares_exactly_the_fields_it_reads(self, tmp_path,
+                                                                  monkeypatch):
+        """Records the ExperimentConfig fields each protocol reads (after
+        validation) over cheap runs: every accepted method, 0 and 1 trials."""
+        data = tmp_path / "data.csv"
+        assert main(["make-data", "--out", str(data)]) == EXIT_OK
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        reads, validated = set(), []
+
+        class Recording(ExperimentConfig):
+            def __post_init__(self):
+                super().__post_init__()
+                validated.append(self)
+
+            def __getattribute__(self, name):
+                if name in fields and any(cfg is self for cfg in validated):
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(cli, "ExperimentConfig", Recording)
+        trial_flags = ["--n-iter", "5", "--data", str(data), "--test-data", str(data)]
+        runs = {
+            "calibrate-sigma": [[]],
+            "unlearn-one": [["--method", m] for m in METHODS],
+            "sequential": [["--method", "langevin", "--sigma", "0.5"],
+                           ["--method", "d2d_thm28"]],
+            "sweep": [["--sigma-grid", "0.5"]],
+            "evaluate": [[]],
+            "d2d": [[]],
+            "make-data": [[]],
+        }
+        for command, declared in _subcommand_fields().items():
+            reads.clear()
+            for argv in runs[command]:
+                for trials in (["--trials", "0"], ["--trials", "1", *trial_flags]):
+                    if "trials" not in declared:
+                        trials = []
+                    out = str(tmp_path / "x.csv")
+                    assert main([command, *argv, *trials, "--out", out]) == EXIT_OK, argv
+            assert reads - {"constants", "n_classes", "out"} <= declared, command
+            assert declared <= reads, command
+
+    @pytest.mark.slow  # 1863 runs, ~10 s
+    def test_sigma_by_decades_ends_in_a_result_or_typed_error(self, tmp_path):
+        logging.disable(logging.CRITICAL)
+        try:
+            for exponent in range(-320, 301):
+                for command, flag in (("sweep", "--sigma-grid"), ("sequential", "--sigma"),
+                                      ("unlearn-one", "--sigma")):
+                    code = main([command, flag, f"1e{exponent}", "--trials", "0",
+                                 "--out", str(tmp_path / "x.csv")])
+                    assert code in (EXIT_OK, EXIT_CALIBRATION, EXIT_CONFIG), (command, exponent)
+        finally:
+            logging.disable(logging.NOTSET)
+
+    def test_d2d_thm9_without_steps_exits_2(self, tmp_path):
+        out = tmp_path / "u.csv"
+        assert main(["unlearn-one", "--method", "d2d_thm9", "--k-budget", "0",
+                     "--trials", "0", "--out", str(out)]) == EXIT_CALIBRATION
+        assert out.read_text().splitlines()[1].startswith("d2d_thm9,,")

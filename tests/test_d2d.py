@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from certunlearn import (D2DClassifier, D2DConfig, InfeasibleBudget, d2d_sigma_thm9,
+from certunlearn import (D2DClassifier, InfeasibleBudget, d2d_sigma_thm9,
                          d2d_sigma_thm28, d2d_train, d2d_unlearn, make_rng,
                          make_synthetic, quadratic_objective, SyntheticSpec)
 
@@ -161,13 +161,17 @@ class TestEngine:
         assert got == pytest.approx(center, abs=1e-14)
 
     def test_config_requires_contraction(self):
-        with pytest.raises(ValueError):
-            D2DConfig.from_constants(L=1.0, m=0.0, I=1, internal_state=False)
-        with pytest.raises(ValueError):
-            D2DConfig.from_constants(L=1.0, m=1.0, I=1, internal_state=False)
-        cfg = D2DConfig.from_constants(L=1.0, m=0.5, I=3, internal_state=True)
-        assert cfg.gamma == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert cfg.step == pytest.approx(4.0 / 3.0, rel=1e-15)
+        for m in (0.0, 1.0):  # no strong convexity; m = L, no contraction
+            with pytest.raises(ValueError):
+                d2d_sigma_thm9(1.0, 1e-3, 1, M=1.0, m=m, n=100, L=1.0)
+            with pytest.raises(ValueError):
+                d2d_sigma_thm28(1.0, 1e-3, M=1.0, m=m, n=100, L=1.0, d=5)
+        cal = d2d_sigma_thm28(1.0, 1e-3, M=1.0, m=0.5, n=100, L=1.0, d=5)
+        assert cal.gamma == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_thm9_without_steps_is_infeasible(self):
+        with pytest.raises(InfeasibleBudget, match="I must be >= 1"):
+            d2d_sigma_thm9(1.0, 1e-3, 0, M=1.0, m=0.5, n=100, L=1.0)
 
 
 class TestInternalState:

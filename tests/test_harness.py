@@ -219,6 +219,8 @@ class TestConfig:
         ("sigma", float("inf")), ("sigma", float("nan")), ("sigma_grid", (0.1, 0.0)),
         ("sigma_grid", (float("nan"),)), ("eps_targets", (float("nan"),)),
         ("init_mean", float("nan")), ("init_mean", float("inf")), ("preset", "bogus"),
+        ("sigma", 1e200), ("sigma", 1e-300), ("sigma_grid", (float("inf"),)),
+        ("sigma_grid", (0.5, 1e151)), ("sigma", -1.0),
     ])
     def test_rejects_out_of_range_numbers(self, field, value):
         with pytest.raises(ConfigError):
@@ -321,6 +323,27 @@ class TestSequential:
         rows, _ = run_sequential(cfg)
         assert rows[0].acc_mean is not None
         assert len(rows[0].per_trial_acc) == 2
+
+
+class TestSingleTarget:
+    @pytest.mark.parametrize("protocol,kw", [
+        (run_sequential, dict(sigma=0.3)), (run_tradeoff_sweep, dict(sigma_grid=(0.5,))),
+    ], ids=["sequential", "sweep"])
+    def test_second_target_rejected(self, protocol, kw):
+        with pytest.raises(ConfigError, match="one eps target"):
+            protocol(tiny_cfg(trials=0, eps_targets=(1.0, 5.0), **kw))
+
+    def test_sweep_rows_are_langevin(self):
+        rows, _ = run_tradeoff_sweep(tiny_cfg(method="retrain", sigma_grid=(0.5,), trials=0))
+        assert [row.method for row in rows] == ["langevin"]
+
+    def test_evaluate_row_carries_the_default_target(self):
+        row, = run_evaluate(tiny_cfg(trials=1, sigma=0.05, n_iter=20, eps_targets=(7.0,)))
+        assert row.epsilon_target == ExperimentConfig().eps_targets[0] == 1.0
+
+    def test_d2d_thm9_without_steps_is_an_error_row(self):
+        row, = run_unlearn_one(tiny_cfg(method="d2d_thm9", k_budget=0, trials=0))
+        assert row.sigma is None and "I must be >= 1" in row.error
 
 
 class TestSweep:
