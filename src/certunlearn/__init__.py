@@ -7,8 +7,7 @@ baseline, and a reproducible benchmark harness.
 
 from .accountant import (LsiTrace, RenyiBound, adjacency_bound_unbiased,
                          learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
-                         retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
-                         weak_triangle)
+                         retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate)
 from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_epsilon, sequential_k_schedule)
 from .constants import (INFINITE, PRESETS, NoiseSchedule, Preset, ProblemConstants,
@@ -43,5 +42,5 @@ __all__ = [
     "project_ball", "quadratic_objective", "rdp_to_dp", "regime_for",
     "retrain_saving_lower_bound", "save_dataset", "sequential_epsilon",
     "sequential_k_schedule", "train", "unlearn", "unlearn_epsilon",
-    "unlearn_rate", "validate_schedule", "weak_triangle",
+    "unlearn_rate", "validate_schedule",
 ]

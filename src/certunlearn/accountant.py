@@ -339,15 +339,6 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
     return best_eps, best_alpha
 
 
-def weak_triangle(alpha: float, d1_at_2alpha: float, d2_at_2alpha: float) -> float:
-    """Chain two Renyi differences evaluated at 2*alpha into one at alpha."""
-    if not alpha > 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if d1_at_2alpha < 0 or d2_at_2alpha < 0:
-        raise ValueError("Renyi differences must be non-negative")
-    return (alpha - 0.5) / (alpha - 1.0) * (d1_at_2alpha + d2_at_2alpha)
-
-
 def adjacency_bound_unbiased(F: float, n: int) -> float:
     """Order-free Renyi difference of the small-step-limit laws on adjacent
     datasets, when per-sample losses differ by at most F: 2*F/n."""

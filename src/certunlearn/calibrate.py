@@ -13,7 +13,8 @@ import numpy as np
 
 from .accountant import (ALPHA_GRID, RenyiBound, _decay_sum, _optimize_order,
                          learn_epsilon0, rdp_to_dp, unlearn_epsilon)
-from .constants import INFINITE, NoiseSchedule, ProblemConstants, Regime, default_c0
+from .constants import (INFINITE, SIGMA_RANGE, NoiseSchedule, ProblemConstants, Regime,
+                        default_c0)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
 DEFAULT_K_MAX = 10 ** 6
@@ -119,8 +120,9 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     vacuous (an overflowing LSI cap or an infinite Renyi curve) does not
     certify. The step size defaults to 1/L.
     """
-    if not (sigma_lo > 0 and sigma_lo < sigma_hi):
-        raise ValueError(f"need 0 < sigma_lo < sigma_hi, got {sigma_lo}, {sigma_hi}")
+    if not SIGMA_RANGE[0] <= sigma_lo < sigma_hi <= SIGMA_RANGE[1]:
+        raise ValueError("need 1e-150 <= sigma_lo < sigma_hi <= 1e150, "
+                         f"got {sigma_lo}, {sigma_hi}")
     if k_hat < 0:
         raise ValueError(f"k_hat must be >= 0, got {k_hat}")
     if eta is None:

@@ -16,13 +16,13 @@ import sys
 
 from . import d2d as _d2d
 from .constants import PRESETS
-from .data import SyntheticSpec, make_synthetic, save_dataset
+from .data import SyntheticSpec, make_synthetic, save_dataset, write_csv
 from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError, DatasetFormatError,
                      InfeasibleBudget, NoFeasibleSigma, VacuousBound)
 from .harness import (_CALIBRATE_SIGMA_READS, _EVALUATE_READS, _SEQUENTIAL_READS,
                       _SWEEP_READS, _UNLEARN_ONE_READS, METHODS, ExperimentConfig,
                       emit_results, run_calibrate_sigma, run_evaluate, run_sequential,
-                      run_tradeoff_sweep, run_unlearn_one, write_csv)
+                      run_tradeoff_sweep, run_unlearn_one)
 
 log = logging.getLogger("certunlearn")
 

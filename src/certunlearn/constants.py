@@ -79,6 +79,10 @@ def validate_regime(pc: ProblemConstants, regime: Regime) -> None:
 INFINITE = math.inf
 """Sentinel for training-to-convergence (T = infinity)."""
 
+SIGMA_RANGE = (1e-150, 1e150)
+"""Noise levels the accountant accepts: sigma^2, sigma^2/m and m*sigma^2
+keep float64 headroom on every preset."""
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -115,12 +119,13 @@ def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 
     Strongly convex: eta <= min(2/m (1 - sigma^2/(m C)), 1/L), which for the
     default C = 2 sigma^2/m collapses to eta <= 1/L. Convex: eta <= 2/L.
-    Non-convex: no step condition. Privacy accounting needs strictly
-    positive noise (the optimizer itself tolerates sigma = 0).
+    Non-convex: no step condition. Privacy accounting needs noise in
+    SIGMA_RANGE (the optimizer itself tolerates sigma = 0).
     """
     validate_regime(pc, regime)
-    if not ns.sigma > 0:
-        raise ValueError("privacy accounting requires sigma > 0")
+    if not SIGMA_RANGE[0] <= ns.sigma <= SIGMA_RANGE[1]:
+        raise ValueError("privacy accounting requires sigma > 0 within [1e-150, 1e150], "
+                         f"got {ns.sigma!r}")
     tol = 1.0 + 1e-12
     if regime is Regime.STRONGLY_CONVEX:
         c = default_c0(pc, ns, regime) if c_lsi is None else c_lsi

@@ -49,9 +49,13 @@ def d2d_unlearn(params: np.ndarray, objective, I: int, sigma: float,
     """I deterministic GD steps on the updated data, then one Gaussian
     perturbation N(0, sigma^2 I). Only the perturbed iterate is returned, so
     a stateless caller never sees the non-private intermediate."""
+    return _perturb(d2d_train(objective, I, params), sigma, rng)
+
+
+def _perturb(w: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """w + N(0, sigma^2 I), not projected again; w itself when sigma is 0."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    w = d2d_train(objective, I, params)
     if sigma == 0.0:
         return w
     return w + sigma * rng.standard_normal(w.shape)
@@ -69,8 +73,22 @@ def d2d_sigma_thm9(eps: float, delta: float, I: int, M: float, m: float,
         raise InfeasibleBudget(f"I must be >= 1, got {I}")
     gI = _contraction(L, m) ** I
     log_inv = math.log(1.0 / delta)
-    denom = m * n * (1.0 - gI) * (math.sqrt(log_inv + eps) - math.sqrt(log_inv))
-    return 4.0 * math.sqrt(2.0) * M * gI / denom
+    return _noise(4.0 * math.sqrt(2.0) * M, gI, m * n,
+                  math.sqrt(log_inv + eps) - math.sqrt(log_inv))
+
+
+def _noise(scale: float, gI: float, mn: float, gap: float) -> float:
+    """scale * gamma^I / (m n (1 - gamma^I) gap)."""
+    _check_divisors(gap, gI)
+    return scale * gI / (mn * (1.0 - gI) * gap)
+
+
+def _check_divisors(gap: float, gI: float) -> None:
+    """InfeasibleBudget where a formula would divide by zero: the sqrt gap or
+    1 - gamma^I is 0 in float64 (eps, or m/L, below its resolution)."""
+    if gap == 0.0 or gI == 1.0:
+        raise InfeasibleBudget(f"noise formula divides by zero in float64 (sqrt gap {gap!r}, "
+                               f"gamma^I {gI!r}); eps or m/L is too small")
 
 
 @dataclass(frozen=True)
@@ -114,13 +132,11 @@ def d2d_sigma_thm28(eps: float, delta: float, M: float, m: float, n: int,
     gamma = _contraction(L, m)
     b2 = 2.0 * math.log(2.0 / delta)
     gap = math.sqrt(b2 + eps) - math.sqrt(b2)
+    _check_divisors(gap, gamma)  # arg divides by both
     arg = math.sqrt(2.0 * d) / (1.0 - gamma) / gap
-    if arg <= 0:
-        raise InfeasibleBudget("iteration lower bound has a non-positive log argument")
     I_min = max(1, int(math.ceil(math.log(arg) / math.log(1.0 / gamma))))
-    gI = gamma ** I_min
-    denom = m * n * (1.0 - gI) * (math.sqrt(b2 + 3.0 * eps) - math.sqrt(b2 + 2.0 * eps))
-    sigma = 8.0 * M * gI / denom
+    sigma = _noise(8.0 * M, gamma ** I_min, m * n,
+                   math.sqrt(b2 + 3.0 * eps) - math.sqrt(b2 + 2.0 * eps))
     return Thm28Calibration(sigma=sigma, I_min=I_min, gamma=gamma, d=d, delta=delta)
 
 

@@ -1,4 +1,5 @@
-"""Dataset file format and the synthetic benchmark generator.
+"""Dataset file format, the synthetic benchmark generator and the one CSV
+writer every output file goes through.
 
 CSV layout: a single header line `# d=<d> c=<c> normalized=<0|1>` followed
 by one row per sample with d feature columns and one integer label column
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,18 +22,29 @@ from .pngd import make_rng
 _HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+c=(\d+)\s+normalized=([01])\s*$")
 
 
+def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write a header line and one comma-joined line per row (ascii, \\n ends)."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
+
+
 def save_dataset(data: Dataset, path: str) -> None:
-    c = data.n_classes
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# d={data.d} c={c} normalized={1 if data.normalized else 0}\n")
-        if data.is_multiclass:
-            labels = np.argmax(data.labels, axis=1)
-        else:
-            labels = data.labels
-        for row, label in zip(data.features, labels):
-            cells = [format(v, ".17g") for v in row]
-            cells.append(str(int(label)))
-            fh.write(",".join(cells) + "\n")
+    labels = np.argmax(data.labels, axis=1) if data.is_multiclass else data.labels
+    write_csv(path, f"# d={data.d} c={data.n_classes} normalized={int(data.normalized)}",
+              ([*(format(v, ".17g") for v in row), str(int(label))]
+               for row, label in zip(data.features, labels)))
+
+
+def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
+    """n-by-c integer matrix whose row i has its one 1 in column labels[i]."""
+    out = np.zeros((len(labels), c), dtype=int)
+    out[np.arange(len(labels)), labels] = 1
+    return out
 
 
 def load_dataset(path: str) -> Dataset:
@@ -81,9 +94,7 @@ def load_dataset(path: str) -> Dataset:
     if bad.size:
         raise DatasetFormatError(
             f"class label must lie in [0, {c}), got {y[bad[0]]}", line=int(bad[0]) + 2)
-    onehot = np.zeros((len(y), c), dtype=int)
-    onehot[np.arange(len(y)), y] = 1
-    return Dataset(features=X, labels=onehot, normalized=normalized)
+    return Dataset(features=X, labels=one_hot(y, c), normalized=normalized)
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,4 @@ def make_synthetic(spec: SyntheticSpec, seed: int,
     if spec.n_classes == 2:
         y = labels * 2 - 1
         return Dataset(features=X, labels=y.astype(int), normalized=True)
-    onehot = np.zeros((spec.n, spec.n_classes), dtype=int)
-    onehot[np.arange(spec.n), labels] = 1
-    return Dataset(features=X, labels=onehot, normalized=True)
+    return Dataset(features=X, labels=one_hot(labels, spec.n_classes), normalized=True)

@@ -1,7 +1,8 @@
 """The paper's protocols, one `run_*` function per CLI result table, and
-the one CSV writer. Every protocol but the sigma table runs its trials
-through one runner: train, then serve a list of removal requests (none for
-`evaluate`, one for `unlearn-one` and `sweep`, a stream for `sequential`).
+their result files. Every protocol but the sigma table runs its trials
+through one runner, `_trials`: train, then serve a list of removal requests
+(none for `evaluate`, one for `unlearn-one` and `sweep`, a stream for
+`sequential`).
 
 Determinism contract: every experiment is a pure function of its config.
 The generator for trial t is Philox keyed by `seed XOR t`; it draws the
@@ -17,7 +18,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from . import pngd as _pngd
 from .accountant import learn_epsilon0, rdp_to_dp
 from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_k_schedule)
-from .constants import (INFINITE, NoiseSchedule, Preset, ProblemConstants,
+from .constants import (INFINITE, SIGMA_RANGE, NoiseSchedule, Preset, ProblemConstants,
                         default_c0, get_preset, regime_for)
-from .data import SyntheticSpec, load_dataset, make_synthetic
+from .data import SyntheticSpec, load_dataset, make_synthetic, write_csv
 from .errors import BudgetUnreachable, CertUnlearnError, ConfigError, NoFeasibleSigma
 from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
                          evaluate, objective_for)
@@ -92,7 +92,7 @@ class ExperimentConfig:
         if self.n_iter < 0:
             raise ConfigError(f"n_iter must be >= 0, got {self.n_iter}")
         noise = self.sigma_grid + (() if self.sigma is None else (self.sigma,))
-        if any(not 1e-150 <= s <= 1e150 for s in noise):  # squares keep float64 headroom
+        if any(not SIGMA_RANGE[0] <= s <= SIGMA_RANGE[1] for s in noise):
             raise ConfigError(f"sigma values must lie in [1e-150, 1e150], got {noise}")
         if not math.isfinite(self.init_mean):
             raise ConfigError(f"init_mean must be finite, got {self.init_mean}")
@@ -132,15 +132,6 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 def replacement_seed(master_seed: int, trial: int, request: int = 0) -> int:
     return trial_seed(master_seed, trial) ^ REPLACEMENT_TAG ^ request
-
-
-def _aggregate(accs: list[float]) -> tuple[float | None, float | None]:
-    if not accs:
-        return None, None
-    arr = np.asarray(accs, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if len(accs) > 1 else 0.0
-    return mean, std
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -214,9 +205,28 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
     return evaluate(w, test)[1]
 
 
+def _trials(cfg: ExperimentConfig, preset: Preset, count: int):
+    """Runner of `count` trials: maps (method, sigma, requests) to the
+    per-trial accuracies and their mean and sample std (None, None for no
+    trials). The data are loaded here, once, and only when count > 0."""
+    objective = test = None
+    if count > 0:
+        data, test = _load_data(cfg)
+        objective = _objective_for(preset, data)
+
+    def run(method: str, sigma: float, requests: list[tuple[int, int]]):
+        accs = [_run_trial(cfg, preset, method, sigma, requests, objective, test, t)
+                for t in range(count)]
+        if not accs:
+            return accs, None, None
+        arr = np.asarray(accs, dtype=float)
+        return accs, float(arr.mean()), float(arr.std(ddof=1)) if len(accs) > 1 else 0.0
+    return run
+
+
 # The ExperimentConfig fields each protocol below reads; the CLI gives its
 # subcommand exactly these flags, plus --config and --out. _TRIAL_READS is
-# what _load_data and _run_trial read.
+# what _trials reads through _load_data and _run_trial.
 _TRIAL_READS = ("preset", "trials", "seed", "n_iter", "init_mean", "data_path",
                 "test_data_path")
 _CALIBRATE_SIGMA_READS = ("preset", "eps_targets", "delta", "k_budget", "batch", "seed",
@@ -264,15 +274,12 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
     """
     preset = cfg.resolved_preset()
     delta = cfg.resolved_delta()
-    objective = test = None
-    if cfg.trials > 0:
-        data, test = _load_data(cfg)
-        objective = _objective_for(preset, data)
+    run = _trials(cfg, preset, cfg.trials)
     rows: list[TrialResult] = []
     for eps_hat in cfg.eps_targets:
         t0 = time.perf_counter()
         try:
-            rows.append(_unlearn_one_row(cfg, preset, delta, eps_hat, objective, test))
+            rows.append(_unlearn_one_row(cfg, preset, delta, eps_hat, run))
         except CertUnlearnError as exc:
             log.error("target eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult(cfg.method, None, eps_hat, None, None, None,
@@ -285,8 +292,7 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
 
 
 def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
-                     eps_hat: float, objective: Objective | None,
-                     test: Dataset | None) -> TrialResult:
+                     eps_hat: float, run) -> TrialResult:
     pc = preset.pc
     eta = preset.eta
     k_hat = int(cfg.k_budget)
@@ -311,9 +317,7 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
         unlearn_steps = cal.iterations(1)
         eps_achieved, k_total = eps_hat, unlearn_steps
 
-    accs = [_run_trial(cfg, preset, cfg.method, sigma, [(1, unlearn_steps)],
-                       objective, test, t) for t in range(cfg.trials)]
-    mean, std = _aggregate(accs)
+    accs, mean, std = run(cfg.method, sigma, [(1, unlearn_steps)])
     return TrialResult(cfg.method, sigma, eps_hat, eps_achieved, k_total,
                        mean, std, None, cfg.seed, per_trial_acc=accs)
 
@@ -356,13 +360,7 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
     requests = [(min(batch, cfg.s_total - r * batch), steps)
                 for r, steps in enumerate(schedule)]
 
-    accs: list[float] = []
-    if cfg.trials > 0:
-        data, test = _load_data(cfg)
-        objective = _objective_for(preset, data)
-        accs = [_run_trial(cfg, preset, cfg.method, sigma, requests, objective, test, t)
-                for t in range(cfg.trials)]
-    mean, std = _aggregate(accs)
+    accs, mean, std = _trials(cfg, preset, cfg.trials)(cfg.method, sigma, requests)
     row = TrialResult(cfg.method, sigma, eps_hat, eps_hat, int(cum[-1]), mean, std, None,
                       cfg.seed, per_trial_acc=accs)
     return [row], plot
@@ -385,10 +383,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
 
     rows: list[TrialResult] = []
     plot: list[tuple] = []
-    objective = test = None
-    if cfg.trials > 0:
-        data, test = _load_data(cfg)
-        objective = _objective_for(preset, data)
+    run = _trials(cfg, preset, cfg.trials)
     for sigma in cfg.sigma_grid:
         ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=0)
         try:
@@ -399,9 +394,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
             rows.append(TrialResult("langevin", sigma, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
             continue
-        accs = [_run_trial(cfg, preset, "langevin", sigma, [(S, k)], objective, test, t)
-                for t in range(cfg.trials)]
-        mean, std = _aggregate(accs)
+        accs, mean, std = run("langevin", sigma, [(S, k)])
         cert = converted_epsilon(pc, ns, preset.regime, S, k, delta)
         rows.append(TrialResult("langevin", sigma, eps_hat, cert, k, mean, std,
                                 None, cfg.seed, per_trial_acc=accs))
@@ -414,11 +407,7 @@ def run_evaluate(cfg: ExperimentConfig) -> list[TrialResult]:
     applies; the row's epsilon_target column carries the default one."""
     preset = cfg.resolved_preset()
     sigma = cfg.sigma if cfg.sigma is not None else 0.03
-    data, test = _load_data(cfg)
-    objective = _objective_for(preset, data)
-    accs = [_run_trial(cfg, preset, "langevin", sigma, [], objective, test, t)
-            for t in range(max(cfg.trials, 1))]
-    mean, std = _aggregate(accs)
+    accs, mean, std = _trials(cfg, preset, max(cfg.trials, 1))("langevin", sigma, [])
     return [TrialResult("evaluate", sigma, ExperimentConfig.eps_targets[0], None,
                         cfg.n_iter, mean, std, None, cfg.seed, per_trial_acc=accs)]
 
@@ -441,17 +430,6 @@ def trials_log_path(path: str) -> str:
 
 def plot_data_path(path: str) -> str:
     return (path[:-4] if path.endswith(".csv") else path) + ".plot.csv"
-
-
-def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
-    """Write a header line and one comma-joined line per row (ascii, \\n ends)."""
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
 
 
 def emit_results(table: list[TrialResult], path: str,

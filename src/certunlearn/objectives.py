@@ -121,9 +121,8 @@ def apply_request(data: Dataset, req: UnlearningRequest,
     X[rows] = fresh
     y = data.labels.copy()
     if data.is_multiclass:
-        classes = rng.integers(0, data.n_classes, size=len(rows))
-        y[rows] = 0
-        y[rows, classes] = 1
+        from .data import one_hot  # data.py imports this module
+        y[rows] = one_hot(rng.integers(0, data.n_classes, size=len(rows)), data.n_classes)
     else:
         y[rows] = rng.integers(0, 2, size=len(rows)) * 2 - 1
     return Dataset(features=X, labels=y,
@@ -200,9 +199,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     pc = ProblemConstants(L=0.25 + lam, m=lam, M=M, R=radius, n=n, d=data.d, lam=lam)
 
     def loss(w: np.ndarray) -> float:
-        margins = y * (X @ w)
-        # log(1 + exp(-t)) evaluated stably
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * lam * (w @ w))
+        return _logistic_loss(X @ w, y, w, lam)
 
     def per_sample_grad(w: np.ndarray) -> np.ndarray:
         coef = (_sigmoid(y * (X @ w)) - 1.0) * y
@@ -258,11 +255,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
 
     def loss(W: np.ndarray) -> float:
         _check_weight_shape(W, d, c)
-        Z = X @ W
-        Z = Z - Z.max(axis=1, keepdims=True)
-        log_probs = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
-        ce = -np.sum(Y * log_probs, axis=1)
-        return float(np.mean(ce) + 0.5 * lam * np.sum(W * W))
+        return _softmax_loss(X @ W, Y, W, lam)
 
     def per_sample_grad(W: np.ndarray) -> np.ndarray:
         _check_weight_shape(W, d, c)
@@ -319,32 +312,37 @@ def quadratic_objective(center: np.ndarray, m_curv: float,
                      constants=pc, data=None, lam=0.0, name="quadratic")
 
 
+def _logistic_loss(scores: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
+    """Mean logistic loss of scores x.w against -1/+1 labels, plus (lam/2)||w||^2."""
+    # log(1 + exp(-t)) evaluated stably
+    return float(np.mean(np.logaddexp(0.0, -(y * scores))) + 0.5 * lam * (w @ w))
+
+
+def _softmax_loss(Z: np.ndarray, Y: np.ndarray, W: np.ndarray, lam: float) -> float:
+    """Mean cross-entropy of scores X @ W against one-hot Y, plus (lam/2)||W||^2."""
+    Z = Z - Z.max(axis=1, keepdims=True)
+    log_probs = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+    return float(np.mean(-np.sum(Y * log_probs, axis=1)) + 0.5 * lam * np.sum(W * W))
+
+
+def _predict(scores: np.ndarray) -> np.ndarray:
+    """Labels from scores: sign with the tie sign(0) -> +1 for a score
+    vector, argmax with ties to the lowest class index for a matrix."""
+    if scores.ndim == 1:
+        return np.where(scores >= 0.0, 1, -1)
+    return np.argmax(scores, axis=1)
+
+
 def evaluate(params: np.ndarray, data: Dataset,
              lam: float = 0.0) -> tuple[float, float]:
-    """Mean loss and classification accuracy of `params` on `data`.
-
-    Binary predictions use sign(x.w) with the tie sign(0) -> +1; multiclass
-    predictions use argmax with ties resolved to the lowest class index.
-    """
+    """Mean loss and classification accuracy of `params` on `data`."""
     params = np.asarray(params, dtype=float)
     if data.is_multiclass:
-        d, c = data.d, data.n_classes
-        _check_weight_shape(params, d, c)
-        Z = data.features @ params
-        Zs = Z - Z.max(axis=1, keepdims=True)
-        log_probs = Zs - np.log(np.exp(Zs).sum(axis=1, keepdims=True))
-        loss = float(np.mean(-np.sum(data.labels * log_probs, axis=1))
-                     + 0.5 * lam * np.sum(params * params))
-        pred = np.argmax(Z, axis=1)
-        truth = np.argmax(data.labels, axis=1)
-        acc = float(np.mean(pred == truth))
+        _check_weight_shape(params, data.d, data.n_classes)
+        loss, truth = _softmax_loss, np.argmax(data.labels, axis=1)
+    elif params.shape != (data.d,):
+        raise ValueError(f"params must have shape ({data.d},), got {params.shape}")
     else:
-        if params.shape != (data.d,):
-            raise ValueError(f"params must have shape ({data.d},), got {params.shape}")
-        margins = data.labels * (data.features @ params)
-        loss = float(np.mean(np.logaddexp(0.0, -margins))
-                     + 0.5 * lam * (params @ params))
-        scores = data.features @ params
-        pred = np.where(scores >= 0.0, 1, -1)
-        acc = float(np.mean(pred == data.labels))
-    return loss, acc
+        loss, truth = _logistic_loss, data.labels
+    scores = data.features @ params
+    return loss(scores, data.labels, params, lam), float(np.mean(_predict(scores) == truth))

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from certunlearn import NoiseSchedule, ProblemConstants, Regime, get_preset
+
+# pyproject's `pythonpath` puts src/ on this process's path only; the CLI
+# tests' subprocesses find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

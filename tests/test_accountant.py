@@ -11,7 +11,14 @@ from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          binary_search_sigma, calibrate, converted_epsilon, default_c0,
                          get_preset, learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
-                         VacuousBound, weak_triangle)
+                         VacuousBound)
+from certunlearn.calibrate import _level
+
+
+def _weak_triangle(alpha, d1_at_2alpha, d2_at_2alpha):
+    """Two Renyi differences at order 2*alpha chained into one at alpha: the
+    oracle of calibrate._level, which groups the product differently."""
+    return (alpha - 0.5) / (alpha - 1.0) * (d1_at_2alpha + d2_at_2alpha)
 
 
 def _reference_call(curve, alpha):
@@ -354,7 +361,14 @@ class TestSmallOps:
         (1e9, 1.0, 1.0, 2.0 + 1e-8),
     ])
     def test_weak_triangle(self, alpha, d1, d2, expect):
-        assert weak_triangle(alpha, d1, d2) == pytest.approx(expect, rel=1e-8)
+        assert _weak_triangle(alpha, d1, d2) == pytest.approx(expect, rel=1e-8)
+        # _level chains a request's learning loss at 2a (slope * 2a) with the
+        # previous request's loss at 2a by the same inequality, then decays
+        slope, factor = d1 / (2.0 * alpha), 0.25
+        assert _level(factor, alpha, slope, d2) == pytest.approx(
+            factor * _weak_triangle(alpha, d1, d2), rel=1e-14)
+        assert _level(factor, alpha, slope, None) == pytest.approx(
+            factor * slope * alpha, rel=1e-15)
 
     def test_adjacency_bound(self):
         assert adjacency_bound_unbiased(0.0, 5) == 0.0

@@ -68,6 +68,29 @@ class TestExitCodes:
             assert code == EXIT_IO, command
             assert capsys.readouterr().err.startswith("i/o error: cannot write results to")
 
+    def test_make_data_io_error_names_the_path(self, tmp_path, capsys):
+        code = main(["make-data", "--out", str(tmp_path / "missing" / "d.csv")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: cannot write results to")
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["unlearn-one", "--method", "d2d_thm9", "--eps", "1e-17", "--trials", "0"],
+         EXIT_CALIBRATION),
+        (["unlearn-one", "--method", "d2d_thm28", "--eps", "1e-300", "--trials", "0"],
+         EXIT_CALIBRATION),
+        (["sequential", "--method", "d2d_thm28", "--eps", "1e-300", "--trials", "0"],
+         EXIT_CALIBRATION),
+        (["d2d", "--eps", "1e-300"], EXIT_OK),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_d2d_eps_below_float64_resolution(self, tmp_path, capsys, caplog, argv, expect):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == expect
+        assert "divides by zero" in capsys.readouterr().err + caplog.text
+        if argv[0] == "sequential":
+            assert not out.exists()
+        else:  # an error row, or the report's blank stateless row
+            assert out.read_text().splitlines()[-1].split(",")[4] == ""
+
     def test_bad_eps_is_config_error(self, tmp_path):
         code = main(["calibrate-sigma", "--eps", "banana",
                      "--out", str(tmp_path / "x.csv")])

@@ -3,7 +3,10 @@ import math
 import pytest
 
 from certunlearn import (INFINITE, ConfigError, NoiseSchedule, ProblemConstants,
-                         Regime, default_c0, get_preset, regime_for, validate_schedule)
+                         Regime, binary_search_sigma, converted_epsilon, default_c0,
+                         get_preset, regime_for, validate_schedule)
+from certunlearn.constants import SIGMA_RANGE
+from certunlearn.harness import ExperimentConfig
 
 
 class TestProblemConstants:
@@ -81,6 +84,32 @@ class TestRegimeValidation:
         with pytest.raises(ValueError, match="sigma > 0"):
             validate_schedule(pc, NoiseSchedule(eta=0.5, sigma=0.0),
                               Regime.STRONGLY_CONVEX)
+
+    @pytest.mark.parametrize("sigma", [1e-161, 1e-155, 1e153, 1e154, math.inf])
+    def test_accounting_rejects_noise_outside_the_range(self, sigma):
+        p = get_preset("synthetic")
+        ns = NoiseSchedule(eta=p.eta, sigma=sigma, T=INFINITE, K=1)
+        for check in (lambda: validate_schedule(p.pc, ns, p.regime),
+                      lambda: converted_epsilon(p.pc, ns, p.regime, 1, 1, p.delta)):
+            with pytest.raises(ValueError, match=r"within \[1e-150, 1e150\]"):
+                check()
+
+    def test_sigma_search_bracket_must_lie_in_the_range(self):
+        p = get_preset("mnist38")
+        for lo, hi in ((1e-160, 1.0), (1e-6, 1e160)):
+            with pytest.raises(ValueError, match="1e-150 <= sigma_lo"):
+                binary_search_sigma(1.0, p.delta, 1, p.pc, p.regime, sigma_lo=lo,
+                                    sigma_hi=hi, eta=p.eta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_ends_certify_and_are_valid_configs(self):
+        p = get_preset("synthetic")
+        for sigma in SIGMA_RANGE:
+            ns = NoiseSchedule(eta=p.eta, sigma=sigma, T=INFINITE, K=1)
+            assert math.isfinite(converted_epsilon(p.pc, ns, p.regime, 1, 1, p.delta))
+            assert ExperimentConfig(sigma=sigma).sigma == sigma
+            with pytest.raises(ConfigError):
+                ExperimentConfig(sigma=sigma * (0.5 if sigma < 1 else 2.0))
 
     def test_default_c0_per_regime(self):
         pc = ProblemConstants(L=1.0, m=0.5, M=1.0, R=1.0, n=10, d=2)

@@ -173,6 +173,14 @@ class TestEngine:
         with pytest.raises(InfeasibleBudget, match="I must be >= 1"):
             d2d_sigma_thm9(1.0, 1e-3, 0, M=1.0, m=0.5, n=100, L=1.0)
 
+    @pytest.mark.parametrize("eps,m", [(1e-17, 0.5), (1e-300, 0.5), (1.0, 1e-20)],
+                             ids=["sqrt_gap_rounds_to_0", "tiny_eps", "gamma_rounds_to_1"])
+    def test_zero_divisor_is_infeasible(self, eps, m):
+        with pytest.raises(InfeasibleBudget, match="divides by zero"):
+            d2d_sigma_thm9(eps, 1e-3, 1, M=1.0, m=m, n=100, L=1.0)
+        with pytest.raises(InfeasibleBudget, match="divides by zero"):
+            d2d_sigma_thm28(eps, 1e-3, M=1.0, m=m, n=100, L=1.0, d=5)
+
 
 class TestInternalState:
     def test_stateless_estimator_never_keeps_clean_iterate(self):

@@ -3,6 +3,13 @@ import pytest
 
 from certunlearn import (DatasetFormatError, SyntheticSpec, load_dataset,
                          make_synthetic, save_dataset)
+from certunlearn.data import one_hot
+
+
+def test_one_hot_rows():
+    labels = np.array([2, 0, 1, 2])
+    assert np.array_equal(one_hot(labels, 4), np.eye(4, dtype=int)[labels])
+    assert one_hot(labels, 4).dtype == np.eye(1, dtype=int).dtype
 
 
 class TestRoundTrip:

@@ -208,6 +208,20 @@ class TestRunnerMatchesReferences:
         _assert_same_trials(weights, row.per_trial_acc, lambda: _ref_evaluate_accs(cfg))
 
 
+class TestTrialRunner:
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_loads_data_once_and_only_for_trials(self, trials, monkeypatch):
+        loads = []
+        real = harness._load_data
+        monkeypatch.setattr(harness, "_load_data", lambda cfg: loads.append(cfg) or real(cfg))
+        rows = run_unlearn_one(tiny_cfg(eps_targets=(1.0, 2.0), trials=trials, n_iter=20))
+        assert [len(r.per_trial_acc) for r in rows] == [trials, trials]
+        assert len(loads) == min(trials, 1)
+        rows, _ = run_tradeoff_sweep(tiny_cfg(sigma_grid=(0.3, 0.5), trials=trials, n_iter=20))
+        assert [len(r.per_trial_acc) for r in rows] == [trials, trials]
+        assert len(loads) == 2 * min(trials, 1)
+
+
 class TestConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):
