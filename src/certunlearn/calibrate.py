@@ -13,8 +13,8 @@ import numpy as np
 
 from .accountant import (ALPHA_GRID, RenyiBound, _decay_sum, _optimize_order,
                          learn_epsilon0, rdp_to_dp, unlearn_epsilon)
-from .constants import (INFINITE, SIGMA_RANGE, NoiseSchedule, ProblemConstants, Regime,
-                        default_c0)
+from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
+                        ProblemConstants, Regime, default_c0)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
 DEFAULT_K_MAX = 10 ** 6
@@ -121,8 +121,8 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     certify. The step size defaults to 1/L.
     """
     if not SIGMA_RANGE[0] <= sigma_lo < sigma_hi <= SIGMA_RANGE[1]:
-        raise ValueError("need 1e-150 <= sigma_lo < sigma_hi <= 1e150, "
-                         f"got {sigma_lo}, {sigma_hi}")
+        lo, hi = SIGMA_RANGE_TEXT
+        raise ValueError(f"need {lo} <= sigma_lo < sigma_hi <= {hi}, got {sigma_lo}, {sigma_hi}")
     if k_hat < 0:
         raise ValueError(f"k_hat must be >= 0, got {k_hat}")
     if eta is None:

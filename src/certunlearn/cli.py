@@ -147,7 +147,11 @@ def _cmd_make_data(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand. Only the first subcommand named in
+    argv gets -h and its flags (all do when argv names none): argparse sizes
+    the terminal at each add_argument, and a subcommand argv does not name is
+    never parsed, so help and errors read the same."""
     parser = _Parser(
         prog="certunlearn",
         description="Certified machine unlearning: PNGD training/unlearning, a "
@@ -167,20 +171,25 @@ def build_parser() -> argparse.ArgumentParser:
                      "train once and report test accuracy"),
         "make-data": (_cmd_make_data, _MAKE_DATA_READS, "write a synthetic dataset CSV"),
     }
+    named = next((arg for arg in argv or () if arg in commands), None)
     for name, (fn, reads, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        flagged = named in (None, name)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS,
+                           add_help=flagged)
+        p.set_defaults(handler=fn)
+        if not flagged:
+            continue
         p.add_argument("--config", help="key=value file; explicit flags override it")
         p.add_argument("--out")
         for field in reads:
             p.add_argument(_FLAGS[field][0], dest=field, **_FLAGS[field][1])
-        p.set_defaults(handler=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _configure_logging()
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if hasattr(args, "config"):  # the file's flags go first, so explicit ones win

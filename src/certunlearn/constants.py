@@ -79,7 +79,10 @@ def validate_regime(pc: ProblemConstants, regime: Regime) -> None:
 INFINITE = math.inf
 """Sentinel for training-to-convergence (T = infinity)."""
 
-SIGMA_RANGE = (1e-150, 1e150)
+SIGMA_RANGE_TEXT = ("1e-150", "1e150")
+"""The ends of SIGMA_RANGE as its error messages print them (formatting the
+floats would print 1e+150)."""
+SIGMA_RANGE = (float(SIGMA_RANGE_TEXT[0]), float(SIGMA_RANGE_TEXT[1]))
 """Noise levels the accountant accepts: sigma^2, sigma^2/m and m*sigma^2
 keep float64 headroom on every preset."""
 
@@ -124,8 +127,8 @@ def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     """
     validate_regime(pc, regime)
     if not SIGMA_RANGE[0] <= ns.sigma <= SIGMA_RANGE[1]:
-        raise ValueError("privacy accounting requires sigma > 0 within [1e-150, 1e150], "
-                         f"got {ns.sigma!r}")
+        raise ValueError("privacy accounting requires sigma > 0 within "
+                         f"[{', '.join(SIGMA_RANGE_TEXT)}], got {ns.sigma!r}")
     tol = 1.0 + 1e-12
     if regime is Regime.STRONGLY_CONVEX:
         c = default_c0(pc, ns, regime) if c_lsi is None else c_lsi

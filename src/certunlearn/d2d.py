@@ -106,10 +106,8 @@ class Thm28Calibration:
         """Total deterministic steps for the i-th sequential request."""
         if i < 1:
             raise ValueError(f"request index must be >= 1, got {i}")
-        inner = math.log(4.0 * self.d * i / self.delta)
-        if inner <= 0:
-            raise InfeasibleBudget(f"log log argument non-positive at request {i}")
-        extra = math.log(inner) / math.log(1.0 / self.gamma)
+        # 4*d*i/delta > 4 for d, i >= 1 and delta < 1, so the inner log is positive
+        extra = math.log(math.log(4.0 * self.d * i / self.delta)) / math.log(1.0 / self.gamma)
         return int(math.ceil(self.I_min + extra))
 
 

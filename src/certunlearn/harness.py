@@ -26,8 +26,8 @@ from . import pngd as _pngd
 from .accountant import learn_epsilon0, rdp_to_dp
 from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_k_schedule)
-from .constants import (INFINITE, SIGMA_RANGE, NoiseSchedule, Preset, ProblemConstants,
-                        default_c0, get_preset, regime_for)
+from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule, Preset,
+                        ProblemConstants, default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic, write_csv
 from .errors import BudgetUnreachable, CertUnlearnError, ConfigError, NoFeasibleSigma
 from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
@@ -93,7 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_iter must be >= 0, got {self.n_iter}")
         noise = self.sigma_grid + (() if self.sigma is None else (self.sigma,))
         if any(not SIGMA_RANGE[0] <= s <= SIGMA_RANGE[1] for s in noise):
-            raise ConfigError(f"sigma values must lie in [1e-150, 1e150], got {noise}")
+            raise ConfigError(f"sigma values must lie in [{', '.join(SIGMA_RANGE_TEXT)}], "
+                              f"got {noise}")
         if not math.isfinite(self.init_mean):
             raise ConfigError(f"init_mean must be finite, got {self.init_mean}")
 

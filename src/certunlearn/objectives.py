@@ -18,6 +18,34 @@ from .pngd import make_rng
 
 DEFAULT_RADIUS = 100.0
 UNIT_NORM_ATOL = 1e-12
+_BLOCK_BYTES = 1 << 20  # temporary a row-wise pass over an n-by-d array may build
+
+
+def _row_blocks(X: np.ndarray):
+    """Slices of consecutive rows of X, each about _BLOCK_BYTES of it, so a
+    row-wise pass builds block-sized temporaries instead of n-by-d ones."""
+    step = max(1, _BLOCK_BYTES // max(1, X.shape[1] * X.itemsize))
+    return (slice(lo, lo + step) for lo in range(0, X.shape[0], step))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=1) bit for bit. A C-contiguous matrix is
+    reduced a row block at a time, which sums each row in the same order and
+    skips the n-by-d X*X temporary; any other input takes the one call."""
+    if X.ndim != 2 or not X.flags.c_contiguous:
+        return np.linalg.norm(X, axis=1)
+    out = np.empty(X.shape[0])
+    for rows in _row_blocks(X):
+        out[rows] = np.linalg.norm(X[rows], axis=1)
+    return out
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Divide each nonzero row of the float array X by its norm, in place."""
+    norms = _row_norms(X)
+    norms[norms == 0.0] = 1.0
+    X /= norms[:, None]
+    return X
 
 
 @dataclass(frozen=True)
@@ -52,7 +80,7 @@ class Dataset:
         else:
             raise ValueError(f"labels must be 1-D or 2-D, got shape {y.shape}")
         if self.normalized:
-            norms = np.linalg.norm(X, axis=1)
+            norms = _row_norms(X)
             if not np.allclose(norms, 1.0, rtol=0.0, atol=UNIT_NORM_ATOL):
                 worst = int(np.argmax(np.abs(norms - 1.0)))
                 raise ValueError(
@@ -76,11 +104,9 @@ class Dataset:
 
 
 def normalize_rows(X: np.ndarray) -> np.ndarray:
-    """Scale every row to unit Euclidean norm (zero rows left untouched)."""
-    X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return X / safe
+    """A new array with every row scaled to unit Euclidean norm (zero rows
+    left untouched)."""
+    return _unit_rows(np.array(X, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -192,7 +218,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
         raise ValueError(f"lam must be non-negative, got {lam}")
     X, y = data.features, data.labels.astype(float)
     n = data.n
-    row_norms = np.linalg.norm(X, axis=1)
+    row_norms = _row_norms(X)
     M = 1.0
     long_rows = np.flatnonzero(row_norms > M)
     long_norms = row_norms[long_rows]
@@ -249,7 +275,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
         raise ValueError(f"lam must be non-negative, got {lam}")
     X, Y = data.features, data.labels.astype(float)
     n, d, c = data.n, data.d, data.n_classes
-    row_norms = np.linalg.norm(X, axis=1)
+    row_norms = _row_norms(X)
     M = 2.0
     pc = ProblemConstants(L=1.0 + lam, m=lam, M=M, R=radius, n=n, d=d * c, lam=lam)
 

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import logging
 import os
 import subprocess
@@ -381,3 +384,58 @@ class TestFlagsPerSubcommand:
         assert main(["unlearn-one", "--method", "d2d_thm9", "--k-budget", "0",
                      "--trials", "0", "--out", str(out)]) == EXIT_CALIBRATION
         assert out.read_text().splitlines()[1].startswith("d2d_thm9,,")
+
+
+# main's output (stdout, NUL, stderr) at COLUMNS=80 -> exit code and the first
+# 16 hex digits of its sha256, as the eagerly built parser printed them
+_PINNED_TEXTS = {
+    ("--help",): (0, "67fd7906db0fb5e3"),
+    ("calibrate-sigma", "--help"): (0, "42f06c2bd42080f2"),
+    ("unlearn-one", "--help"): (0, "c287f8021c909c10"),
+    ("sequential", "--help"): (0, "86c91e7527c11865"),
+    ("sweep", "--help"): (0, "fdbf26a6a10c79c0"),
+    ("d2d", "--help"): (0, "cdbbbffee39d81d3"),
+    ("evaluate", "--help"): (0, "0723faa452343ae2"),
+    ("make-data", "--help"): (0, "458e08ef8233da71"),
+    ("bogus",): (4, "5df08e114b82ffec"),
+    (): (4, "81e584df89a21710"),
+    ("sweep", "--sigma", "1"): (4, "ee9873c1bacb4948"),
+    ("d2d", "--trials", "0"): (4, "6d72f721f1faf0dc"),
+}
+
+
+def _cli_text(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, f"{out.getvalue()}\0{err.getvalue()}"
+
+
+class TestHelpText:
+    """main builds only the named subcommand's flags; what it prints is the
+    same as with every subcommand's flags built."""
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse lays out help differently across Python versions")
+    @pytest.mark.parametrize("argv", list(_PINNED_TEXTS), ids=lambda a: " ".join(a) or "none")
+    def test_pinned_bytes(self, monkeypatch, argv):
+        code, text = _cli_text(argv, monkeypatch)
+        assert (code, hashlib.sha256(text.encode()).hexdigest()[:16]) == _PINNED_TEXTS[argv]
+
+    @pytest.mark.parametrize("argv", list(_PINNED_TEXTS), ids=lambda a: " ".join(a) or "none")
+    def test_same_as_the_full_parser(self, monkeypatch, argv):
+        lazy = _cli_text(argv, monkeypatch)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+        assert _cli_text(argv, monkeypatch) == lazy
+
+    def test_only_the_named_subcommand_gets_flags(self):
+        sub = next(a for a in cli.build_parser(["sweep", "--trials", "0"])._actions
+                   if a.choices)
+        flagged = {name for name, p in sub.choices.items() if len(p._actions) > 1}
+        assert flagged == {"sweep"}
+        assert set(_subcommand_fields()) == set(sub.choices)

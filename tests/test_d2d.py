@@ -77,6 +77,13 @@ class TestFormulaOracle:
         assert cal.iterations(100) == 126
         assert sum(cal.iterations(i) for i in range(1, 101)) == 12583
 
+    def test_thm28_iterations_finite_at_the_log_log_corner(self):
+        # d = i = 1 and delta just below 1 put the inner log nearest log 4 > 0
+        cal = d2d_sigma_thm28(1.0, 1.0 - 1e-12, 1.0, 0.5, 10, 1.0, 1)
+        assert cal.d == 1
+        steps = cal.iterations(1)
+        assert cal.I_min <= steps < math.inf
+
     def test_thm9_frozen_mnist_point(self, mnist):
         got = d2d_sigma_thm9(1.0, mnist.delta, 1, mnist.pc.M, mnist.pc.m,
                              mnist.pc.n, mnist.pc.L)

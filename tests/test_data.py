@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from certunlearn import (DatasetFormatError, SyntheticSpec, load_dataset,
                          make_synthetic, save_dataset)
 from certunlearn.data import one_hot
+from certunlearn.pngd import make_rng
 
 
 def test_one_hot_rows():
@@ -114,6 +117,30 @@ class TestSynthetic:
         cu = c.features[c.labels == 1].mean(axis=0)
         au = a.features[a.labels == 1].mean(axis=0)
         assert np.dot(au, bu) > np.abs(np.dot(au, cu))
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n=2000, d=20), SyntheticSpec(n=3000, d=30, n_classes=4, noise=1.5),
+        SyntheticSpec(n=11982, d=724)], ids=["binary", "4-class", "mnist-shape"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_bytes_equal_the_one_expression(self, spec, seed):
+        """Built in place, the data equal the unit rows of
+        means[labels] + noise*Z computed as whole n-by-d arrays."""
+        geo, rng = make_rng(seed), make_rng(seed ^ 0x73616D70)
+        if spec.n_classes == 2:
+            u = geo.standard_normal((1, spec.d))
+            u = (u / np.linalg.norm(u, axis=1, keepdims=True))[0]
+            means = np.stack([u, -u]) * spec.separation / 2.0
+        else:
+            frame, _ = np.linalg.qr(geo.standard_normal((spec.d, spec.n_classes)))
+            means = frame.T * spec.separation / math.sqrt(2.0)
+        labels = rng.integers(0, spec.n_classes, size=spec.n)
+        X = means[labels] + spec.noise * rng.standard_normal((spec.n, spec.d))
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        X = X / np.where(norms == 0.0, 1.0, norms)
+        data = make_synthetic(spec, seed)
+        assert data.features.tobytes() == X.tobytes()
+        got = data.labels if spec.n_classes == 2 else np.argmax(data.labels, axis=1)
+        assert np.array_equal(got, labels * 2 - 1 if spec.n_classes == 2 else labels)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from certunlearn import (Dataset, InitSpec, NoiseSchedule, UnlearningRequest,
                          logistic_objective, make_rng, make_synthetic,
                          multiclass_objective, project_ball, quadratic_objective,
                          SyntheticSpec, train, unlearn)
-from certunlearn.objectives import objective_for
+from certunlearn.objectives import _BLOCK_BYTES, _row_norms, normalize_rows, objective_for
 
 
 def binary_data(n=40, d=6, seed=0):
@@ -398,3 +399,72 @@ class TestExactTrajectory:
             ends.append((w, rng.bit_generator.state))
         assert np.array_equal(ends[0][0], ends[1][0])
         assert same_state(ends[0][1], ends[1][1])
+
+
+class TestRowBlocks:
+    """Row-wise passes over an n-by-d array work on row blocks of about
+    _BLOCK_BYTES, giving the one-call results bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 20, 724])
+    def test_row_norms_equal_one_norm_call(self, d):
+        block = _BLOCK_BYTES // (8 * d)
+        rng = make_rng(d)
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+            X = rng.standard_normal((n, d)) * 7.0
+            want = np.linalg.norm(X, axis=1).tobytes()
+            assert _row_norms(X).tobytes() == want, n
+            for other in (np.asfortranarray(X), X[:, ::-1], X[::2]):  # other layouts
+                assert _row_norms(other).tobytes() == np.linalg.norm(other, axis=1).tobytes()
+
+    def test_normalize_rows_returns_a_new_array(self):
+        X = make_rng(4).standard_normal((300, 9))
+        X[7] = 0.0
+        before = X.copy()
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        want = X / np.where(norms == 0.0, 1.0, norms)
+        out = normalize_rows(X)
+        assert out.tobytes() == want.tobytes()
+        assert np.array_equal(X, before) and out is not X
+        assert normalize_rows(np.arange(6).reshape(2, 3)).dtype == np.float64
+        with pytest.raises(ValueError):  # numpy's AxisError, as from the one call
+            normalize_rows(np.ones(3))
+
+
+def _extra_bytes(fn) -> int:
+    """Peak bytes allocated while fn runs, beyond those live when it starts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+class TestDataPathMemory:
+    """No stage of a trial's data path builds an n-by-d temporary: each
+    allocates at most its output (if that is an n-by-d array) plus a quarter
+    of X."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return make_synthetic(SyntheticSpec(n=20000, d=100), seed=3)  # X: 16 MB
+
+    @pytest.mark.parametrize("stage,bound", [
+        ("make_synthetic", 1.25), ("logistic_objective", 0.25), ("Dataset", 0.25),
+        ("apply_request", 1.25), ("multiclass_objective", 0.25)])
+    def test_peak_per_stage(self, data, stage, bound):
+        spec = SyntheticSpec(n=data.n, d=data.d)
+        onehot = np.zeros((data.n, 2), dtype=int)
+        onehot[np.arange(data.n), (data.labels + 1) // 2] = 1
+        multi = Dataset(features=data.features, labels=onehot)
+        run = {
+            "make_synthetic": lambda: make_synthetic(spec, seed=3),
+            "logistic_objective": lambda: logistic_objective(data),
+            "Dataset": lambda: Dataset(features=data.features, labels=data.labels),
+            "apply_request": lambda: apply_request(
+                data, UnlearningRequest(indices=(5, 17), replacement_seed=9)),
+            "multiclass_objective": lambda: multiclass_objective(multi),
+        }[stage]
+        assert _extra_bytes(run) <= bound * data.features.nbytes
