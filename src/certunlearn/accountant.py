@@ -37,6 +37,11 @@ _ALPHA_GRID_POINTS = 2000
 _ALPHA_MIN_OFFSET = 1e-6        # grid starts at alpha = 1 + 1e-6
 _ALPHA_MAX = 1e6
 _REFINE_REL_TOL = 1e-10
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# a targeted search checks its floor before every _FLOOR_EVERY-th golden probe,
+# and prunes only past this relative margin over the target
+_FLOOR_EVERY = 4
+_FLOOR_REL_MARGIN = 1e-9
 
 # the orders every conversion probes first; shared, so read-only
 ALPHA_GRID = 1.0 + np.logspace(math.log10(_ALPHA_MIN_OFFSET),
@@ -125,6 +130,17 @@ def lsi_cap(R: float, M: float, eta: float, xi: float) -> float:
     return value
 
 
+def _check_chain(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
+                 C0: float, K: int) -> None:
+    """Reject a fine-tuning chain of K steps from LSI constant C0 as
+    lsi_unlearn_trace does."""
+    if not C0 > 0:
+        raise ValueError(f"C0 must be positive, got {C0}")
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
+    validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
+
+
 def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                       C0: float, K: int) -> LsiTrace:
     """LSI-constant trajectory over K fine-tuning steps, starting from C0.
@@ -135,11 +151,7 @@ def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     ball-geometry bound, whose overflow is surfaced as CapOverflow as soon
     as a growing recursion actually needs it (K >= 1).
     """
-    if not C0 > 0:
-        raise ValueError(f"C0 must be positive, got {C0}")
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
-    validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
+    _check_chain(pc, ns, regime, C0, K)
     noise = 2.0 * ns.eta * ns.sigma ** 2
 
     if regime is Regime.STRONGLY_CONVEX:
@@ -175,10 +187,12 @@ def unlearn_rate(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                C0: float, K: int) -> tuple[float, float]:
     """Sum of the rates R_k over K fine-tuning steps from LSI constant C0,
-    and the LSI constant after them (C0 itself when strongly convex)."""
-    trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
+    and the LSI constant after them (C0 itself when strongly convex, whose
+    constant trace is not built)."""
     if regime is Regime.STRONGLY_CONVEX:
+        _check_chain(pc, ns, regime, C0, K)
         return K * unlearn_rate(pc, ns, regime, C0), C0
+    trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
     return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K]),
             float(trace.values[-1]))
 
@@ -280,17 +294,49 @@ def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
     return _optimize_order(bound(ALPHA_GRID), bound, delta)
 
 
+def _golden_probes(a: float, b: float):
+    """The orders golden-section search probes on [a, b], as a coroutine.
+
+    Yields (order, a, b) and is sent the objective at that order; [a, b] is
+    the current bracket, which holds this order and every later one. The
+    last order is the final bracket's midpoint.
+    """
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1 = yield x1, a, b
+    f2 = yield x2, a, b
+    while (b - a) > _REFINE_REL_TOL * a:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = yield x1, a, b
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = yield x2, a, b
+    yield 0.5 * (a + b), a, b
+
+
 def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
-                    delta: float, target: float | None = None) -> tuple[float, float]:
+                    delta: float, target: float | None = None,
+                    floor: Callable[[float, float], float] | None = None
+                    ) -> tuple[float, float]:
     """rdp_to_dp given the curve's values on ALPHA_GRID and the curve at one order.
 
     Callers that can evaluate the whole grid more cheaply than order by order
     pass its values in; `curve` serves the golden-section probes. Neither may
     hold nan: +inf marks an order at which the curve is vacuous.
 
-    A search that only asks whether the certificate meets `target` passes it:
-    refinement can only lower the grid minimum, so when that minimum already
-    meets the target it is returned unrefined, and `eps <= target` answers
+    A search that only asks whether the certificate meets `target` passes it,
+    and stops refining the order once the answer is known: at the grid
+    minimum or the first golden-section probe that meets the target, or,
+    given `floor`, once the bracket [a, b] holding every later probe cannot
+    meet it. `floor(a, b)` must not exceed the curve at any order in [a, b];
+    nan means it knows nothing. The bracket fails once floor(a, b) +
+    log(1/delta)/(b - 1) exceeds the target by the relative margin
+    _FLOOR_REL_MARGIN, which covers the rounding of floor and curve; it is
+    checked before every _FLOOR_EVERY-th probe. Either way the result is the
+    minimum over a prefix of rdp_to_dp's probes, so `eps <= target` answers
     the question as rdp_to_dp's eps would.
     """
     if not 0.0 < delta < 1.0:
@@ -304,39 +350,29 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
     if not np.isfinite(obj).any():
         raise VacuousBound()
     i = int(np.argmin(obj))
-    best_eps, best_alpha = float(obj[i]), float(grid[i])
-    if target is not None and best_eps <= target:
-        return best_eps, best_alpha
+    best = (float(obj[i]), float(grid[i]))
+    if target is not None and best[0] <= target:
+        return best
+    # what a bracket's floor must exceed to settle a failing verdict
+    bar = math.inf if target is None else target + _FLOOR_REL_MARGIN * abs(target)
 
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _ALPHA_GRID_POINTS - 1)]
-
+    search = _golden_probes(grid[max(i - 1, 0)], grid[min(i + 1, _ALPHA_GRID_POINTS - 1)])
+    x, a, b = next(search)
     probes = []
-
-    def f(a: float) -> float:
-        v = curve(a) + log_inv_delta / (a - 1.0)
-        probes.append((v, a))
-        return v
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > _REFINE_REL_TOL * a:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    f(0.5 * (a + b))
-    refined_eps, refined_alpha = min(probes)
-    if refined_eps < best_eps:
-        best_eps, best_alpha = refined_eps, refined_alpha
-    return best_eps, best_alpha
+    while True:
+        if floor is not None and len(probes) % _FLOOR_EVERY == 0 and \
+                floor(a, b) + log_inv_delta / (b - 1.0) > bar:
+            break
+        v = curve(x) + log_inv_delta / (x - 1.0)
+        if target is not None and v <= target:
+            return v, x
+        probes.append((v, x))
+        try:
+            x, a, b = search.send(v)
+        except StopIteration:
+            break
+    refined = min(probes, default=best)
+    return refined if refined[0] < best[0] else best
 
 
 def adjacency_bound_unbiased(F: float, n: int) -> float:

@@ -38,9 +38,12 @@ def _unlearned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 
 
 def _certifies(bound: RenyiBound, delta: float, eps_hat: float) -> bool:
-    """rdp_to_dp(bound, delta)[0] <= eps_hat, without refining the order when
-    the alpha grid alone already certifies."""
-    return _optimize_order(bound(ALPHA_GRID), bound, delta, eps_hat)[0] <= eps_hat
+    """rdp_to_dp(bound, delta)[0] <= eps_hat for an unlearned curve
+    exp(-decay/alpha) * slope * alpha, refining the order only until the
+    verdict is known. Such a curve never decreases in alpha, so its value at
+    a bracket's lower end is the bracket's floor."""
+    return _optimize_order(bound(ALPHA_GRID), bound, delta, eps_hat,
+                           lambda a, b: bound(a))[0] <= eps_hat
 
 
 def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSchedule,
@@ -220,13 +223,21 @@ class _Stream:
         return out
 
 
-def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[[float], float]:
+def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., float]:
     """Loss at one order after requests of these learning slopes and decay sums.
 
     O(i) per order: the i decay factors come from one vectorized exp
     (bit-identical to per-order numpy exp, unlike math.exp), then the
     levels run on Python floats. Request j's order alpha*2^(i-j) is alpha
     times an exact power of two, as exact as ldexp; past float64 it is +inf.
+
+    Called as at(a, b) it is instead a floor of the loss over the orders in
+    [a, b], in the same loop: every level is a product of non-negative
+    factors, so it takes the increasing ones (exp(-decay/alpha) and
+    slope*2*alpha) at a*2^k and the decreasing weight (alpha - 1/2)/(alpha - 1)
+    at b*2^k. Its rounding stays far inside _optimize_order's relative
+    margin; a floor that meets an overflowing order is nan, which tells
+    _optimize_order nothing.
     """
     neg_decays = -np.array(decays)
     top = len(slopes) - 1
@@ -235,17 +246,22 @@ def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[[float],
     # alpha * 2^top stays finite exactly below 2^(1024 - top)
     finite_below = math.ldexp(1.0, 1024 - top) if top else math.inf
 
-    def at(alpha: float) -> float:
+    def at(alpha: float, hi: float | None = None) -> float:
         if alpha < finite_below:
             orders = alpha * scales
         else:
             with np.errstate(over="ignore"):
                 orders = alpha * scales
+        levels = weights = orders.tolist()
+        if hi is not None:
+            with np.errstate(over="ignore"):
+                weights = (hi * scales).tolist()
         out = None
-        for factor, a, s in zip(np.exp(neg_decays / orders).tolist(), orders.tolist(),
-                                slopes):
-            out = _level(factor, a, s, out)
-        return math.inf if math.isnan(out) else out
+        for factor, a, w, s in zip(np.exp(neg_decays / orders).tolist(), levels, weights,
+                                   slopes):  # _level, with the weight at order w
+            out = (factor * s * a if out is None
+                   else factor * ((w - 0.5) / (w - 1.0)) * (s * 2.0 * a + out))
+        return out if hi is not None or not math.isnan(out) else math.inf
     return at
 
 
@@ -315,7 +331,7 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
             decay, _ = stream.decay(k)
             at = _scalar_curve(stream.slopes + [slope], stream.decays + [decay])
             on_grid = _level_on(ALPHA_GRID, slope, decay, prev)
-            return _optimize_order(on_grid, at, delta, eps_hat)[0] <= eps_hat
+            return _optimize_order(on_grid, at, delta, eps_hat, at)[0] <= eps_hat
 
         # K grows about linearly along a stream: extrapolate the last two
         guess = (2 * schedule[-1] - schedule[-2] if len(schedule) > 1

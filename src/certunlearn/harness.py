@@ -30,8 +30,8 @@ from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule, 
                         ProblemConstants, default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic, write_csv
 from .errors import BudgetUnreachable, CertUnlearnError, ConfigError, NoFeasibleSigma
-from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
-                         evaluate, objective_for)
+from .objectives import (Dataset, Objective, UnlearningRequest, _replace_rows, evaluate,
+                         objective_for)
 
 log = logging.getLogger("certunlearn")
 
@@ -178,13 +178,19 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
                        replace=False).tolist()
 
     def served():
-        """(objective on the post-request data, steps) per request."""
-        current, lo = data, 0
+        """(objective on the post-request data, steps) per request. Every
+        request writes its rows into one copy of the data, so a yielded
+        objective holds only until the next one is drawn."""
+        if not requests:
+            return
+        X, y = data.features.copy(), data.labels.copy()
+        lo = 0
         for r, (size, steps) in enumerate(requests):
             req = UnlearningRequest(indices=tuple(order[lo:lo + size]),
                                     replacement_seed=replacement_seed(cfg.seed, t, r))
-            current, lo = apply_request(current, req), lo + size
-            yield _objective_for(preset, current), steps
+            _replace_rows(X, y, req)
+            lo += size
+            yield _objective_for(preset, Dataset(X, y, normalized=data.normalized)), steps
 
     if method in ("langevin", "retrain"):
         ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter)

@@ -133,26 +133,32 @@ def apply_request(data: Dataset, req: UnlearningRequest,
     certified clip constant still holds; pass renormalize=False for raw
     draws (which then force normalized=False on the result).
     """
-    for i in req.indices:
-        if not 0 <= i < data.n:
-            raise IndexError(f"request index {i} outside [0, {data.n})")
     if not req.indices:
         return data
-    rng = make_rng(req.replacement_seed)
-    rows = np.array(req.indices, dtype=int)
-    fresh = rng.standard_normal((len(rows), data.d))
-    if renormalize:
-        fresh = normalize_rows(fresh)
-    X = data.features.copy()
-    X[rows] = fresh
-    y = data.labels.copy()
-    if data.is_multiclass:
-        from .data import one_hot  # data.py imports this module
-        y[rows] = one_hot(rng.integers(0, data.n_classes, size=len(rows)), data.n_classes)
-    else:
-        y[rows] = rng.integers(0, 2, size=len(rows)) * 2 - 1
+    X, y = data.features.copy(), data.labels.copy()
+    _replace_rows(X, y, req, renormalize)
     return Dataset(features=X, labels=y,
                    normalized=data.normalized and renormalize)
+
+
+def _replace_rows(X: np.ndarray, y: np.ndarray, req: UnlearningRequest,
+                  renormalize: bool = True) -> None:
+    """Write apply_request's replacement rows into the features X and labels
+    y in place, for a caller that owns these arrays."""
+    for i in req.indices:
+        if not 0 <= i < X.shape[0]:
+            raise IndexError(f"request index {i} outside [0, {X.shape[0]})")
+    rng = make_rng(req.replacement_seed)
+    rows = np.array(req.indices, dtype=int)
+    fresh = rng.standard_normal((len(rows), X.shape[1]))
+    if renormalize:
+        fresh = normalize_rows(fresh)
+    X[rows] = fresh
+    if y.ndim == 2:
+        from .data import one_hot  # data.py imports this module
+        y[rows] = one_hot(rng.integers(0, y.shape[1], size=len(rows)), y.shape[1])
+    else:
+        y[rows] = rng.integers(0, 2, size=len(rows)) * 2 - 1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +41,19 @@ def sc_setup():
     pc = ProblemConstants(L=1.0, m=0.25, M=1.0, R=10.0, n=500, d=4, lam=0.25)
     ns = NoiseSchedule(eta=1.0, sigma=1.0, T=np.inf, K=5)
     return pc, ns, Regime.STRONGLY_CONVEX
+
+
+@pytest.fixture
+def extra_bytes():
+    """Peak bytes allocated while a callable runs, beyond those live when it
+    starts."""
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+    return measure

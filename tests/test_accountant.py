@@ -12,6 +12,8 @@ from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          get_preset, learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
                          VacuousBound)
+from certunlearn import accountant
+from certunlearn.accountant import ALPHA_GRID
 from certunlearn.calibrate import _level
 
 
@@ -122,6 +124,27 @@ class TestUnlearnTrace:
         assert trace.values.tolist() == [1.0]
         with pytest.raises(CapOverflow):
             lsi_unlearn_trace(pc, ns, Regime.CONVEX, 1.0, K=1)
+
+    def test_strongly_convex_decay_sum_builds_no_trace(self, sc_setup, monkeypatch):
+        pc, ns, regime = sc_setup
+        c0 = 2.0 * ns.sigma ** 2 / pc.m
+        cases = [(c0, 7), (c0, 0), (0.0, 7), (c0, -1), (0.5 * c0, 7)]  # the last is invalid
+        want = []
+        for C0, K in cases:
+            try:
+                trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
+                want.append((K * unlearn_rate(pc, ns, regime, C0), trace.values[-1]))
+            except ValueError as exc:
+                want.append((type(exc), str(exc)))
+        monkeypatch.setattr(accountant, "lsi_unlearn_trace", None)
+        got = []
+        for C0, K in cases:
+            try:
+                got.append(accountant._decay_sum(pc, ns, regime, C0, K))
+            except ValueError as exc:
+                got.append((type(exc), str(exc)))
+        assert got == want and isinstance(got[0][0], float)
+        assert [type(g[0]) is type for g in got] == [False, False, True, True, True]
 
 
 class TestUnlearnRate:
@@ -352,6 +375,68 @@ class TestRdpToDp:
     def test_nan_curve_is_rejected_not_certified(self):
         with pytest.raises(ValueError):
             rdp_to_dp(RenyiBound(lambda a: np.where(a > 1e3, np.nan, 0.01 * a)), 1e-5)
+
+
+def _probed(curve):
+    """curve, recording the orders it is called at."""
+    orders = []
+
+    def recording(a):
+        orders.append(a)
+        return curve(a)
+    return recording, orders
+
+
+class TestTargetedOrderSearch:
+    """_optimize_order given a target stops refining once the verdict is
+    known, and its answer is the least pair over a prefix of rdp_to_dp's."""
+
+    delta = 1e-5
+
+    @pytest.fixture
+    def curve(self):
+        return unlearn_epsilon(RenyiBound.linear(0.02), ProblemConstants(
+            L=1.0, m=0.25, M=1.0, R=10.0, n=500, d=4, lam=0.25),
+            NoiseSchedule(eta=1.0, sigma=0.5, T=INFINITE, K=3), Regime.STRONGLY_CONVEX)
+
+    def _full(self, curve):
+        probed, orders = _probed(curve)
+        return accountant._optimize_order(curve(ALPHA_GRID), probed, self.delta), orders
+
+    def test_nan_floor_never_prunes(self, curve):
+        exact, orders = self._full(curve)
+        probed, seen = _probed(curve)
+        floors = []
+
+        def floor(a, b):
+            floors.append((a, b))
+            return math.nan
+        out = accountant._optimize_order(curve(ALPHA_GRID), probed, self.delta,
+                                         exact[0] * (1.0 - 1e-6), floor)
+        assert out == exact == rdp_to_dp(curve, self.delta)
+        assert seen == orders and len(floors) > 2
+
+    def test_stops_at_first_probe_meeting_target(self, curve):
+        exact, orders = self._full(curve)
+        grid_min = float(np.min(curve(ALPHA_GRID) + math.log(1.0 / self.delta)
+                                / (ALPHA_GRID - 1.0)))
+        assert exact[0] < grid_min
+        target = 0.5 * (exact[0] + grid_min)
+        probed, seen = _probed(curve)
+        eps, alpha = accountant._optimize_order(curve(ALPHA_GRID), probed, self.delta, target)
+        assert eps <= target and seen == orders[:len(seen)] and len(seen) < len(orders)
+        assert alpha == seen[-1]
+
+    def test_floor_above_target_stops_with_least_pair_so_far(self, curve):
+        exact, orders = self._full(curve)
+        probed, seen = _probed(curve)
+        out = accountant._optimize_order(curve(ALPHA_GRID), probed, self.delta,
+                                         0.5 * exact[0], lambda a, b: curve(a))
+        assert out[0] > 0.5 * exact[0] and out[0] >= exact[0]
+        assert seen == orders[:len(seen)] and len(seen) < len(orders)
+        if seen:
+            log_inv_delta = math.log(1.0 / self.delta)
+            assert out[0] <= min(curve(a) + log_inv_delta / (a - 1.0) for a in seen)
 
 
 class TestSmallOps:

@@ -12,6 +12,7 @@ from certunlearn import (BudgetUnreachable, CapOverflow, INFINITE, NoFeasibleSig
                          find_min_k, learn_epsilon0, lsi_unlearn_trace, rdp_to_dp,
                          sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
                          unlearn_rate)
+from certunlearn import accountant
 from certunlearn.accountant import ALPHA_GRID
 
 mp.mp.dps = 40
@@ -203,35 +204,52 @@ class TestFindMinK:
 
 def _record_optimize(monkeypatch):
     """Record every _optimize_order call of the calibration searches: its
-    curve, delta, target, result and whether it refined the order."""
+    curve, delta, target, result and its golden-section curve evaluations."""
     optimize = calibrate._optimize_order
     calls = []
 
-    def recording(on_grid, curve, delta, target=None):
+    def recording(on_grid, curve, delta, target=None, floor=None):
         refined = []
 
         def counting(a):
             refined.append(a)
             return curve(a)
-        out = optimize(on_grid, counting, delta, target)
+        out = optimize(on_grid, counting, delta, target, floor)
         calls.append({"curve": curve, "delta": delta, "target": target, "out": out,
-                      "refined": bool(refined)})
+                      "evals": len(refined), "refined": bool(refined)})
         return out
 
     monkeypatch.setattr(calibrate, "_optimize_order", recording)
     return calls
 
 
+def _rdp_to_dp_pairs(bound, delta):
+    """rdp_to_dp(bound, delta) and every (eps, alpha) pair it evaluates: the
+    grid minimum and each golden-section probe."""
+    log_inv_delta = math.log(1.0 / delta)
+    pairs = []
+
+    def recording(a):
+        v = bound(a)
+        pairs.append((v + log_inv_delta / (a - 1.0), a))
+        return v
+    on_grid = bound(ALPHA_GRID)
+    exact = accountant._optimize_order(on_grid, recording, delta)
+    obj = on_grid + log_inv_delta / (ALPHA_GRID - 1.0)
+    i = int(np.argmin(obj))
+    return exact, pairs + [(float(obj[i]), float(ALPHA_GRID[i]))]
+
+
 def _assert_probe_matches_rdp_to_dp(probe, bound, delta, eps_hat):
-    exact = rdp_to_dp(bound, delta)
+    # a probe stops refining once its verdict is known, so its pair is one
+    # rdp_to_dp evaluates, at or above rdp_to_dp's minimum
+    exact, pairs = _rdp_to_dp_pairs(bound, delta)
     assert probe["target"] == eps_hat
     assert (probe["out"][0] <= eps_hat) == (exact[0] <= eps_hat)
     if "verdict" in probe:
         assert probe["verdict"] == (exact[0] <= eps_hat)
-    if probe["refined"]:
-        assert probe["out"] == exact
-    else:  # skipped only where the grid alone certifies
-        assert probe["out"][0] <= eps_hat
+    assert probe["out"][0] >= exact[0]
+    assert probe["out"] in pairs
 
 
 class TestGridCertifiedProbes:
@@ -252,6 +270,105 @@ class TestGridCertifiedProbes:
             _assert_probe_matches_rdp_to_dp(call, call["curve"], call["delta"], 1.0)
         refined = [c["refined"] for c in calls]
         assert any(refined) and not all(refined)
+
+
+def _unlearned_case(preset, sigma, S, K):
+    """An unlearned curve, the targeted verdict the sigma and K searches reach
+    on it, and its floor: the curve never decreases in alpha."""
+    ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=K)
+    bound = calibrate._unlearned(preset.pc, ns, preset.regime, S, K)
+    return (bound, lambda target: calibrate._certifies(bound, preset.delta, target),
+            lambda a, b: bound(a), preset.delta)
+
+
+def _stream_case(preset, sigma, ks, sizes):
+    """The curve after a stream of requests, the targeted verdict the
+    schedule search reaches on it, and its floor."""
+    stream = calibrate._Stream(sigma, preset.pc, preset.regime, preset.eta)
+    for size, k in zip(sizes, ks):
+        stream.admit(size, k)
+    on_grid = stream.curve(ALPHA_GRID)
+    at = calibrate._scalar_curve(stream.slopes, stream.decays)
+    bound = RenyiBound(lambda a: sequential_epsilon(
+        a, sigma, 1, len(ks), ks, preset.pc, preset.regime, eta=preset.eta,
+        batch_sizes=sizes))
+
+    def verdict(target):
+        return calibrate._optimize_order(on_grid, at, preset.delta, target, at)[0] <= target
+    return bound, verdict, at, preset.delta
+
+
+_UNLEARNED_CASES = 24
+
+
+def _verdict_cases(mnist, cifar_multi):
+    rng = np.random.default_rng(1401)
+    cases = [_unlearned_case(pr, float(10.0 ** rng.uniform(-2.5, -0.5)),
+                             int(rng.integers(1, 10)), int(rng.integers(0, 3000)))
+             for pr in (mnist, cifar_multi) for _ in range(_UNLEARNED_CASES // 2)]
+    for i in (1, 2, 3, 5, 8, 13, 21, 40):
+        ks = rng.integers(0, 3000, size=i).tolist()
+        cases.append(_stream_case(mnist, 0.03, ks, rng.integers(1, 8, size=i).tolist()))
+    # near request 1010 the top orders overflow float64 on part of the grid
+    cases.append(_stream_case(mnist, 0.03, [20000] * 1010, [5] * 1010))
+    return cases
+
+
+def _verdict_mismatches(cases):
+    """(case, target) pairs where the targeted verdict differs from
+    rdp_to_dp's, at targets just around rdp_to_dp's eps and at the grid's."""
+    bad = []
+    for n, (bound, verdict, _, delta) in enumerate(cases):
+        log_inv_delta = math.log(1.0 / delta)
+        exact = rdp_to_dp(bound, delta)[0]
+        grid = float(np.min(bound(ALPHA_GRID) + log_inv_delta / (ALPHA_GRID - 1.0)))
+        targets = [exact * (1.0 + r) for r in (1e-12, -1e-12, 1e-6, -1e-6)] + [grid]
+        bad += [(n, t) for t in targets if verdict(t) != (exact <= t)]
+    return bad
+
+
+class TestEarlyExits:
+    """The sigma and K probes stop refining the order once the verdict is
+    known; every verdict stays rdp_to_dp's."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, mnist, cifar_multi):
+        return _verdict_cases(mnist, cifar_multi)
+
+    def test_verdicts_match_rdp_to_dp(self, cases):
+        assert _verdict_mismatches(cases) == []
+
+    def test_swapped_floor_endpoints_are_caught(self, cases, monkeypatch):
+        # a floor taken at the wrong ends of its bracket bounds from above
+        optimize = calibrate._optimize_order
+
+        def swapped(on_grid, curve, delta, target=None, floor=None):
+            return optimize(on_grid, curve, delta, target,
+                            None if floor is None else lambda a, b: floor(b, a))
+        monkeypatch.setattr(calibrate, "_optimize_order", swapped)
+        bad = {n for n, _ in _verdict_mismatches(cases)}
+        # caught on both an unlearned curve and a stream
+        assert min(bad) < _UNLEARNED_CASES <= max(bad)
+
+    def test_floors_bound_their_brackets_from_below(self, cases):
+        rng = np.random.default_rng(7)
+        nans = 0
+        for bound, _, floor, _ in cases:
+            for lo in 1.0 + 10.0 ** rng.uniform(-6.0, 6.0, 20):
+                hi = lo * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0))
+                low = floor(lo, hi)
+                nans += math.isnan(low)
+                for a in np.linspace(lo, hi, 7):
+                    assert not low > bound(float(a))
+        assert nans > 0  # the 1010-request stream's overflowing brackets
+
+    def test_stream_search_evaluates_a_third_of_the_orders(self, mnist, monkeypatch):
+        # the full refinement of every failing probe took 3388 evaluations
+        calls = _record_optimize(monkeypatch)
+        ks = sequential_k_schedule(1.0, mnist.delta, 0.03, 100, 5, mnist.pc, mnist.regime,
+                                   eta=mnist.eta)
+        assert sum(ks) == ORACLE_SEQ_TOTALS[5]
+        assert sum(call["evals"] for call in calls) <= 3388 // 3
 
 
 class TestBinarySearchSigma:
@@ -440,8 +557,7 @@ class TestSequential:
 
     def test_k_probes_certify_what_rdp_to_dp_certifies(self, mnist, monkeypatch):
         # every K probe of the schedule search reaches rdp_to_dp's verdict on
-        # sequential_epsilon at that K, and a probe that refines the order
-        # returns exactly rdp_to_dp's (eps, alpha)
+        # sequential_epsilon at that K, with an (eps, alpha) rdp_to_dp evaluates
         probes = []
         search = calibrate._least_k
         requests = []

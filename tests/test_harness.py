@@ -6,6 +6,7 @@ from certunlearn import (ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
                          converted_epsilon, default_c0, evaluate, get_preset,
                          sequential_k_schedule)
 from certunlearn import d2d as _d2d
+from certunlearn.data import SyntheticSpec, make_synthetic
 from certunlearn import harness
 from certunlearn import pngd as _pngd
 from certunlearn.harness import (ExperimentConfig, TrialResult, _load_data,
@@ -220,6 +221,23 @@ class TestTrialRunner:
         rows, _ = run_tradeoff_sweep(tiny_cfg(sigma_grid=(0.3, 0.5), trials=trials, n_iter=20))
         assert [len(r.per_trial_acc) for r in rows] == [trials, trials]
         assert len(loads) == 2 * min(trials, 1)
+
+
+class TestTrialMemory:
+    def test_sequential_trial_holds_no_more_than_unlearn_one(self, extra_bytes):
+        # every request of a trial writes into one copy of the data
+        cfg = tiny_cfg(n_iter=2)
+        preset = cfg.resolved_preset()
+        objective = _objective_for(preset, make_synthetic(SyntheticSpec(n=20000, d=100),
+                                                          seed=3))  # X: 16 MB
+        test = make_synthetic(SyntheticSpec(n=500, d=100), seed=4)
+
+        def peak(requests):
+            return extra_bytes(lambda: harness._run_trial(
+                cfg, preset, "langevin", 0.5, requests, objective, test, 0))
+        one, sequential = peak([(1, 2)]), peak([(1, 2)] * 3)
+        assert objective.data.features.nbytes <= one
+        assert sequential <= 1.05 * one
 
 
 class TestConfig:

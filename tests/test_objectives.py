@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -430,18 +429,6 @@ class TestRowBlocks:
             normalize_rows(np.ones(3))
 
 
-def _extra_bytes(fn) -> int:
-    """Peak bytes allocated while fn runs, beyond those live when it starts."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
-
-
 class TestDataPathMemory:
     """No stage of a trial's data path builds an n-by-d temporary: each
     allocates at most its output (if that is an n-by-d array) plus a quarter
@@ -454,7 +441,7 @@ class TestDataPathMemory:
     @pytest.mark.parametrize("stage,bound", [
         ("make_synthetic", 1.25), ("logistic_objective", 0.25), ("Dataset", 0.25),
         ("apply_request", 1.25), ("multiclass_objective", 0.25)])
-    def test_peak_per_stage(self, data, stage, bound):
+    def test_peak_per_stage(self, data, stage, bound, extra_bytes):
         spec = SyntheticSpec(n=data.n, d=data.d)
         onehot = np.zeros((data.n, 2), dtype=int)
         onehot[np.arange(data.n), (data.labels + 1) // 2] = 1
@@ -467,4 +454,4 @@ class TestDataPathMemory:
                 data, UnlearningRequest(indices=(5, 17), replacement_seed=9)),
             "multiclass_objective": lambda: multiclass_objective(multi),
         }[stage]
-        assert _extra_bytes(run) <= bound * data.features.nbytes
+        assert extra_bytes(run) <= bound * data.features.nbytes
