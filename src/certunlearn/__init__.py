@@ -22,7 +22,7 @@ from .estimators import D2DClassifier, NoisyGDClassifier
 from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
                          evaluate, logistic_objective, multiclass_objective,
                          quadratic_objective)
-from .pngd import InitSpec, clip_to_norm, make_rng, pngd_step, project_ball, train, unlearn
+from .pngd import InitSpec, make_rng, pngd_step, project_ball, train, unlearn
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "ProblemConstants", "Regime", "RenyiBound", "SyntheticSpec",
     "Thm28Calibration", "UnlearningRequest", "VacuousBound",
     "adjacency_bound_unbiased", "apply_request", "binary_search_sigma",
-    "clip_to_norm", "converted_epsilon",
+    "converted_epsilon",
     "d2d_sigma_thm28", "d2d_sigma_thm9", "d2d_train", "d2d_unlearn",
     "default_c0", "evaluate", "find_min_k", "get_preset", "learn_epsilon0",
     "load_dataset", "logistic_objective", "lsi_cap", "lsi_unlearn_trace",

@@ -61,10 +61,8 @@ class RenyiBound:
     ...), for introspection and tests.
     """
 
-    def __init__(self, fn: Callable[[ArrayLike], ArrayLike], description: str = "",
-                 **meta):
+    def __init__(self, fn: Callable[[ArrayLike], ArrayLike], **meta):
         self._fn = fn
-        self.description = description
         self.meta = meta
 
     def __call__(self, alpha: ArrayLike) -> ArrayLike:
@@ -82,19 +80,14 @@ class RenyiBound:
         return out
 
     def __repr__(self):
-        return f"RenyiBound({self.description or 'custom'})"
+        return f"RenyiBound({self.meta})"
 
     @staticmethod
-    def linear(slope: float, description: str = "") -> "RenyiBound":
+    def linear(slope: float) -> "RenyiBound":
         """Curve eps(alpha) = slope * alpha (every learning bound has this shape)."""
         if slope < 0:
             raise ValueError(f"slope must be non-negative, got {slope}")
-        return RenyiBound(lambda a: slope * a, description or f"linear slope={slope:.6g}",
-                          slope=slope)
-
-    @staticmethod
-    def zero() -> "RenyiBound":
-        return RenyiBound.linear(0.0, "zero")
+        return RenyiBound(lambda a: slope * a, slope=slope)
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,6 @@ class LsiTrace:
 
     values: np.ndarray
     cap: float
-    regime: Regime
 
 
 def lsi_cap(R: float, M: float, eta: float, xi: float) -> float:
@@ -155,10 +147,10 @@ def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     noise = 2.0 * ns.eta * ns.sigma ** 2
 
     if regime is Regime.STRONGLY_CONVEX:
-        return LsiTrace(values=np.full(K + 1, C0, dtype=float), cap=math.inf, regime=regime)
+        return LsiTrace(values=np.full(K + 1, C0, dtype=float), cap=math.inf)
 
     if K == 0:
-        return LsiTrace(values=np.array([C0]), cap=math.inf, regime=regime)
+        return LsiTrace(values=np.array([C0]), cap=math.inf)
 
     cap = lsi_cap(pc.R, pc.M, ns.eta, noise)  # CapOverflow propagates
     growth = (1.0 + ns.eta * pc.L) ** 2 if regime is Regime.NONCONVEX else 1.0
@@ -168,7 +160,7 @@ def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     for k in range(K):
         c = min(growth * c + noise, cap)
         values[k + 1] = c
-    return LsiTrace(values=values, cap=cap, regime=regime)
+    return LsiTrace(values=values, cap=cap)
 
 
 def unlearn_rate(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
@@ -215,7 +207,6 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
     decay, _ = _decay_sum(pc, ns, regime, C0, K)
     base = eps0._fn
     return RenyiBound(lambda a: np.exp(-decay / a) * base(a),
-                      description=f"unlearned K={K} from [{eps0.description}]",
                       decay_sum=decay, K=K, C0=C0, base=eps0)
 
 
@@ -279,7 +270,7 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
             q = _sum_product_finite(pc, ns, regime, C0, T)
         slope = 2.0 * ns.eta * S * S * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q
 
-    return RenyiBound.linear(slope, description=f"learning S={S} T={T}")
+    return RenyiBound.linear(slope)
 
 
 def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:

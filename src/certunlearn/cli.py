@@ -130,7 +130,7 @@ _D2D_READS = ("preset", "eps_targets", "delta")
 def _cmd_d2d(cfg: ExperimentConfig) -> int:
     """Emit both closed-form noise calibrations plus the reference-table
     comparison (diagnostic; the formulas are the source of truth)."""
-    rows = _d2d._report_rows(cfg.preset, cfg.resolved_preset().pc, cfg.resolved_delta(),
+    rows = _d2d._report_rows(cfg.preset, cfg.resolved_preset(), cfg.resolved_delta(),
                              cfg.eps_targets)
     write_csv(cfg.out, "preset,theorem,I,eps,sigma_formula,sigma_reference,ratio", rows)
     return EXIT_OK

@@ -68,14 +68,6 @@ def regime_for(pc: ProblemConstants) -> Regime:
     return Regime.STRONGLY_CONVEX if pc.m > 0 else Regime.CONVEX
 
 
-def validate_regime(pc: ProblemConstants, regime: Regime) -> None:
-    """Reject (constants, regime) pairs that contradict each other."""
-    if regime is Regime.STRONGLY_CONVEX and pc.m <= 0:
-        raise ValueError("strongly convex regime requires m > 0")
-    if regime is Regime.CONVEX and pc.m != 0:
-        raise ValueError("convex regime encodes m = 0; use STRONGLY_CONVEX for m > 0")
-
-
 INFINITE = math.inf
 """Sentinel for training-to-convergence (T = infinity)."""
 
@@ -118,14 +110,17 @@ class NoiseSchedule:
 
 def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                       c_lsi: float | None = None) -> None:
-    """Check the regime's step-size condition.
+    """Check that the constants fit the regime, and its step-size condition.
 
     Strongly convex: eta <= min(2/m (1 - sigma^2/(m C)), 1/L), which for the
     default C = 2 sigma^2/m collapses to eta <= 1/L. Convex: eta <= 2/L.
     Non-convex: no step condition. Privacy accounting needs noise in
     SIGMA_RANGE (the optimizer itself tolerates sigma = 0).
     """
-    validate_regime(pc, regime)
+    if regime is Regime.STRONGLY_CONVEX and pc.m <= 0:
+        raise ValueError("strongly convex regime requires m > 0")
+    if regime is Regime.CONVEX and pc.m != 0:
+        raise ValueError("convex regime encodes m = 0; use STRONGLY_CONVEX for m > 0")
     if not SIGMA_RANGE[0] <= ns.sigma <= SIGMA_RANGE[1]:
         raise ValueError("privacy accounting requires sigma > 0 within "
                          f"[{', '.join(SIGMA_RANGE_TEXT)}], got {ns.sigma!r}")
@@ -164,6 +159,12 @@ class Preset:
     @property
     def eta(self) -> float:
         return 1.0 / self.pc.L
+
+    @property
+    def n_params(self) -> int:
+        """Parameter count of the preset's model: d*c weights for c > 2
+        classes (a preset's pc.d is its feature dimension), else d."""
+        return self.pc.d * self.n_classes if self.n_classes > 2 else self.pc.d
 
 
 def _logistic_preset(name: str, n: int, d: int, lam: float, M: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ProblemConstants
+from .constants import Preset
 from .errors import InfeasibleBudget
 from .pngd import project_ball
 
@@ -169,11 +169,12 @@ REFERENCE_SIGMAS_THM9 = {
 }
 
 
-def _report_rows(name: str, pc: ProblemConstants, delta: float,
+def _report_rows(name: str, preset: Preset, delta: float,
                  eps_targets: tuple[float, ...]) -> list[list[str]]:
     """Rows of the `d2d` report: the internal-state noise at I = 1, 2, 5 over
     the reference eps grid beside the reference value and their ratio, then
     the stateless calibration per eps target (blank where it is infeasible)."""
+    pc = preset.pc
     rows = []
     grid = REFERENCE_EPS_GRID
     for i_steps in (1, 2, 5):
@@ -184,7 +185,7 @@ def _report_rows(name: str, pc: ProblemConstants, delta: float,
                          "" if ref is None else str(ref), f"{sigma / ref:.6g}" if ref else ""])
     for eps in eps_targets:
         try:
-            cal = d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
+            cal = d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, preset.n_params)
             rows.append([name, "stateless", str(cal.I_min), f"{eps:g}", f"{cal.sigma:.6g}",
                          "", ""])
         except InfeasibleBudget as exc:

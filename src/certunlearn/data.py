@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetFormatError
-from .objectives import Dataset, _row_blocks, _unit_rows, normalize_rows
+from .objectives import (Dataset, _off_unit_row, _row_blocks, _unit_rows, normalize_rows,
+                         one_hot)
 from .pngd import make_rng
 
 _HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+c=(\d+)\s+normalized=([01])\s*$")
@@ -40,16 +41,10 @@ def save_dataset(data: Dataset, path: str) -> None:
                for row, label in zip(data.features, labels)))
 
 
-def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
-    """n-by-c integer matrix whose row i has its one 1 in column labels[i]."""
-    out = np.zeros((len(labels), c), dtype=int)
-    out[np.arange(len(labels)), labels] = 1
-    return out
-
-
 def load_dataset(path: str) -> Dataset:
-    """Parse a dataset CSV; malformed input raises DatasetFormatError with
-    the offending line number."""
+    """Parse a dataset CSV; malformed input, or a row that is not unit-norm
+    under a normalized=1 header, raises DatasetFormatError with the
+    offending line number."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -62,7 +57,7 @@ def load_dataset(path: str) -> Dataset:
     if d < 1 or c < 2:
         raise DatasetFormatError(f"invalid dimensions d={d} c={c}", line=1)
 
-    rows, labels = [], []
+    rows, labels, linenos = [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -79,6 +74,7 @@ def load_dataset(path: str) -> Dataset:
             raise DatasetFormatError("non-finite feature value", line=lineno)
         rows.append(feats)
         labels.append(label)
+        linenos.append(lineno)
     if not rows:
         raise DatasetFormatError("no data rows", line=len(lines))
 
@@ -88,13 +84,17 @@ def load_dataset(path: str) -> Dataset:
         bad = np.nonzero(~np.isin(y, (-1, 1)))[0]
         if bad.size:
             raise DatasetFormatError(
-                f"binary label must be -1 or +1, got {y[bad[0]]}", line=int(bad[0]) + 2)
-        return Dataset(features=X, labels=y, normalized=normalized)
-    bad = np.nonzero((y < 0) | (y >= c))[0]
-    if bad.size:
-        raise DatasetFormatError(
-            f"class label must lie in [0, {c}), got {y[bad[0]]}", line=int(bad[0]) + 2)
-    return Dataset(features=X, labels=one_hot(y, c), normalized=normalized)
+                f"binary label must be -1 or +1, got {y[bad[0]]}", line=linenos[bad[0]])
+    else:
+        bad = np.nonzero((y < 0) | (y >= c))[0]
+        if bad.size:
+            raise DatasetFormatError(
+                f"class label must lie in [0, {c}), got {y[bad[0]]}", line=linenos[bad[0]])
+        y = one_hot(y, c)
+    if normalized and (off := _off_unit_row(X)):
+        raise DatasetFormatError(f"header says normalized=1 but this row has norm "
+                                 f"{float(off[1])!r}", line=linenos[off[0]])
+    return Dataset(features=X, labels=y, normalized=normalized)
 
 
 @dataclass(frozen=True)

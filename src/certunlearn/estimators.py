@@ -15,8 +15,7 @@ import numpy as np
 from . import d2d as _d2d
 from . import pngd as _pngd
 from .constants import NoiseSchedule, default_c0, regime_for
-from .data import one_hot
-from .objectives import Dataset, _predict, evaluate, objective_for
+from .objectives import Dataset, _predict, evaluate, objective_for, one_hot
 from .validation import check_X_y, check_array, check_is_fitted
 
 

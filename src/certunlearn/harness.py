@@ -29,7 +29,8 @@ from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule, Preset,
                         ProblemConstants, default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic, write_csv
-from .errors import BudgetUnreachable, CertUnlearnError, ConfigError, NoFeasibleSigma
+from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError, DatasetFormatError,
+                     NoFeasibleSigma)
 from .objectives import (Dataset, Objective, UnlearningRequest, _replace_rows, evaluate,
                          objective_for)
 
@@ -136,13 +137,23 @@ def replacement_seed(master_seed: int, trial: int, request: int = 0) -> int:
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """(train, test) datasets for the configured source."""
+    """(train, test) datasets for the configured source. A training file
+    must hold unit-norm rows (normalized=1), and a test file the same
+    feature dimension and class count."""
     preset = cfg.resolved_preset()
     if cfg.data_path:
         train = load_dataset(cfg.data_path)
-        test = load_dataset(cfg.test_data_path) if cfg.test_data_path else train
+        if not train.normalized:
+            raise DatasetFormatError(f"header of {cfg.data_path} says normalized=0; protocols "
+                                     "train only on unit-norm rows (normalized=1)", line=1)
         if not cfg.test_data_path:
             log.info("no test data supplied; evaluating on the training set")
+            return train, train
+        test = load_dataset(cfg.test_data_path)
+        if (test.d, test.n_classes) != (train.d, train.n_classes):
+            raise DatasetFormatError(
+                f"header of {cfg.test_data_path} says d={test.d} c={test.n_classes}, but the "
+                f"training data {cfg.data_path} has d={train.d} c={train.n_classes}", line=1)
         return train, test
     if cfg.preset != "synthetic" and cfg.constants is None:
         raise ConfigError(
@@ -222,6 +233,10 @@ def _trials(cfg: ExperimentConfig, preset: Preset, count: int):
         objective = _objective_for(preset, data)
 
     def run(method: str, sigma: float, requests: list[tuple[int, int]]):
+        removed = sum(size for size, _ in requests)
+        if count > 0 and removed > objective.data.n:
+            raise ConfigError(f"{removed} removals per trial exceed the "
+                              f"{objective.data.n} training rows")
         accs = [_run_trial(cfg, preset, method, sigma, requests, objective, test, t)
                 for t in range(count)]
         if not accs:
@@ -319,7 +334,7 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
         sigma = _d2d.d2d_sigma_thm9(eps_hat, delta, k_hat, pc.M, pc.m, pc.n, pc.L)
         eps_achieved, k_total, unlearn_steps = eps_hat, k_hat, k_hat
     else:  # d2d_thm28
-        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
+        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, preset.n_params)
         sigma = cal.sigma
         unlearn_steps = cal.iterations(1)
         eps_achieved, k_total = eps_hat, unlearn_steps
@@ -354,7 +369,7 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
         sigma = cfg.sigma
         batch = cfg.batch
     elif cfg.method == "d2d_thm28":
-        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
+        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, preset.n_params)
         schedule = [cal.iterations(i) for i in range(1, cfg.s_total + 1)]
         sigma = cal.sigma
         batch = 1  # the baseline removes one point per request

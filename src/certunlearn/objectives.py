@@ -23,17 +23,18 @@ _BLOCK_BYTES = 1 << 20  # temporary a row-wise pass over an n-by-d array may bui
 
 def _row_blocks(X: np.ndarray):
     """Slices of consecutive rows of X, each about _BLOCK_BYTES of it, so a
-    row-wise pass builds block-sized temporaries instead of n-by-d ones."""
-    step = max(1, _BLOCK_BYTES // max(1, X.shape[1] * X.itemsize))
-    return (slice(lo, lo + step) for lo in range(0, X.shape[0], step))
+    row-wise pass builds block-sized temporaries instead of n-by-d ones. No
+    slice holds a lone row of several: numpy may sum a lone row of a strided
+    X in another order than it sums that row within X."""
+    n = X.shape[0]
+    count = max(1, min(n // 2, -(-X.nbytes // _BLOCK_BYTES)))
+    return (slice(n * i // count, n * (i + 1) // count) for i in range(count))
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=1) bit for bit. A C-contiguous matrix is
+    """np.linalg.norm(X, axis=1) bit for bit, for a 2-D X of any layout,
     reduced a row block at a time, which sums each row in the same order and
-    skips the n-by-d X*X temporary; any other input takes the one call."""
-    if X.ndim != 2 or not X.flags.c_contiguous:
-        return np.linalg.norm(X, axis=1)
+    skips the n-by-d X*X temporary."""
     out = np.empty(X.shape[0])
     for rows in _row_blocks(X):
         out[rows] = np.linalg.norm(X[rows], axis=1)
@@ -46,6 +47,23 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     X /= norms[:, None]
     return X
+
+
+def _off_unit_row(X: np.ndarray) -> tuple[int, np.float64] | None:
+    """(index, norm) of the row of X farthest from unit norm, or None when
+    every row is within UNIT_NORM_ATOL of it."""
+    norms = _row_norms(X)
+    if np.allclose(norms, 1.0, rtol=0.0, atol=UNIT_NORM_ATOL):
+        return None
+    worst = int(np.argmax(np.abs(norms - 1.0)))
+    return worst, norms[worst]
+
+
+def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
+    """n-by-c integer matrix whose row i has its one 1 in column labels[i]."""
+    out = np.zeros((len(labels), c), dtype=int)
+    out[np.arange(len(labels)), labels] = 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,12 +97,8 @@ class Dataset:
                 raise ValueError("multiclass labels must be one-hot rows")
         else:
             raise ValueError(f"labels must be 1-D or 2-D, got shape {y.shape}")
-        if self.normalized:
-            norms = _row_norms(X)
-            if not np.allclose(norms, 1.0, rtol=0.0, atol=UNIT_NORM_ATOL):
-                worst = int(np.argmax(np.abs(norms - 1.0)))
-                raise ValueError(
-                    f"dataset marked normalized but row {worst} has norm {norms[worst]!r}")
+        if self.normalized and (off := _off_unit_row(X)):
+            raise ValueError(f"dataset marked normalized but row {off[0]} has norm {off[1]!r}")
 
     @property
     def n(self) -> int:
@@ -124,25 +138,18 @@ class UnlearningRequest:
             raise ValueError("request indices must be distinct")
 
 
-def apply_request(data: Dataset, req: UnlearningRequest,
-                  renormalize: bool = True) -> Dataset:
-    """Replace the requested rows with standard-Gaussian features and
-    uniformly random labels; all other rows are bit-identical.
-
-    Replacement features are renormalized to unit norm by default so the
-    certified clip constant still holds; pass renormalize=False for raw
-    draws (which then force normalized=False on the result).
-    """
+def apply_request(data: Dataset, req: UnlearningRequest) -> Dataset:
+    """Replace the requested rows with unit-norm rows (standard-Gaussian
+    draws, normalized, so the certified clip constant still holds) and
+    uniformly random labels; all other rows are bit-identical."""
     if not req.indices:
         return data
     X, y = data.features.copy(), data.labels.copy()
-    _replace_rows(X, y, req, renormalize)
-    return Dataset(features=X, labels=y,
-                   normalized=data.normalized and renormalize)
+    _replace_rows(X, y, req)
+    return Dataset(features=X, labels=y, normalized=data.normalized)
 
 
-def _replace_rows(X: np.ndarray, y: np.ndarray, req: UnlearningRequest,
-                  renormalize: bool = True) -> None:
+def _replace_rows(X: np.ndarray, y: np.ndarray, req: UnlearningRequest) -> None:
     """Write apply_request's replacement rows into the features X and labels
     y in place, for a caller that owns these arrays."""
     for i in req.indices:
@@ -150,12 +157,8 @@ def _replace_rows(X: np.ndarray, y: np.ndarray, req: UnlearningRequest,
             raise IndexError(f"request index {i} outside [0, {X.shape[0]})")
     rng = make_rng(req.replacement_seed)
     rows = np.array(req.indices, dtype=int)
-    fresh = rng.standard_normal((len(rows), X.shape[1]))
-    if renormalize:
-        fresh = normalize_rows(fresh)
-    X[rows] = fresh
+    X[rows] = _unit_rows(rng.standard_normal((len(rows), X.shape[1])))
     if y.ndim == 2:
-        from .data import one_hot  # data.py imports this module
         y[rows] = one_hot(rng.integers(0, y.shape[1], size=len(rows)), y.shape[1])
     else:
         y[rows] = rng.integers(0, 2, size=len(rows)) * 2 - 1
@@ -176,7 +179,6 @@ class Objective:
     constants: ProblemConstants
     data: Dataset | None = None
     lam: float = 0.0
-    name: str = "objective"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -195,6 +197,17 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     e += 1.0
     out /= e
     return out
+
+
+def _checked_lam(data: Dataset, lam: float | None, allow_unnormalized: bool) -> float:
+    """lam, by default 1e-6 * n, checked >= 0, once the data pass the norm check."""
+    if not data.normalized and not allow_unnormalized:
+        raise ValueError("dataset is not normalized; pass allow_unnormalized=True to override")
+    if lam is None:
+        lam = 1e-6 * data.n
+    if lam < 0:
+        raise ValueError(f"lam must be non-negative, got {lam}")
+    return lam
 
 
 def logistic_objective(data: Dataset, lam: float | None = None,
@@ -216,12 +229,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     """
     if data.is_multiclass:
         raise ValueError("logistic_objective expects binary labels; use multiclass_objective")
-    if not data.normalized and not allow_unnormalized:
-        raise ValueError("dataset is not normalized; pass allow_unnormalized=True to override")
-    if lam is None:
-        lam = 1e-6 * data.n
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    lam = _checked_lam(data, lam, allow_unnormalized)
     X, y = data.features, data.labels.astype(float)
     n = data.n
     row_norms = _row_norms(X)
@@ -253,7 +261,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
         return g
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=data, lam=lam, name="logistic")
+                     constants=pc, data=data, lam=lam)
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -273,12 +281,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
     """
     if not data.is_multiclass:
         raise ValueError("multiclass_objective expects one-hot labels")
-    if not data.normalized and not allow_unnormalized:
-        raise ValueError("dataset is not normalized; pass allow_unnormalized=True to override")
-    if lam is None:
-        lam = 1e-6 * data.n
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    lam = _checked_lam(data, lam, allow_unnormalized)
     X, Y = data.features, data.labels.astype(float)
     n, d, c = data.n, data.d, data.n_classes
     row_norms = _row_norms(X)
@@ -302,7 +305,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
         return X.T @ (resid * scale[:, None]) / n + lam * W
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=data, lam=lam, name="multiclass")
+                     constants=pc, data=data, lam=lam)
 
 
 def objective_for(data: Dataset, **kw) -> Objective:
@@ -341,7 +344,7 @@ def quadratic_objective(center: np.ndarray, m_curv: float,
         return (m_curv * (x - center))[None, :]
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=None, lam=0.0, name="quadratic")
+                     constants=pc, data=None, lam=0.0)
 
 
 def _logistic_loss(scores: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:

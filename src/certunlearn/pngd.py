@@ -38,13 +38,6 @@ def project_ball(v: np.ndarray, R: float) -> np.ndarray:
     return v * (R / norm)
 
 
-def clip_to_norm(g: np.ndarray, M: float) -> np.ndarray:
-    """Scale a gradient down to norm at most M (identity when already within)."""
-    if not M > 0:
-        raise ValueError(f"M must be positive, got {M}")
-    return project_ball(g, M)
-
-
 def pngd_step(params: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
               eta: float, sigma: float, R: float,
               rng: np.random.Generator) -> np.ndarray:

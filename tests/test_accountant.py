@@ -326,7 +326,7 @@ class TestLearnEpsilon0:
 
 class TestRdpToDp:
     def test_zero_curve_hits_grid_edge(self):
-        eps, alpha = rdp_to_dp(RenyiBound.zero(), delta=1e-5)
+        eps, alpha = rdp_to_dp(RenyiBound.linear(0.0), delta=1e-5)
         assert alpha > 9e5
         assert eps <= math.log(1e5) / (9e5 - 1.0)
 
@@ -354,7 +354,7 @@ class TestRdpToDp:
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            rdp_to_dp(RenyiBound.zero(), 0.0)
+            rdp_to_dp(RenyiBound.linear(0.0), 0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(log10_slope=st.floats(-8.0, 2.0), log10_delta=st.floats(-12.0, -1.0))

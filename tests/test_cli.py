@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from certunlearn import VacuousBound, cli
+from certunlearn import SyntheticSpec, VacuousBound, cli, make_synthetic, save_dataset
 from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
 from certunlearn.harness import METHODS, ExperimentConfig
 
@@ -118,6 +118,54 @@ class TestExitCodes:
         code = main(["unlearn-one", "--preset", "mnist38", "--eps", "1",
                      "--trials", "1", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case,expect", [
+        ("sweep_removes_more_than_n", EXIT_CONFIG),
+        ("sequential_removes_more_than_n", EXIT_CONFIG),
+        ("header_normalized_0", EXIT_IO),
+        ("row_not_unit_norm", EXIT_IO),
+        ("test_data_other_d", EXIT_IO),
+        ("test_data_other_classes", EXIT_IO),
+    ])
+    def test_bad_outside_input_is_one_line(self, tmp_path, capsys, case, expect):
+        """Outside inputs that used to end in a traceback exit with a typed
+        error: one stderr line and no result file."""
+        train = tmp_path / "train.csv"
+        save_dataset(make_synthetic(SyntheticSpec(n=40, d=4), seed=1), str(train))
+        lines = train.read_text().splitlines()
+        files = {
+            "header_normalized_0": [lines[0].replace("normalized=1", "normalized=0"),
+                                    *lines[1:]],
+            "row_not_unit_norm": [*lines[:5], "3.0," + lines[5].split(",", 1)[1], *lines[6:]],
+        }
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(files.get(case, lines)) + "\n")
+        other = tmp_path / "other.csv"
+        other_spec = (SyntheticSpec(n=30, d=5) if case == "test_data_other_d"
+                      else SyntheticSpec(n=30, d=4, n_classes=3))
+        save_dataset(make_synthetic(other_spec, seed=2), str(other))
+        trial = ["--trials", "1", "--n-iter", "5"]
+        argv = {
+            "sweep_removes_more_than_n": ["sweep", "--preset", "synthetic", "--sigma-grid", "1",
+                                          "--eps", "1", "--total-removals", "2001", *trial],
+            "sequential_removes_more_than_n": ["sequential", "--preset", "synthetic",
+                                               "--sigma", "1", "--eps", "1", "--batch", "1000",
+                                               "--total-removals", "2500", *trial],
+            "header_normalized_0": ["unlearn-one", "--data", str(data), *trial],
+            "row_not_unit_norm": ["unlearn-one", "--data", str(data), *trial],
+            "test_data_other_d": ["unlearn-one", "--data", str(data),
+                                  "--test-data", str(other), *trial],
+            "test_data_other_classes": ["evaluate", "--data", str(data),
+                                        "--test-data", str(other), *trial],
+        }[case]
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == expect
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("config error: " if expect == EXIT_CONFIG else "i/o error: ")
+        if case == "row_not_unit_norm":
+            assert err.startswith("i/o error: line 6: ")
+        assert not list(tmp_path.glob("x*.csv"))
 
     def test_malformed_dataset_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -7,6 +7,8 @@ import pytest
 from certunlearn import (D2DClassifier, InfeasibleBudget, d2d_sigma_thm9,
                          d2d_sigma_thm28, d2d_train, d2d_unlearn, make_rng,
                          make_synthetic, quadratic_objective, SyntheticSpec)
+from certunlearn.d2d import _report_rows
+from certunlearn.harness import ExperimentConfig, run_unlearn_one
 
 mp.mp.dps = 50
 
@@ -209,3 +211,20 @@ class TestInternalState:
         # published weights are noisy but the retained iterate is not
         assert np.linalg.norm(est._clean_coef - clean) < np.linalg.norm(
             est.coef_ - clean)
+
+
+def test_stateless_calibration_counts_parameters(cifar_multi, mnist):
+    """The stateless calibration takes the parameter count: d*c weights on a
+    c-class preset (cifar10-multi: 512 features x 10 classes), d on a binary
+    one, in the d2d report and in the unlearn-one protocol alike."""
+    for preset, d in ((cifar_multi, 5120), (mnist, 724)):
+        pc = preset.pc
+        for eps in (0.05, 1.0):
+            cal = d2d_sigma_thm28(eps, preset.delta, pc.M, pc.m, pc.n, pc.L, d)
+            row = _report_rows(preset.name, preset, preset.delta, (eps,))[-1]
+            assert row[1:5] == ["stateless", str(cal.I_min), f"{eps:g}", f"{cal.sigma:.6g}"]
+            got, = run_unlearn_one(ExperimentConfig(preset=preset.name, method="d2d_thm28",
+                                                    eps_targets=(eps,), trials=0))
+            assert (got.sigma, got.k_total) == (cal.sigma, cal.iterations(1))
+    pc = cifar_multi.pc
+    assert d2d_sigma_thm28(1.0, cifar_multi.delta, pc.M, pc.m, pc.n, pc.L, 5120).I_min == 98

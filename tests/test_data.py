@@ -73,6 +73,26 @@ class TestParseErrors:
         with pytest.raises(DatasetFormatError, match="-1 or \\+1"):
             load_dataset(str(path))
 
+    def test_row_off_unit_norm_reports_its_line(self, tmp_path):
+        data = make_synthetic(SyntheticSpec(n=12, d=3), seed=4)
+        path = tmp_path / "norm.csv"
+        save_dataset(data, str(path))
+        lines = path.read_text().splitlines()
+        lines[8] = "0.5,0.5,0.5," + lines[8].rsplit(",", 1)[1]  # row 7
+        lines.insert(2, "")  # a blank line shifts every later row by one
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="normalized=1") as err:
+            load_dataset(str(path))
+        assert err.value.line == 10
+        path.write_text(path.read_text().replace("normalized=1", "normalized=0"))
+        assert not load_dataset(str(path)).normalized
+
+    def test_label_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("# d=1 c=2 normalized=0\n1.0,1\n\n0.5,3\n")
+        with pytest.raises(DatasetFormatError, match="line 4"):
+            load_dataset(str(path))
+
     def test_out_of_range_class(self, tmp_path):
         path = tmp_path / "cls.csv"
         path.write_text("# d=1 c=3 normalized=0\n1.0,0\n0.5,7\n")

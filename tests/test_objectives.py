@@ -180,8 +180,8 @@ class TestObjectiveFor:
     def test_builder_and_shape_follow_the_labels(self):
         binary = objective_for(binary_data(), lam=0.01, radius=5.0)
         onehot = objective_for(onehot_data(c=3), lam=0.01, radius=5.0)
-        assert (binary.name, binary.shape, binary.constants.R) == ("logistic", (6,), 5.0)
-        assert (onehot.name, onehot.shape, onehot.constants.d) == ("multiclass", (6, 3), 18)
+        assert (binary.shape, binary.constants.R) == ((6,), 5.0)
+        assert (onehot.shape, onehot.constants.d) == ((6, 3), 18)
         assert quadratic_objective(np.zeros(4), 1.0).shape == (4,)
 
 
@@ -214,8 +214,6 @@ class TestApplyRequest:
         out = apply_request(data, req)
         assert np.linalg.norm(out.features[:3], axis=1) == pytest.approx(
             np.ones(3), rel=1e-12)
-        raw = apply_request(data, req, renormalize=False)
-        assert not raw.normalized
 
     def test_multiclass_replacement_labels_one_hot(self):
         data = onehot_data()

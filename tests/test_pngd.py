@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certunlearn import (InitSpec, NoiseSchedule, clip_to_norm, make_rng, pngd_step,
+from certunlearn import (InitSpec, NoiseSchedule, make_rng, pngd_step,
                          project_ball, quadratic_objective, train, unlearn)
 
 
@@ -37,10 +37,10 @@ class TestProjection:
         np.testing.assert_allclose(twice, once, rtol=1e-15, atol=0.0)
 
     def test_clip_cases(self):
-        assert np.array_equal(clip_to_norm(np.zeros(3), 1.0), np.zeros(3))
+        assert np.array_equal(project_ball(np.zeros(3), 1.0), np.zeros(3))
         v = np.array([0.6, 0.8])
-        assert np.array_equal(clip_to_norm(v, 1.0), v)
-        doubled = clip_to_norm(2.0 * v, 1.0)
+        assert np.array_equal(project_ball(v, 1.0), v)
+        doubled = project_ball(2.0 * v, 1.0)
         assert doubled == pytest.approx(v, rel=1e-15)
 
 
