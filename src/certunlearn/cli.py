@@ -20,7 +20,7 @@ from .data import SyntheticSpec, make_synthetic, save_dataset, write_csv
 from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError, DatasetFormatError,
                      InfeasibleBudget, NoFeasibleSigma, VacuousBound)
 from .harness import (_CALIBRATE_SIGMA_READS, _EVALUATE_READS, _SEQUENTIAL_READS,
-                      _SWEEP_READS, _UNLEARN_ONE_READS, METHODS, ExperimentConfig,
+                      _SWEEP_READS, _UNLEARN_ONE_READS, METHODS, ExperimentConfig, _certified,
                       emit_results, run_calibrate_sigma, run_evaluate, run_sequential,
                       run_tradeoff_sweep, run_unlearn_one)
 
@@ -76,7 +76,8 @@ _FLAGS = {
     "preset": ("--preset", dict(choices=sorted(PRESETS), help="constants bundle")),
     "method": ("--method", dict(choices=METHODS)),
     "eps_targets": ("--eps", dict(type=_float_list, help="target epsilons")),
-    "delta": ("--delta", dict(type=float, help="default: 1/n of the preset")),
+    "delta": ("--delta", dict(type=float, help="default: 1/n for the n training rows "
+                                               "(the preset's n when no data is read)")),
     "sigma": ("--sigma", dict(type=float)),
     "sigma_grid": ("--sigma-grid", dict(type=_float_list, help="comma-separated values")),
     "k_budget": ("--k-budget", dict(type=int)),
@@ -130,8 +131,8 @@ _D2D_READS = ("preset", "eps_targets", "delta")
 def _cmd_d2d(cfg: ExperimentConfig) -> int:
     """Emit both closed-form noise calibrations plus the reference-table
     comparison (diagnostic; the formulas are the source of truth)."""
-    rows = _d2d._report_rows(cfg.preset, cfg.resolved_preset(), cfg.resolved_delta(),
-                             cfg.eps_targets)
+    pc = _certified(cfg)
+    rows = _d2d._report_rows(cfg.preset, pc, cfg.resolved_delta(pc), cfg.eps_targets)
     write_csv(cfg.out, "preset,theorem,I,eps,sigma_formula,sigma_reference,ratio", rows)
     return EXIT_OK
 
@@ -142,7 +143,7 @@ _MAKE_DATA_READS = ("preset", "seed")
 def _cmd_make_data(cfg: ExperimentConfig) -> int:
     """Generate a synthetic dataset CSV (helper for offline runs)."""
     preset = cfg.resolved_preset()
-    spec = SyntheticSpec(n=preset.pc.n, d=preset.pc.d, n_classes=preset.n_classes)
+    spec = SyntheticSpec(n=preset.n, d=preset.d, n_classes=preset.n_classes)
     save_dataset(make_synthetic(spec, cfg.seed), cfg.out)
     return EXIT_OK
 

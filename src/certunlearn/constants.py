@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -44,6 +45,8 @@ class ProblemConstants:
     lam: float = 0.0
 
     def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError(f"lam must be non-negative, got {self.lam}")
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.m < 0:
@@ -56,8 +59,6 @@ class ProblemConstants:
             raise ValueError(f"R must be positive, got {self.R}")
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
 
     def with_(self, **kw) -> "ProblemConstants":
         return replace(self, **kw)
@@ -67,6 +68,9 @@ def regime_for(pc: ProblemConstants) -> Regime:
     """Strictest regime the constants support (m>0 -> strongly convex)."""
     return Regime.STRONGLY_CONVEX if pc.m > 0 else Regime.CONVEX
 
+
+DEFAULT_RADIUS = 100.0
+"""Radius of the projection ball the models' iterates stay in."""
 
 INFINITE = math.inf
 """Sentinel for training-to-convergence (T = infinity)."""
@@ -146,42 +150,53 @@ def default_c0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime) -> float
     return ns.eta * ns.sigma ** 2
 
 
+def model_constants(n: int, shape: tuple[int, ...], lam: float,
+                    R: float = DEFAULT_RADIUS) -> ProblemConstants:
+    """Certified constants of the library's model on n unit-norm rows, by
+    its weight shape: binary logistic regression for (d,) (L = 1/4 + lam,
+    M = 1), softmax regression for a d-by-c matrix (L = 1 + lam, M = 2).
+    m = lam, and d counts the weights."""
+    softmax = len(shape) == 2
+    return ProblemConstants(L=(1.0 if softmax else 0.25) + lam, m=lam,
+                            M=2.0 if softmax else 1.0, R=R, n=n, d=math.prod(shape), lam=lam)
+
+
 @dataclass(frozen=True)
 class Preset:
-    """A named benchmark configuration: constants plus accountant defaults."""
+    """A named benchmark model: n training rows of d features, the class
+    count (softmax regression for more than two) and lam. Its constants and
+    accountant defaults derive from these."""
 
     name: str
-    pc: ProblemConstants
-    regime: Regime
-    delta: float
+    n: int
+    d: int
+    lam: float
     n_classes: int = 2
+
+    @cached_property
+    def pc(self) -> ProblemConstants:
+        shape = (self.d, self.n_classes) if self.n_classes > 2 else (self.d,)
+        return model_constants(self.n, shape, self.lam)
+
+    @property
+    def regime(self) -> Regime:
+        return regime_for(self.pc)
+
+    @property
+    def delta(self) -> float:
+        return 1.0 / self.n
 
     @property
     def eta(self) -> float:
         return 1.0 / self.pc.L
 
-    @property
-    def n_params(self) -> int:
-        """Parameter count of the preset's model: d*c weights for c > 2
-        classes (a preset's pc.d is its feature dimension), else d."""
-        return self.pc.d * self.n_classes if self.n_classes > 2 else self.pc.d
 
-
-def _logistic_preset(name: str, n: int, d: int, lam: float, M: float,
-                     n_classes: int = 2) -> Preset:
-    smooth = (1.0 if n_classes > 2 else 0.25) + lam
-    pc = ProblemConstants(L=smooth, m=lam, M=M, R=100.0, n=n, d=d, lam=lam)
-    return Preset(name=name, pc=pc, regime=Regime.STRONGLY_CONVEX,
-                  delta=1.0 / n, n_classes=n_classes)
-
-
-PRESETS: dict[str, Preset] = {
-    "mnist38": _logistic_preset("mnist38", n=11982, d=724, lam=0.0119, M=1.0),
-    "cifar10-binary": _logistic_preset("cifar10-binary", n=10000, d=512, lam=0.0100, M=1.0),
-    "cifar10-multi": _logistic_preset("cifar10-multi", n=50000, d=512, lam=0.0499, M=2.0,
-                                      n_classes=10),
-    "synthetic": _logistic_preset("synthetic", n=2000, d=20, lam=1e-6 * 2000, M=1.0),
-}
+PRESETS: dict[str, Preset] = {p.name: p for p in (
+    Preset("mnist38", n=11982, d=724, lam=0.0119),
+    Preset("cifar10-binary", n=10000, d=512, lam=0.0100),
+    Preset("cifar10-multi", n=50000, d=512, lam=0.0499, n_classes=10),
+    Preset("synthetic", n=2000, d=20, lam=1e-6 * 2000),
+)}
 
 
 def get_preset(name: str) -> Preset:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Preset
+from .constants import ProblemConstants
 from .errors import InfeasibleBudget
 from .pngd import project_ball
 
@@ -47,18 +47,13 @@ def d2d_train(objective, T: int, init: np.ndarray) -> np.ndarray:
 def d2d_unlearn(params: np.ndarray, objective, I: int, sigma: float,
                 rng: np.random.Generator) -> np.ndarray:
     """I deterministic GD steps on the updated data, then one Gaussian
-    perturbation N(0, sigma^2 I). Only the perturbed iterate is returned, so
-    a stateless caller never sees the non-private intermediate."""
-    return _perturb(d2d_train(objective, I, params), sigma, rng)
-
-
-def _perturb(w: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """w + N(0, sigma^2 I), not projected again; w itself when sigma is 0."""
+    perturbation N(0, sigma^2 I), not projected again (none when sigma is 0).
+    Only the perturbed iterate is returned, so a stateless caller never sees
+    the non-private intermediate."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return w
-    return w + sigma * rng.standard_normal(w.shape)
+    w = d2d_train(objective, I, params)
+    return w if sigma == 0.0 else w + sigma * rng.standard_normal(w.shape)
 
 
 def d2d_sigma_thm9(eps: float, delta: float, I: int, M: float, m: float,
@@ -169,12 +164,11 @@ REFERENCE_SIGMAS_THM9 = {
 }
 
 
-def _report_rows(name: str, preset: Preset, delta: float,
+def _report_rows(name: str, pc: ProblemConstants, delta: float,
                  eps_targets: tuple[float, ...]) -> list[list[str]]:
     """Rows of the `d2d` report: the internal-state noise at I = 1, 2, 5 over
     the reference eps grid beside the reference value and their ratio, then
     the stateless calibration per eps target (blank where it is infeasible)."""
-    pc = preset.pc
     rows = []
     grid = REFERENCE_EPS_GRID
     for i_steps in (1, 2, 5):
@@ -185,7 +179,7 @@ def _report_rows(name: str, preset: Preset, delta: float,
                          "" if ref is None else str(ref), f"{sigma / ref:.6g}" if ref else ""])
     for eps in eps_targets:
         try:
-            cal = d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, preset.n_params)
+            cal = d2d_sigma_thm28(eps, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
             rows.append([name, "stateless", str(cal.I_min), f"{eps:g}", f"{cal.sigma:.6g}",
                          "", ""])
         except InfeasibleBudget as exc:

@@ -43,10 +43,18 @@ def save_dataset(data: Dataset, path: str) -> None:
 
 def load_dataset(path: str) -> Dataset:
     """Parse a dataset CSV; malformed input, or a row that is not unit-norm
-    under a normalized=1 header, raises DatasetFormatError with the
-    offending line number."""
+    under a normalized=1 header, raises DatasetFormatError naming the file
+    and the offending line number."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
+    try:
+        return _parse_dataset(lines)
+    except DatasetFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse_dataset(lines: list[str]) -> Dataset:
     if not lines:
         raise DatasetFormatError("empty file", line=1)
     m = _HEADER_RE.match(lines[0])

@@ -46,15 +46,16 @@ METHODS = ("langevin", "d2d_thm9", "d2d_thm28", "retrain")
 class ExperimentConfig:
     """Inputs of one experiment run.
 
-    Either a named preset or an explicit constants bundle may drive the
-    accountant; `constants` wins when both are set (the preset name then
-    only selects the data source).
+    A run certifies with the constants of the objective it trained, delta
+    defaulting to 1/n of its training rows; a run that trains nothing uses
+    the preset's. A `constants` bundle names the model as a preset does (n,
+    lam, weights; `n_classes` classes) and must equal the constants used.
     """
 
     preset: str = "synthetic"
     method: str = "langevin"
     eps_targets: tuple[float, ...] = (1.0,)
-    delta: float | None = None          # default 1/n of the preset
+    delta: float | None = None          # default 1/n of the training rows
     sigma: float | None = None          # None -> calibrate per target
     k_budget: int = 1
     trials: int = 100
@@ -100,14 +101,16 @@ class ExperimentConfig:
             raise ConfigError(f"init_mean must be finite, got {self.init_mean}")
 
     def resolved_preset(self) -> Preset:
-        if self.constants is not None:
-            return Preset(name="custom", pc=self.constants,
-                          regime=regime_for(self.constants),
-                          delta=1.0 / self.constants.n, n_classes=self.n_classes)
-        return get_preset(self.preset)
+        """The named preset, or the model the constants bundle names."""
+        pc, c = self.constants, self.n_classes
+        if pc is None:
+            return get_preset(self.preset)
+        return Preset("custom", n=pc.n, d=pc.d // c if c > 2 else pc.d, lam=pc.lam,
+                      n_classes=c)
 
-    def resolved_delta(self) -> float:
-        return self.delta if self.delta is not None else self.resolved_preset().delta
+    def resolved_delta(self, pc: ProblemConstants) -> float:
+        """delta, by default 1/n of the rows the certified constants pc describe."""
+        return 1.0 / pc.n if self.delta is None else self.delta
 
 
 @dataclass
@@ -159,19 +162,26 @@ def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"preset {cfg.preset!r} needs a feature CSV (data=<path>); only the "
             "synthetic preset (or an explicit constants bundle) generates its own data")
-    pc = preset.pc
-    spec = SyntheticSpec(n=pc.n, d=pc.d, n_classes=preset.n_classes)
+    spec = SyntheticSpec(n=preset.n, d=preset.d, n_classes=preset.n_classes)
     train = make_synthetic(spec, cfg.seed)
-    test = make_synthetic(replace(spec, n=max(200, pc.n // 4)),
+    test = make_synthetic(replace(spec, n=max(200, preset.n // 4)),
                           cfg.seed ^ _TEST_SPLIT_TAG, geometry_seed=cfg.seed)
     return train, test
 
 
-def _objective_for(preset: Preset, data: Dataset) -> Objective:
-    return objective_for(data, lam=preset.pc.lam, radius=preset.pc.R)
+def _certified(cfg: ExperimentConfig, objective: Objective | None = None) -> ProblemConstants:
+    """The constants a protocol certifies with: those of the objective its
+    chain trained, or the resolved preset's when no chain runs. An explicit
+    constants bundle must equal them."""
+    pc = cfg.resolved_preset().pc if objective is None else objective.constants
+    if cfg.constants is not None and cfg.constants != pc:
+        differ = [f"{key}={value!r} (model {getattr(pc, key)!r})"
+                  for key, value in vars(cfg.constants).items() if value != getattr(pc, key)]
+        raise ConfigError(f"the constants bundle differs from the model's in {', '.join(differ)}")
+    return pc
 
 
-def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
+def _run_trial(cfg: ExperimentConfig, method: str, sigma: float,
                requests: list[tuple[int, int]], objective: Objective,
                test: Dataset, t: int) -> float:
     """Test accuracy of trial t: train, then serve `requests` in turn.
@@ -183,7 +193,7 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
     remains; the delete-to-descent methods train deterministically from a
     unit-variance start and add sigma-noise after each request's steps.
     """
-    data = objective.data
+    data, pc = objective.data, objective.constants
     rng = _pngd.make_rng(trial_seed(cfg.seed, t))
     order = rng.choice(data.n, size=sum(size for size, _ in requests),
                        replace=False).tolist()
@@ -201,12 +211,12 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
                                     replacement_seed=replacement_seed(cfg.seed, t, r))
             _replace_rows(X, y, req)
             lo += size
-            yield _objective_for(preset, Dataset(X, y, normalized=data.normalized)), steps
+            yield objective_for(Dataset(X, y, normalized=data.normalized), lam=pc.lam,
+                                radius=pc.R), steps
 
     if method in ("langevin", "retrain"):
-        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter)
-        init = _pngd.InitSpec(mean=cfg.init_mean,
-                              variance=default_c0(preset.pc, ns, preset.regime))
+        ns = NoiseSchedule(eta=1.0 / pc.L, sigma=sigma, T=cfg.n_iter)
+        init = _pngd.InitSpec(mean=cfg.init_mean, variance=default_c0(pc, ns, regime_for(pc)))
         if method == "retrain":  # exact removal: train once on what remains
             for objective, _ in served():
                 pass
@@ -216,34 +226,36 @@ def _run_trial(cfg: ExperimentConfig, preset: Preset, method: str, sigma: float,
             w = _pngd.unlearn(w, updated, steps, ns, rng)
     else:
         w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
-                            objective.shape, preset.pc.R, rng)
+                            objective.shape, pc.R, rng)
         w = _d2d.d2d_train(objective, cfg.n_iter, w)
         for updated, steps in served():
             w = _d2d.d2d_unlearn(w, updated, steps, sigma, rng)
     return evaluate(w, test)[1]
 
 
-def _trials(cfg: ExperimentConfig, preset: Preset, count: int):
-    """Runner of `count` trials: maps (method, sigma, requests) to the
-    per-trial accuracies and their mean and sample std (None, None for no
-    trials). The data are loaded here, once, and only when count > 0."""
+def _trials(cfg: ExperimentConfig, count: int):
+    """The constants `count` trials certify with (see `_certified`), and
+    their runner, which maps (method, sigma, requests) to the per-trial
+    accuracies and their mean and sample std (None, None for no trials).
+    The data are loaded here, once, and only when count > 0."""
     objective = test = None
     if count > 0:
         data, test = _load_data(cfg)
-        objective = _objective_for(preset, data)
+        objective = objective_for(data, lam=cfg.resolved_preset().lam)
+    pc = _certified(cfg, objective)
 
     def run(method: str, sigma: float, requests: list[tuple[int, int]]):
         removed = sum(size for size, _ in requests)
         if count > 0 and removed > objective.data.n:
             raise ConfigError(f"{removed} removals per trial exceed the "
                               f"{objective.data.n} training rows")
-        accs = [_run_trial(cfg, preset, method, sigma, requests, objective, test, t)
+        accs = [_run_trial(cfg, method, sigma, requests, objective, test, t)
                 for t in range(count)]
         if not accs:
             return accs, None, None
         arr = np.asarray(accs, dtype=float)
         return accs, float(arr.mean()), float(arr.std(ddof=1)) if len(accs) > 1 else 0.0
-    return run
+    return pc, run
 
 
 # The ExperimentConfig fields each protocol below reads; the CLI gives its
@@ -264,17 +276,16 @@ _EVALUATE_READS = (*_TRIAL_READS, "sigma")
 def run_calibrate_sigma(cfg: ExperimentConfig) -> list[TrialResult]:
     """Least sigma per target at the step budget (accountant only); a target
     that no sigma certifies within the budget gives an error row."""
-    preset = cfg.resolved_preset()
-    delta = cfg.resolved_delta()
+    pc = _certified(cfg)
+    regime, eta, delta = regime_for(pc), 1.0 / pc.L, cfg.resolved_delta(pc)
     rows: list[TrialResult] = []
     for eps_hat in cfg.eps_targets:
         t0 = time.perf_counter()
         try:
-            sigma = binary_search_sigma(eps_hat, delta, cfg.k_budget, preset.pc,
-                                        preset.regime, S=cfg.batch, eta=preset.eta)
-            ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=cfg.k_budget)
-            cert = converted_epsilon(preset.pc, ns, preset.regime, cfg.batch,
-                                     cfg.k_budget, delta)
+            sigma = binary_search_sigma(eps_hat, delta, cfg.k_budget, pc, regime,
+                                        S=cfg.batch, eta=eta)
+            ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=cfg.k_budget)
+            cert = converted_epsilon(pc, ns, regime, cfg.batch, cfg.k_budget, delta)
             rows.append(TrialResult("langevin", sigma, eps_hat, cert, cfg.k_budget,
                                     None, None, None, cfg.seed))
         except (NoFeasibleSigma, BudgetUnreachable) as exc:
@@ -294,14 +305,12 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
     post-request data; the delete-to-descent rows use their closed-form
     noise at I = k_budget deterministic steps.
     """
-    preset = cfg.resolved_preset()
-    delta = cfg.resolved_delta()
-    run = _trials(cfg, preset, cfg.trials)
+    pc, run = _trials(cfg, cfg.trials)
     rows: list[TrialResult] = []
     for eps_hat in cfg.eps_targets:
         t0 = time.perf_counter()
         try:
-            rows.append(_unlearn_one_row(cfg, preset, delta, eps_hat, run))
+            rows.append(_unlearn_one_row(cfg, pc, eps_hat, run))
         except CertUnlearnError as exc:
             log.error("target eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult(cfg.method, None, eps_hat, None, None, None,
@@ -313,18 +322,17 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
     return rows
 
 
-def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
-                     eps_hat: float, run) -> TrialResult:
-    pc = preset.pc
-    eta = preset.eta
+def _unlearn_one_row(cfg: ExperimentConfig, pc: ProblemConstants, eps_hat: float,
+                     run) -> TrialResult:
+    regime, eta, delta = regime_for(pc), 1.0 / pc.L, cfg.resolved_delta(pc)
     k_hat = int(cfg.k_budget)
 
     if cfg.method in ("langevin", "retrain"):
         sigma = cfg.sigma if cfg.sigma is not None else binary_search_sigma(
-            eps_hat, delta, k_hat, pc, preset.regime, S=1, eta=eta)
+            eps_hat, delta, k_hat, pc, regime, S=1, eta=eta)
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
         if cfg.method == "langevin":
-            eps_achieved = converted_epsilon(pc, ns, preset.regime, 1, k_hat, delta)
+            eps_achieved = converted_epsilon(pc, ns, regime, 1, k_hat, delta)
             k_total = k_hat
         else:
             eps_achieved = 0.0  # retraining is exact removal
@@ -334,7 +342,7 @@ def _unlearn_one_row(cfg: ExperimentConfig, preset: Preset, delta: float,
         sigma = _d2d.d2d_sigma_thm9(eps_hat, delta, k_hat, pc.M, pc.m, pc.n, pc.L)
         eps_achieved, k_total, unlearn_steps = eps_hat, k_hat, k_hat
     else:  # d2d_thm28
-        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, preset.n_params)
+        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
         sigma = cal.sigma
         unlearn_steps = cal.iterations(1)
         eps_achieved, k_total = eps_hat, unlearn_steps
@@ -357,24 +365,23 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
     iterations, 0) triples, one per request. Accuracy trials execute the
     full stream and run only when trials > 0.
     """
-    preset = cfg.resolved_preset()
-    delta = cfg.resolved_delta()
-    pc = preset.pc
     eps_hat = _single_target(cfg)
+    if cfg.method not in ("langevin", "d2d_thm28"):
+        raise ConfigError(f"sequential supports langevin or d2d_thm28, not {cfg.method!r}")
+    if cfg.method == "langevin" and cfg.sigma is None:
+        raise ConfigError("sequential langevin runs need an explicit sigma")
+    pc, run = _trials(cfg, cfg.trials)
+    delta = cfg.resolved_delta(pc)
     if cfg.method == "langevin":
-        if cfg.sigma is None:
-            raise ConfigError("sequential langevin runs need an explicit sigma")
         schedule = sequential_k_schedule(eps_hat, delta, cfg.sigma, cfg.s_total,
-                                         cfg.batch, pc, preset.regime, eta=preset.eta)
+                                         cfg.batch, pc, regime_for(pc), eta=1.0 / pc.L)
         sigma = cfg.sigma
         batch = cfg.batch
-    elif cfg.method == "d2d_thm28":
-        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, preset.n_params)
+    else:
+        cal = _d2d.d2d_sigma_thm28(eps_hat, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
         schedule = [cal.iterations(i) for i in range(1, cfg.s_total + 1)]
         sigma = cal.sigma
         batch = 1  # the baseline removes one point per request
-    else:
-        raise ConfigError(f"sequential supports langevin or d2d_thm28, not {cfg.method!r}")
 
     cum = np.cumsum(schedule)
     plot = [(min((i + 1) * batch, cfg.s_total), int(c), 0.0)
@@ -382,7 +389,7 @@ def run_sequential(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[tuple
     requests = [(min(batch, cfg.s_total - r * batch), steps)
                 for r, steps in enumerate(schedule)]
 
-    accs, mean, std = _trials(cfg, preset, cfg.trials)(cfg.method, sigma, requests)
+    accs, mean, std = run(cfg.method, sigma, requests)
     row = TrialResult(cfg.method, sigma, eps_hat, eps_hat, int(cum[-1]), mean, std, None,
                       cfg.seed, per_trial_acc=accs)
     return [row], plot
@@ -397,27 +404,25 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
     """
     if not cfg.sigma_grid:
         raise ConfigError("sweep needs a non-empty sigma grid")
-    preset = cfg.resolved_preset()
-    delta = cfg.resolved_delta()
-    pc = preset.pc
     eps_hat = _single_target(cfg)
     S = cfg.s_total
 
     rows: list[TrialResult] = []
     plot: list[tuple] = []
-    run = _trials(cfg, preset, cfg.trials)
+    pc, run = _trials(cfg, cfg.trials)
+    regime, delta = regime_for(pc), cfg.resolved_delta(pc)
     for sigma in cfg.sigma_grid:
-        ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=0)
+        ns = NoiseSchedule(eta=1.0 / pc.L, sigma=sigma, T=INFINITE, K=0)
         try:
-            eps0 = rdp_to_dp(learn_epsilon0(pc, ns, preset.regime, S=S), delta)[0]
-            k = find_min_k(eps_hat, delta, pc, ns, preset.regime, S=S)
+            eps0 = rdp_to_dp(learn_epsilon0(pc, ns, regime, S=S), delta)[0]
+            k = find_min_k(eps_hat, delta, pc, ns, regime, S=S)
         except CertUnlearnError as exc:
             log.error("sigma=%g: %s", sigma, exc)
             rows.append(TrialResult("langevin", sigma, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
             continue
         accs, mean, std = run("langevin", sigma, [(S, k)])
-        cert = converted_epsilon(pc, ns, preset.regime, S, k, delta)
+        cert = converted_epsilon(pc, ns, regime, S, k, delta)
         rows.append(TrialResult("langevin", sigma, eps_hat, cert, k, mean, std,
                                 None, cfg.seed, per_trial_acc=accs))
         plot.append((sigma, eps0, 0.0))
@@ -427,9 +432,9 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
 def run_evaluate(cfg: ExperimentConfig) -> list[TrialResult]:
     """Train from scratch (no removal) and report test accuracy. No target
     applies; the row's epsilon_target column carries the default one."""
-    preset = cfg.resolved_preset()
     sigma = cfg.sigma if cfg.sigma is not None else 0.03
-    accs, mean, std = _trials(cfg, preset, max(cfg.trials, 1))("langevin", sigma, [])
+    _, run = _trials(cfg, max(cfg.trials, 1))
+    accs, mean, std = run("langevin", sigma, [])
     return [TrialResult("evaluate", sigma, ExperimentConfig.eps_targets[0], None,
                         cfg.n_iter, mean, std, None, cfg.seed, per_trial_acc=accs)]
 

@@ -13,10 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import ProblemConstants
+from .constants import DEFAULT_RADIUS, ProblemConstants, model_constants
 from .pngd import make_rng
 
-DEFAULT_RADIUS = 100.0
 UNIT_NORM_ATOL = 1e-12
 _BLOCK_BYTES = 1 << 20  # temporary a row-wise pass over an n-by-d array may build
 
@@ -178,7 +177,6 @@ class Objective:
     per_sample_grad: Callable[[np.ndarray], np.ndarray]
     constants: ProblemConstants
     data: Dataset | None = None
-    lam: float = 0.0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -199,26 +197,23 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_lam(data: Dataset, lam: float | None, allow_unnormalized: bool) -> float:
-    """lam, by default 1e-6 * n, checked >= 0, once the data pass the norm check."""
-    if not data.normalized and not allow_unnormalized:
-        raise ValueError("dataset is not normalized; pass allow_unnormalized=True to override")
-    if lam is None:
-        lam = 1e-6 * data.n
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    return lam
+def _checked_lam(data: Dataset, lam: float | None) -> float:
+    """lam, by default 1e-6 * n, once the data pass the norm check
+    (`model_constants` checks lam >= 0)."""
+    if not data.normalized:
+        raise ValueError("dataset is not normalized; the certified constants hold "
+                         "only for unit-norm rows")
+    return 1e-6 * data.n if lam is None else lam
 
 
 def logistic_objective(data: Dataset, lam: float | None = None,
-                       radius: float = DEFAULT_RADIUS,
-                       allow_unnormalized: bool = False) -> Objective:
+                       radius: float = DEFAULT_RADIUS) -> Objective:
     """l2-regularized binary logistic regression with per-sample clipping.
 
-    Constants: L = 1/4 + lam, m = lam, M = 1. lam defaults to 1e-6 * n.
-    Unit-norm features keep the raw per-sample gradient norm at most 1, so
-    the clip is inactive on normalized data; unnormalized data is rejected
-    unless explicitly allowed.
+    Constants: `model_constants` for weights of shape (d,): L = 1/4 + lam,
+    m = lam, M = 1. lam defaults to 1e-6 * n. Unit-norm features keep the
+    raw per-sample gradient norm at most 1, so the clip is inactive on
+    normalized data; unnormalized data is rejected.
 
     The per-sample gradient norm is |coef| * ||x_i|| with |coef| <= 1 exactly
     in floating point, so only rows with ||x_i|| > M can ever clip. Their
@@ -229,14 +224,14 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     """
     if data.is_multiclass:
         raise ValueError("logistic_objective expects binary labels; use multiclass_objective")
-    lam = _checked_lam(data, lam, allow_unnormalized)
+    lam = _checked_lam(data, lam)
     X, y = data.features, data.labels.astype(float)
     n = data.n
+    pc = model_constants(n, (data.d,), lam, radius)
+    M = pc.M
     row_norms = _row_norms(X)
-    M = 1.0
     long_rows = np.flatnonzero(row_norms > M)
     long_norms = row_norms[long_rows]
-    pc = ProblemConstants(L=0.25 + lam, m=lam, M=M, R=radius, n=n, d=data.d, lam=lam)
 
     def loss(w: np.ndarray) -> float:
         return _logistic_loss(X @ w, y, w, lam)
@@ -261,7 +256,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
         return g
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=data, lam=lam)
+                     constants=pc, data=data)
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -271,22 +266,22 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
 
 
 def multiclass_objective(data: Dataset, lam: float | None = None,
-                         radius: float = DEFAULT_RADIUS,
-                         allow_unnormalized: bool = False) -> Objective:
+                         radius: float = DEFAULT_RADIUS) -> Objective:
     """Softmax cross-entropy over c classes with per-sample clipping.
 
     Weights are a d-by-c matrix; the per-sample gradient is the outer
     product x (p - y)^T with Frobenius norm at most sqrt(2) for unit-norm x,
-    certified by the clip constant M = 2. Constants: L = 1 + lam, m = lam.
+    certified by the clip constant M = 2. Constants: `model_constants` for
+    weights of shape (d, c): L = 1 + lam, m = lam, d*c weights.
     """
     if not data.is_multiclass:
         raise ValueError("multiclass_objective expects one-hot labels")
-    lam = _checked_lam(data, lam, allow_unnormalized)
+    lam = _checked_lam(data, lam)
     X, Y = data.features, data.labels.astype(float)
     n, d, c = data.n, data.d, data.n_classes
+    pc = model_constants(n, (d, c), lam, radius)
+    M = pc.M
     row_norms = _row_norms(X)
-    M = 2.0
-    pc = ProblemConstants(L=1.0 + lam, m=lam, M=M, R=radius, n=n, d=d * c, lam=lam)
 
     def loss(W: np.ndarray) -> float:
         _check_weight_shape(W, d, c)
@@ -305,7 +300,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
         return X.T @ (resid * scale[:, None]) / n + lam * W
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=data, lam=lam)
+                     constants=pc, data=data)
 
 
 def objective_for(data: Dataset, **kw) -> Objective:
@@ -344,7 +339,7 @@ def quadratic_objective(center: np.ndarray, m_curv: float,
         return (m_curv * (x - center))[None, :]
 
     return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=None, lam=0.0)
+                     constants=pc, data=None)
 
 
 def _logistic_loss(scores: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
@@ -360,14 +355,6 @@ def _softmax_loss(Z: np.ndarray, Y: np.ndarray, W: np.ndarray, lam: float) -> fl
     return float(np.mean(-np.sum(Y * log_probs, axis=1)) + 0.5 * lam * np.sum(W * W))
 
 
-def _predict(scores: np.ndarray) -> np.ndarray:
-    """Labels from scores: sign with the tie sign(0) -> +1 for a score
-    vector, argmax with ties to the lowest class index for a matrix."""
-    if scores.ndim == 1:
-        return np.where(scores >= 0.0, 1, -1)
-    return np.argmax(scores, axis=1)
-
-
 def evaluate(params: np.ndarray, data: Dataset,
              lam: float = 0.0) -> tuple[float, float]:
     """Mean loss and classification accuracy of `params` on `data`."""
@@ -380,4 +367,6 @@ def evaluate(params: np.ndarray, data: Dataset,
     else:
         loss, truth = _logistic_loss, data.labels
     scores = data.features @ params
-    return loss(scores, data.labels, params, lam), float(np.mean(_predict(scores) == truth))
+    # labels: sign with the tie sign(0) -> +1, argmax with ties to the lowest class
+    pred = np.where(scores >= 0.0, 1, -1) if scores.ndim == 1 else np.argmax(scores, axis=1)
+    return loss(scores, data.labels, params, lam), float(np.mean(pred == truth))

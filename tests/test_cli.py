@@ -9,7 +9,10 @@ import sys
 
 import pytest
 
-from certunlearn import SyntheticSpec, VacuousBound, cli, make_synthetic, save_dataset
+from certunlearn import (INFINITE, NoiseSchedule, SyntheticSpec, VacuousBound,
+                         binary_search_sigma, cli, converted_epsilon, d2d_sigma_thm28,
+                         find_min_k, get_preset, load_dataset, make_synthetic, objective_for,
+                         regime_for, save_dataset, sequential_k_schedule)
 from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
 from certunlearn.harness import METHODS, ExperimentConfig
 
@@ -164,8 +167,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert err.startswith("config error: " if expect == EXIT_CONFIG else "i/o error: ")
         if case == "row_not_unit_norm":
-            assert err.startswith("i/o error: line 6: ")
+            assert err.startswith(f"i/o error: {data}: line 6: ")
         assert not list(tmp_path.glob("x*.csv"))
+
+    def test_dataset_error_names_the_file(self, tmp_path, capsys):
+        train, bad = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_dataset(make_synthetic(SyntheticSpec(n=40, d=4), seed=1), str(train))
+        bad.write_text("# d=4 c=2 normalized=0\n1.0,2.0,oops,4.0,1\n")
+        code = main(["unlearn-one", "--data", str(train), "--test-data", str(bad),
+                     "--trials", "1", "--n-iter", "5", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"i/o error: {bad}: line 2: could not convert string to float: 'oops'\n")
 
     def test_malformed_dataset_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -174,6 +187,60 @@ class TestExitCodes:
                      "--trials", "1", "--data", str(bad),
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_IO
+
+
+_CERTIFIED_RUNS = {
+    "unlearn-one langevin": ["unlearn-one"],
+    "unlearn-one d2d_thm28": ["unlearn-one", "--method", "d2d_thm28"],
+    "sequential langevin": ["sequential", "--sigma", "0.1", "--batch", "2",
+                            "--total-removals", "4"],
+    "sequential d2d_thm28": ["sequential", "--method", "d2d_thm28", "--total-removals", "3"],
+    "sweep": ["sweep", "--sigma-grid", "0.5", "--total-removals", "2"],
+}
+
+
+def _accountant_row(case, pc, delta):
+    """(sigma, epsilon_achieved, K_total) that the accountant gives for the
+    run of `case` at eps = 1, from the constants pc and delta."""
+    regime, eta = regime_for(pc), 1.0 / pc.L
+    if case.endswith("d2d_thm28"):
+        cal = d2d_sigma_thm28(1.0, delta, pc.M, pc.m, pc.n, pc.L, pc.d)
+        requests = 3 if case.startswith("sequential") else 1
+        return cal.sigma, 1.0, sum(cal.iterations(i) for i in range(1, requests + 1))
+    if case == "sequential langevin":
+        return 0.1, 1.0, sum(sequential_k_schedule(1.0, delta, 0.1, 4, 2, pc, regime, eta=eta))
+    if case == "sweep":
+        ns = NoiseSchedule(eta=eta, sigma=0.5, T=INFINITE, K=0)
+        k = find_min_k(1.0, delta, pc, ns, regime, S=2)
+        return 0.5, converted_epsilon(pc, ns, regime, 2, k, delta), k
+    sigma = binary_search_sigma(1.0, delta, 1, pc, regime, S=1, eta=eta)
+    ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=1)
+    return sigma, converted_epsilon(pc, ns, regime, 1, 1, delta), 1
+
+
+class TestCertifiesTheTrainedModel:
+    """A trial protocol certifies with the constants of the model it trained,
+    and delta defaults to 1/n of its rows: mnist38's lam over a file of 2000
+    rows and 20 features certifies for n = 2000 and d = 20, not for the
+    preset's 11982 rows of 724 features."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data") / "synthetic.csv"
+        assert main(["make-data", "--preset", "synthetic", "--out", str(path)]) == EXIT_OK
+        return str(path)
+
+    @pytest.mark.parametrize("case", list(_CERTIFIED_RUNS))
+    def test_certificate_is_the_trained_models(self, data, tmp_path, case):
+        out = tmp_path / "x.csv"
+        assert main([*_CERTIFIED_RUNS[case], "--preset", "mnist38", "--data", data, "--eps", "1",
+                     "--trials", "1", "--n-iter", "5", "--out", str(out)]) == EXIT_OK
+        pc = objective_for(load_dataset(data), lam=get_preset("mnist38").lam).constants
+        assert (pc.n, pc.d, pc.lam) == (2000, 20, 0.0119)
+        sigma, cert, k_total = _accountant_row(case, pc, 1.0 / 2000)
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[1:5] == [format(sigma, ".12g"), "1", format(cert, ".12g"), str(k_total)]
+        assert cert <= 1.0
 
 
 class TestConfigFile:
@@ -288,6 +355,19 @@ class TestOutputs:
 
         data = load_dataset(str(out))
         assert data.n == 2000 and data.d == 20
+
+    def test_make_data_writes_the_feature_dimension(self, tmp_path, monkeypatch):
+        """cifar10-multi certifies 5120 weights but its rows have 512 features."""
+        specs = []
+
+        def small(spec, seed):
+            specs.append(spec)
+            return make_synthetic(dataclasses.replace(spec, n=20), seed)
+        monkeypatch.setattr(cli, "make_synthetic", small)
+        out = tmp_path / "d.csv"
+        assert main(["make-data", "--preset", "cifar10-multi", "--out", str(out)]) == EXIT_OK
+        assert (specs[0].n, specs[0].d, specs[0].n_classes) == (50000, 512, 10)
+        assert out.read_text().splitlines()[0] == "# d=512 c=10 normalized=1"
 
     def test_console_entry_point(self, tmp_path):
         env = dict(os.environ, UNLEARN_LOG="error")
@@ -438,11 +518,11 @@ class TestFlagsPerSubcommand:
 # 16 hex digits of its sha256, as the eagerly built parser printed them
 _PINNED_TEXTS = {
     ("--help",): (0, "67fd7906db0fb5e3"),
-    ("calibrate-sigma", "--help"): (0, "42f06c2bd42080f2"),
-    ("unlearn-one", "--help"): (0, "c287f8021c909c10"),
-    ("sequential", "--help"): (0, "86c91e7527c11865"),
-    ("sweep", "--help"): (0, "fdbf26a6a10c79c0"),
-    ("d2d", "--help"): (0, "cdbbbffee39d81d3"),
+    ("calibrate-sigma", "--help"): (0, "1682e445f9935595"),
+    ("unlearn-one", "--help"): (0, "a51b9cf66bc478f7"),
+    ("sequential", "--help"): (0, "2e9dd3a4b24835e2"),
+    ("sweep", "--help"): (0, "399e1028598c8c47"),
+    ("d2d", "--help"): (0, "bf44cb3255215c18"),
     ("evaluate", "--help"): (0, "0723faa452343ae2"),
     ("make-data", "--help"): (0, "458e08ef8233da71"),
     ("bogus",): (4, "5df08e114b82ffec"),

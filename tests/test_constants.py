@@ -32,6 +32,7 @@ class TestProblemConstants:
         multi = get_preset("cifar10-multi")
         assert multi.pc.L == pytest.approx(1.0499)
         assert multi.pc.M == 2.0
+        assert (multi.d, multi.pc.d) == (512, 5120)  # features; softmax weights
         assert multi.delta == pytest.approx(2e-5)
         with pytest.raises(ConfigError, match="unknown preset 'imagenet'"):
             get_preset("imagenet")

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from certunlearn import (D2DClassifier, InfeasibleBudget, d2d_sigma_thm9,
-                         d2d_sigma_thm28, d2d_train, d2d_unlearn, make_rng,
-                         make_synthetic, quadratic_objective, SyntheticSpec)
+from certunlearn import (InfeasibleBudget, d2d_sigma_thm9, d2d_sigma_thm28, d2d_train,
+                         d2d_unlearn, make_rng, make_synthetic, objective_for,
+                         quadratic_objective, SyntheticSpec)
 from certunlearn.d2d import _report_rows
 from certunlearn.harness import ExperimentConfig, run_unlearn_one
 
@@ -169,6 +170,13 @@ class TestEngine:
         got = d2d_unlearn(center.copy(), obj, 3, 0.0, make_rng(0))
         assert got == pytest.approx(center, abs=1e-14)
 
+    def test_unlearn_of_i_steps_makes_i_grad_calls(self):
+        obj = objective_for(make_synthetic(SyntheticSpec(n=150, d=6), seed=21))
+        calls = []
+        counted = dataclasses.replace(obj, grad=lambda w: calls.append(1) or obj.grad(w))
+        d2d_unlearn(np.zeros(6), counted, 5, 0.5, make_rng(0))
+        assert len(calls) == 5
+
     def test_config_requires_contraction(self):
         for m in (0.0, 1.0):  # no strong convexity; m = L, no contraction
             with pytest.raises(ValueError):
@@ -191,28 +199,6 @@ class TestEngine:
             d2d_sigma_thm28(eps, 1e-3, M=1.0, m=m, n=100, L=1.0, d=5)
 
 
-class TestInternalState:
-    def test_stateless_estimator_never_keeps_clean_iterate(self):
-        data = make_synthetic(SyntheticSpec(n=120, d=6), seed=1)
-        est = D2DClassifier(n_iter=50, internal_state=False, random_state=0)
-        est.fit(data.features, data.labels)
-        assert est._clean_coef is None
-        before = est.coef_.copy()
-        est.unlearn(data.features, data.labels, i=2, noise_std=0.5)
-        assert est._clean_coef is None
-        assert not np.array_equal(before, est.coef_)
-
-    def test_stateful_estimator_resumes_from_clean_iterate(self):
-        data = make_synthetic(SyntheticSpec(n=120, d=6), seed=1)
-        est = D2DClassifier(n_iter=50, internal_state=True, random_state=0)
-        est.fit(data.features, data.labels)
-        clean = est._clean_coef.copy()
-        est.unlearn(data.features, data.labels, i=1, noise_std=2.0)
-        # published weights are noisy but the retained iterate is not
-        assert np.linalg.norm(est._clean_coef - clean) < np.linalg.norm(
-            est.coef_ - clean)
-
-
 def test_stateless_calibration_counts_parameters(cifar_multi, mnist):
     """The stateless calibration takes the parameter count: d*c weights on a
     c-class preset (cifar10-multi: 512 features x 10 classes), d on a binary
@@ -221,7 +207,7 @@ def test_stateless_calibration_counts_parameters(cifar_multi, mnist):
         pc = preset.pc
         for eps in (0.05, 1.0):
             cal = d2d_sigma_thm28(eps, preset.delta, pc.M, pc.m, pc.n, pc.L, d)
-            row = _report_rows(preset.name, preset, preset.delta, (eps,))[-1]
+            row = _report_rows(preset.name, preset.pc, preset.delta, (eps,))[-1]
             assert row[1:5] == ["stateless", str(cal.I_min), f"{eps:g}", f"{cal.sigma:.6g}"]
             got, = run_unlearn_one(ExperimentConfig(preset=preset.name, method="d2d_thm28",
                                                     eps_targets=(eps,), trials=0))

@@ -4,13 +4,13 @@ import pytest
 from certunlearn import (ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
                          UnlearningRequest, apply_request, binary_search_sigma,
                          converted_epsilon, default_c0, evaluate, get_preset,
-                         sequential_k_schedule)
+                         objective_for, sequential_k_schedule)
 from certunlearn import d2d as _d2d
-from certunlearn.data import SyntheticSpec, make_synthetic
+from certunlearn.data import SyntheticSpec, make_synthetic, save_dataset
 from certunlearn import harness
 from certunlearn import pngd as _pngd
 from certunlearn.harness import (ExperimentConfig, TrialResult, _load_data,
-                                 _objective_for, emit_results, plot_data_path,
+                                 emit_results, plot_data_path,
                                  replacement_seed, run_calibrate_sigma,
                                  run_evaluate, run_sequential,
                                  run_tradeoff_sweep, run_unlearn_one, trial_seed,
@@ -34,7 +34,7 @@ def _ref_one_trial(cfg, preset, sigma, unlearn_steps, objective, test, t):
     req = UnlearningRequest(indices=(int(rng.integers(0, data.n)),),
                             replacement_seed=replacement_seed(cfg.seed, t))
     updated = apply_request(data, req)
-    updated_objective = _objective_for(preset, updated)
+    updated_objective = objective_for(updated, lam=preset.lam)
 
     if cfg.method in ("langevin", "retrain"):
         ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=unlearn_steps)
@@ -76,7 +76,7 @@ def _ref_sequential_trial(cfg, preset, sigma, schedule, batch, objective, test, 
         req = UnlearningRequest(indices=idx,
                                 replacement_seed=replacement_seed(cfg.seed, t, r))
         current = apply_request(current, req)
-        updated_objective = _objective_for(preset, current)
+        updated_objective = objective_for(current, lam=preset.lam)
         if cfg.method == "langevin":
             ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=0, K=steps)
             w = _pngd.unlearn(w, updated_objective, steps, ns, rng)
@@ -98,7 +98,7 @@ def _ref_sweep_trial(cfg, preset, sigma, k, objective, test, t):
     req = UnlearningRequest(indices=tuple(int(i) for i in removal),
                             replacement_seed=replacement_seed(cfg.seed, t))
     updated = apply_request(data, req)
-    w = _pngd.unlearn(w, _objective_for(preset, updated), k, ns, rng)
+    w = _pngd.unlearn(w, objective_for(updated, lam=preset.lam), k, ns, rng)
     return evaluate(w, test)[1]
 
 
@@ -106,7 +106,7 @@ def _ref_evaluate_accs(cfg):
     preset = cfg.resolved_preset()
     sigma = cfg.sigma if cfg.sigma is not None else 0.03
     data, test = _load_data(cfg)
-    objective = _objective_for(preset, data)
+    objective = objective_for(data, lam=preset.lam)
     ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
     c0 = default_c0(preset.pc, ns, preset.regime)
     accs = []
@@ -121,10 +121,11 @@ def _ref_evaluate_accs(cfg):
 def _trial_inputs(cfg):
     preset = cfg.resolved_preset()
     data, test = _load_data(cfg)
-    return preset, _objective_for(preset, data), test
+    return preset, objective_for(data, lam=preset.lam), test
 
 
-_THREE_CLASS = ProblemConstants(L=1.002, m=0.002, M=1.0, R=100.0, n=300, d=6, lam=0.002)
+# softmax regression on 300 rows of 6 features in 3 classes: 18 weights
+_THREE_CLASS = ProblemConstants(L=1.002, m=0.002, M=2.0, R=100.0, n=300, d=18, lam=0.002)
 
 
 @pytest.fixture
@@ -177,12 +178,12 @@ class TestRunnerMatchesReferences:
         row, = run_sequential(cfg)[0]
         pc = preset.pc
         if cfg.method == "langevin":
-            schedule = sequential_k_schedule(1.0, cfg.resolved_delta(), cfg.sigma,
+            schedule = sequential_k_schedule(1.0, preset.delta, cfg.sigma,
                                              cfg.s_total, cfg.batch, pc, preset.regime,
                                              eta=preset.eta)
             batch = cfg.batch
         else:
-            cal = _d2d.d2d_sigma_thm28(1.0, cfg.resolved_delta(), pc.M, pc.m, pc.n,
+            cal = _d2d.d2d_sigma_thm28(1.0, preset.delta, pc.M, pc.m, pc.n,
                                        pc.L, pc.d)
             schedule = [cal.iterations(i) for i in range(1, cfg.s_total + 1)]
             batch = 1
@@ -227,14 +228,13 @@ class TestTrialMemory:
     def test_sequential_trial_holds_no_more_than_unlearn_one(self, extra_bytes):
         # every request of a trial writes into one copy of the data
         cfg = tiny_cfg(n_iter=2)
-        preset = cfg.resolved_preset()
-        objective = _objective_for(preset, make_synthetic(SyntheticSpec(n=20000, d=100),
-                                                          seed=3))  # X: 16 MB
+        objective = objective_for(make_synthetic(SyntheticSpec(n=20000, d=100), seed=3),
+                                  lam=0.002)  # X: 16 MB
         test = make_synthetic(SyntheticSpec(n=500, d=100), seed=4)
 
         def peak(requests):
             return extra_bytes(lambda: harness._run_trial(
-                cfg, preset, "langevin", 0.5, requests, objective, test, 0))
+                cfg, "langevin", 0.5, requests, objective, test, 0))
         one, sequential = peak([(1, 2)]), peak([(1, 2)] * 3)
         assert objective.data.features.nbytes <= one
         assert sequential <= 1.05 * one
@@ -260,8 +260,13 @@ class TestConfig:
 
     def test_delta_defaults_to_reciprocal_n(self):
         cfg = tiny_cfg()
-        assert cfg.resolved_delta() == pytest.approx(1.0 / 2000)
-        assert tiny_cfg(delta=1e-6).resolved_delta() == 1e-6
+        pc = harness._certified(cfg)
+        assert cfg.resolved_delta(pc) == pytest.approx(1.0 / 2000)
+        assert tiny_cfg(delta=1e-6).resolved_delta(pc) == 1e-6
+        # with a trained objective, its constants and 1/n of its rows
+        objective = objective_for(make_synthetic(SyntheticSpec(n=300, d=5), seed=1), lam=0.002)
+        assert harness._certified(cfg, objective) is objective.constants
+        assert cfg.resolved_delta(objective.constants) == 1.0 / 300
 
     def test_trials_default_is_100(self):
         assert ExperimentConfig().trials == 100
@@ -273,17 +278,46 @@ class TestConfig:
                               lam=0.001)
         cfg = tiny_cfg(constants=pc, trials=1, n_iter=40)
         preset = cfg.resolved_preset()
-        assert preset.pc is pc
-        assert cfg.resolved_delta() == pytest.approx(1.0 / 500)
+        assert preset.pc == pc
+        assert harness._certified(cfg) == pc and cfg.resolved_delta(pc) == 1.0 / 500
         rows = run_unlearn_one(cfg)
         assert rows[0].error is None and 0.0 <= rows[0].acc_mean <= 1.0
+
+
+class TestConstantsBundle:
+    """An explicit constants bundle must equal the constants of the model it
+    certifies: those of the objective the trials trained, or of the model
+    the bundle names when no chain runs."""
+
+    _PC = ProblemConstants(L=0.251, m=0.001, M=1.0, R=100.0, n=500, d=6, lam=0.001)
+
+    @pytest.mark.parametrize("protocol,kw", [
+        (run_unlearn_one, {}), (run_sequential, dict(sigma=0.3)),
+        (run_tradeoff_sweep, dict(sigma_grid=(0.5,))), (run_evaluate, {}),
+    ], ids=["unlearn-one", "sequential", "sweep", "evaluate"])
+    def test_trial_protocols(self, tmp_path, protocol, kw):
+        data = tmp_path / "data.csv"
+        save_dataset(make_synthetic(SyntheticSpec(n=400, d=5), seed=1), str(data))
+        with pytest.raises(ConfigError, match=r"in n=500 \(model 400\), d=6 \(model 5\)$"):
+            protocol(tiny_cfg(constants=self._PC, data_path=str(data), trials=1, n_iter=5, **kw))
+        with pytest.raises(ConfigError, match=r"in L=0\.3 \(model 0\.251\)$"):
+            protocol(tiny_cfg(constants=self._PC.with_(L=0.3), trials=0, **kw))
+
+    def test_no_chain(self):
+        with pytest.raises(ConfigError, match=r"in L=0\.3 \(model 0\.251\)$"):
+            run_calibrate_sigma(tiny_cfg(constants=self._PC.with_(L=0.3)))
+        # the clip and parameter count of softmax regression on 3 classes
+        with pytest.raises(ConfigError, match=r"in M=1\.0 \(model 2\.0\)$"):
+            run_unlearn_one(tiny_cfg(constants=_THREE_CLASS.with_(M=1.0), n_classes=3,
+                                     trials=0))
 
 
 class TestCalibrateSigma:
     def test_feasible_target_and_error_row(self):
         cfg = tiny_cfg(preset="mnist38", eps_targets=(1.0, 1e-9), seed=4)
         ok, bad = run_calibrate_sigma(cfg)
-        preset, delta = cfg.resolved_preset(), cfg.resolved_delta()
+        preset = cfg.resolved_preset()
+        delta = preset.delta
         sigma = binary_search_sigma(1.0, delta, 1, preset.pc, preset.regime, S=1,
                                     eta=preset.eta)
         ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=1)
@@ -306,7 +340,7 @@ class TestUnlearnOne:
             ns = NoiseSchedule(eta=preset.eta, sigma=row.sigma, T=INFINITE,
                                K=row.k_total)
             again = converted_epsilon(preset.pc, ns, preset.regime, 1,
-                                      row.k_total, cfg.resolved_delta())
+                                      row.k_total, preset.delta)
             assert again == row.epsilon_achieved
             assert 0.0 <= row.acc_mean <= 1.0
             assert row.acc_std >= 0.0

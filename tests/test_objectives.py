@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from certunlearn import (Dataset, InitSpec, NoiseSchedule, UnlearningRequest,
-                         apply_request, d2d_train, d2d_unlearn, evaluate,
+                         apply_request, d2d_train, d2d_unlearn, default_c0, evaluate,
                          logistic_objective, make_rng, make_synthetic,
-                         multiclass_objective, project_ball, quadratic_objective,
-                         SyntheticSpec, train, unlearn)
-from certunlearn.objectives import _BLOCK_BYTES, _row_norms, normalize_rows, objective_for
+                         multiclass_objective, objective_for, pngd_step, project_ball,
+                         quadratic_objective, regime_for, SyntheticSpec, train, unlearn)
+from certunlearn.objectives import _BLOCK_BYTES, _row_norms, normalize_rows, one_hot
+from certunlearn.pngd import draw_init
 
 
 def binary_data(n=40, d=6, seed=0):
@@ -93,15 +94,16 @@ class TestLogistic:
 
     def test_default_lambda_follows_n(self):
         data = binary_data(n=50)
-        assert logistic_objective(data).lam == pytest.approx(5e-5, rel=1e-12)
+        assert logistic_objective(data).constants.lam == pytest.approx(5e-5, rel=1e-12)
 
     def test_rejects_unnormalized_without_override(self):
         X = 2.0 * np.eye(3)
         data = Dataset(features=X, labels=np.array([1, -1, 1]), normalized=False)
         with pytest.raises(ValueError, match="normalized"):
             logistic_objective(data)
-        obj = logistic_objective(data, lam=0.1, allow_unnormalized=True)
-        assert obj.loss(np.zeros(3)) == pytest.approx(math.log(2.0), rel=1e-12)
+        with pytest.raises(ValueError, match="normalized"):
+            multiclass_objective(Dataset(features=X, labels=np.eye(3, dtype=int),
+                                         normalized=False))
 
     def test_gradient_matches_finite_differences(self):
         data = binary_data(n=25, d=5, seed=9)
@@ -252,6 +254,19 @@ class TestEvaluate:
         # all-zero scores: argmax tie resolves to class 0
         assert acc == pytest.approx(np.mean(np.argmax(data.labels, axis=1) == 0))
 
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_loss_is_the_written_out_loss(self, c):
+        data = binary_data() if c == 2 else onehot_data(c=c)
+        w = make_rng(13).standard_normal((data.d,) if c == 2 else (data.d, c))
+        scores = data.features @ w
+        if c == 2:
+            mean = np.mean(np.logaddexp(0.0, -(data.labels * scores)))
+        else:
+            Z = scores - scores.max(axis=1, keepdims=True)
+            log_probs = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+            mean = np.mean(-np.sum(data.labels * log_probs, axis=1))
+        assert evaluate(w, data, lam=0.25)[0] == float(mean + 0.5 * 0.25 * np.sum(w * w))
+
     def test_synthetic_well_separated(self):
         data = make_synthetic(SyntheticSpec(n=400, d=10), seed=21)
         u = (data.features[data.labels == 1].mean(axis=0)
@@ -291,12 +306,13 @@ def ref_project_ball(v, R):
 
 
 def long_row_data(n=300, d=7, seed=0):
-    """Unnormalized binary data with row norms spread over [0.1, 4]."""
+    """Binary data marked normalized, with row norms spread over 1 +- 9e-13
+    (inside the unit-norm tolerance), so the rows longer than 1 can clip."""
     rng = make_rng(seed)
     X = rng.standard_normal((n, d))
-    X *= rng.uniform(0.1, 4.0, (n, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    X *= rng.uniform(1.0 - 9e-13, 1.0 + 9e-13, (n, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
     y = rng.integers(0, 2, n) * 2 - 1
-    return Dataset(features=X, labels=y.astype(int), normalized=False)
+    return Dataset(features=X, labels=y.astype(int), normalized=True)
 
 
 class TestExactGradient:
@@ -313,18 +329,18 @@ class TestExactGradient:
 
     def test_unnormalized_clip_fires(self):
         data = long_row_data()
-        obj = logistic_objective(data, lam=0.01, allow_unnormalized=True)
+        obj = logistic_objective(data, lam=0.01)
         rng = make_rng(3)
         fired = 0
         for _ in range(200):
-            w = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(data.d)
+            w = 10.0 ** rng.uniform(0, 3) * rng.standard_normal(data.d)
             fired += np.any(ref_coef_scale(data, w)[1] < 1.0)
             assert np.array_equal(obj.grad(w), ref_grad(data, 0.01, w))
         assert fired > 100
 
     def test_zero_coef_on_long_rows_warns_nothing(self):
         data = long_row_data(seed=4)
-        obj = logistic_objective(data, lam=0.01, allow_unnormalized=True)
+        obj = logistic_objective(data, lam=0.01)
         rng = make_rng(5)
         w = 1e4 * rng.standard_normal(data.d)
         coef, scale = ref_coef_scale(data, w)
@@ -337,7 +353,7 @@ class TestExactGradient:
 
     def test_per_sample_grad(self):
         data = long_row_data(seed=6)
-        obj = logistic_objective(data, lam=0.0, allow_unnormalized=True)
+        obj = logistic_objective(data, lam=0.0)
         rng = make_rng(7)
         for _ in range(20):
             w = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(data.d)
@@ -396,6 +412,78 @@ class TestExactTrajectory:
             ends.append((w, rng.bit_generator.state))
         assert np.array_equal(ends[0][0], ends[1][0])
         assert same_state(ends[0][1], ends[1][1])
+
+
+def composition_data(kind):
+    """Binary, three-class or two-column one-hot data, and the same data with
+    rows 4 and 77 replaced."""
+    data = make_synthetic(SyntheticSpec(n=150, d=6, n_classes=3 if kind == "three_class" else 2),
+                          seed=21)
+    if kind == "two_class_softmax":
+        data = Dataset(features=data.features, labels=one_hot((data.labels + 1) // 2, 2))
+    return data, apply_request(data, UnlearningRequest(indices=(4, 77), replacement_seed=3))
+
+
+_KINDS = ["binary", "three_class", "two_class_softmax"]
+
+
+class TestEngineCompositions:
+    """Training then unlearning, on either model and at a radius that binds,
+    is the step loop it stands for, bit for bit."""
+
+    @pytest.mark.parametrize("radius", [100.0, 0.3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_pngd(self, kind, radius):
+        obj, obj2 = (objective_for(d, radius=radius) for d in composition_data(kind))
+        pc = obj.constants
+        ns = NoiseSchedule(eta=1.0 / pc.L, sigma=0.05, T=40, K=3)
+        init = InitSpec(mean=1000.0, variance=default_c0(pc, ns, regime_for(pc)))
+        rng, ref_rng = make_rng(9), make_rng(9)
+        trained = train(obj, ns, init, rng)
+        w = unlearn(trained, obj2, ns.K, ns, rng)
+        ref = draw_init(init, obj.shape, radius, ref_rng)
+        for o, steps in ((obj, ns.T), (obj2, ns.K)):
+            for _ in range(steps):
+                ref = pngd_step(ref, o.grad, ns.eta, ns.sigma, radius, ref_rng)
+        assert w.tobytes() == ref.tobytes() and w.shape == obj.shape
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert not np.array_equal(w, trained)  # unlearning moves the weights
+        assert np.linalg.norm(w) <= radius * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("radius", [100.0, 0.3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_d2d(self, kind, radius):
+        obj, obj2 = (objective_for(d, radius=radius) for d in composition_data(kind))
+        step = 2.0 / (obj.constants.L + obj.constants.m)
+        rng, ref_rng = make_rng(9), make_rng(9)
+        init = draw_init(InitSpec(mean=1000.0, variance=1.0), obj.shape, radius, rng)
+        w = d2d_unlearn(d2d_train(obj, 40, init), obj2, 4, 0.5, rng)
+        ref = draw_init(InitSpec(mean=1000.0, variance=1.0), obj.shape, radius, ref_rng)
+        for o, steps in ((obj, 40), (obj2, 4)):
+            ref = project_ball(ref, radius)  # each call projects its start
+            for _ in range(steps):
+                ref = project_ball(ref - step * o.grad(ref), radius)
+        ref = ref + 0.5 * ref_rng.standard_normal(ref.shape)  # one perturbation, not projected
+        assert w.tobytes() == ref.tobytes()
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("kind", ["binary", "three_class"])
+    def test_trained_model_fits_the_clusters(self, kind):
+        c, d, steps, floor = (2, 8, 1500, 0.95) if kind == "binary" else (3, 10, 800, 0.9)
+        data = make_synthetic(SyntheticSpec(n=400, d=d, n_classes=c), seed=15 + c)
+        obj = objective_for(data)
+        pc = obj.constants
+        ns = NoiseSchedule(eta=1.0 / pc.L, sigma=0.02, T=steps)
+        init = InitSpec(mean=1000.0, variance=default_c0(pc, ns, regime_for(pc)))
+        w = train(obj, ns, init, make_rng(0))
+        assert w.shape == obj.shape and evaluate(w, data)[1] > floor
+
+    def test_d2d_trained_model_fits_the_clusters(self):
+        obj = objective_for(make_synthetic(SyntheticSpec(n=400, d=8), seed=17))
+        init = draw_init(InitSpec(mean=1000.0, variance=1.0), obj.shape, 100.0, make_rng(2))
+        w = d2d_train(obj, 300, init)
+        assert np.array_equal(w, d2d_train(obj, 300, init))
+        assert evaluate(w, obj.data)[1] > 0.95
 
 
 class TestRowBlocks:

@@ -127,6 +127,12 @@ class TestTrainUnlearn:
         got = unlearn(center.copy(), obj, 4, ns, make_rng(0))
         assert got == pytest.approx(center, abs=1e-15)
 
+    def test_rejects_nan_init_mean_and_sigma(self):
+        with pytest.raises(ValueError, match="init mean"):
+            InitSpec(mean=np.nan)
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseSchedule(eta=0.1, sigma=np.nan)
+
     def test_init_spec_projected_into_ball(self):
         obj = quadratic_objective(np.zeros(6), 1.0, radius=2.0)
         ns = NoiseSchedule(eta=0.1, sigma=0.5, T=0, K=0)
