@@ -17,6 +17,7 @@ no shared mutable state.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -47,6 +48,7 @@ _FLOOR_REL_MARGIN = 1e-9
 ALPHA_GRID = 1.0 + np.logspace(math.log10(_ALPHA_MIN_OFFSET),
                                math.log10(_ALPHA_MAX - 1.0), _ALPHA_GRID_POINTS)
 ALPHA_GRID.flags.writeable = False
+assert (ALPHA_GRID > 1.0).all(), "curves are evaluated on ALPHA_GRID unchecked"
 
 
 class RenyiBound:
@@ -276,13 +278,21 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
     """Convert a Renyi curve to an (eps, delta) guarantee.
 
-    Minimizes eps(alpha) + log(1/delta)/(alpha - 1) over alpha > 1: a dense
-    log grid (`ALPHA_GRID`) followed by golden-section refinement of the
-    bracketing interval. Returns (eps, minimizing alpha); the result never
-    exceeds the objective at any probed alpha. Raises VacuousBound when the
-    curve is infinite at every grid order, and ValueError when it is nan.
+    Minimizes eps(alpha) + log(1/delta)/(alpha - 1) over alpha > 1: one scan
+    of a dense log grid (`ALPHA_GRID`; the delta term is cached per delta),
+    then golden-section refinement of the bracketing interval. Returns (eps,
+    minimizing alpha), never above the objective at any probed alpha. Raises
+    VacuousBound when the curve is infinite at every grid order, ValueError at nan.
     """
-    return _optimize_order(bound(ALPHA_GRID), bound, delta)
+    return _optimize_order(bound._fn(ALPHA_GRID), bound, delta)
+
+
+@functools.lru_cache(maxsize=8)
+def _order_term(delta: float) -> np.ndarray:
+    """log(1/delta)/(alpha - 1) on ALPHA_GRID; cached per delta, so read-only."""
+    term = math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
+    term.flags.writeable = False
+    return term
 
 
 def _golden_probes(a: float, b: float):
@@ -316,7 +326,8 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
 
     Callers that can evaluate the whole grid more cheaply than order by order
     pass its values in; `curve` serves the golden-section probes. Neither may
-    hold nan: +inf marks an order at which the curve is vacuous.
+    hold nan: +inf marks an order at which the curve is vacuous. One argmin
+    scans the grid objective, whose delta term `_order_term` caches.
 
     A search that only asks whether the certificate meets `target` passes it,
     and stops refining the order once the answer is known: at the grid
@@ -335,13 +346,13 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
     log_inv_delta = math.log(1.0 / delta)
 
     grid = ALPHA_GRID
-    obj = np.asarray(on_grid) + log_inv_delta / (grid - 1.0)
-    if np.isnan(obj).any():
-        raise ValueError("Renyi curve is nan at some order; +inf marks a vacuous order")
-    if not np.isfinite(obj).any():
-        raise VacuousBound()
-    i = int(np.argmin(obj))
+    obj = on_grid + _order_term(delta)
+    i = int(np.argmin(obj))  # the first nan, if there is one
     best = (float(obj[i]), float(grid[i]))
+    if math.isnan(best[0]):
+        raise ValueError("Renyi curve is nan at some order; +inf marks a vacuous order")
+    if math.isinf(best[0]) and not np.isfinite(obj).any():
+        raise VacuousBound()
     if target is not None and best[0] <= target:
         return best
     # what a bracket's floor must exceed to settle a failing verdict

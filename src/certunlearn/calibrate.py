@@ -42,7 +42,7 @@ def _certifies(bound: RenyiBound, delta: float, eps_hat: float) -> bool:
     exp(-decay/alpha) * slope * alpha, refining the order only until the
     verdict is known. Such a curve never decreases in alpha, so its value at
     a bracket's lower end is the bracket's floor."""
-    return _optimize_order(bound(ALPHA_GRID), bound, delta, eps_hat,
+    return _optimize_order(bound._fn(ALPHA_GRID), bound, delta, eps_hat,
                            lambda a, b: bound(a))[0] <= eps_hat
 
 

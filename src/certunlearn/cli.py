@@ -73,7 +73,8 @@ def _bool(text: str) -> bool:
 
 # ExperimentConfig field -> (flag, add_argument keywords); defaults live there
 _FLAGS = {
-    "preset": ("--preset", dict(choices=sorted(PRESETS), help="constants bundle")),
+    "preset": ("--preset", dict(choices=sorted(PRESETS), help="model: n, d, class count "
+                                "and lam; its constants derive from these")),
     "method": ("--method", dict(choices=METHODS)),
     "eps_targets": ("--eps", dict(type=_float_list, help="target epsilons")),
     "delta": ("--delta", dict(type=float, help="default: 1/n for the n training rows "

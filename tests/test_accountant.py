@@ -439,6 +439,72 @@ class TestTargetedOrderSearch:
             assert out[0] <= min(curve(a) + log_inv_delta / (a - 1.0) for a in seen)
 
 
+class TestGridScan:
+    """The grid stage of _optimize_order: one argmin over the curve plus the
+    per-delta order term, with the errors the separate nan and finiteness
+    scans raised."""
+
+    delta = 1e-5
+    curve = RenyiBound.linear(0.01)
+
+    def _objective(self, on_grid):
+        return on_grid + math.log(1.0 / self.delta) / (ALPHA_GRID - 1.0)
+
+    @pytest.mark.parametrize("where", ["first", "minimum", "last"])
+    def test_nan_anywhere_is_rejected(self, where):
+        on_grid = self.curve(ALPHA_GRID).copy()
+        at = {"first": 0, "last": -1,
+              "minimum": int(np.argmin(self._objective(on_grid)))}[where]
+        on_grid[at] = np.nan
+        assert np.isfinite(on_grid).sum() == ALPHA_GRID.size - 1
+        with pytest.raises(ValueError, match="nan"):
+            accountant._optimize_order(on_grid, self.curve, self.delta)
+
+    @pytest.mark.parametrize("fill", [[np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_no_finite_order_is_vacuous(self, fill):
+        on_grid = np.resize(np.array(fill), ALPHA_GRID.size)
+        with pytest.raises(VacuousBound):
+            accountant._optimize_order(on_grid, self.curve, self.delta)
+
+    def test_infinite_orders_leave_the_finite_minimum(self):
+        on_grid = self.curve(ALPHA_GRID).copy()
+        on_grid[(ALPHA_GRID < 5.0) | (ALPHA_GRID > 1e3)] = np.inf
+        obj = self._objective(on_grid)
+        finite = np.isfinite(obj)
+        i = int(np.flatnonzero(finite)[np.argmin(obj[finite])])
+        # a target above the grid minimum returns the grid stage's pair
+        assert accountant._optimize_order(on_grid, self.curve, self.delta, math.inf) == (
+            float(obj[i]), float(ALPHA_GRID[i]))
+        eps, alpha = accountant._optimize_order(on_grid, self.curve, self.delta)
+        assert math.isfinite(eps) and eps <= obj[i] and 5.0 <= alpha <= 1e3
+
+    def test_order_term_is_cached_read_only_and_bounded(self):
+        for delta in (1e-5, 1.0 / 11982, 1e-4, 0.5, 1e-12):
+            term = accountant._order_term(delta)
+            want = math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
+            assert term.dtype == want.dtype and term.tobytes() == want.tobytes()
+            assert accountant._order_term(delta) is term
+            assert not term.flags.writeable
+            with pytest.raises(ValueError):
+                term[0] = 0.0
+        for delta in np.geomspace(1e-9, 1e-1, 20).tolist():
+            accountant._order_term(delta)
+        info = accountant._order_term.cache_info()
+        assert info.maxsize == 8 and info.currsize <= 8
+
+    @pytest.mark.parametrize("setup", ["linear", "unlearned"])
+    def test_curve_on_the_grid_is_the_checked_array_path(self, setup, mnist):
+        curve = self.curve
+        if setup == "unlearned":
+            ns = NoiseSchedule(eta=mnist.eta, sigma=0.03, T=INFINITE, K=2)
+            curve = unlearn_epsilon(learn_epsilon0(mnist.pc, ns, mnist.regime),
+                                    mnist.pc, ns, mnist.regime)
+        checked = curve(np.array(ALPHA_GRID))
+        assert curve._fn(ALPHA_GRID).tobytes() == checked.tobytes()
+        assert rdp_to_dp(curve, self.delta) == accountant._optimize_order(
+            checked, curve, self.delta)
+
+
 class TestSmallOps:
     @pytest.mark.parametrize("alpha,d1,d2,expect", [
         (1.5, 1.0, 1.0, 4.0),

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +14,7 @@ from certunlearn import (BudgetUnreachable, CapOverflow, INFINITE, NoFeasibleSig
                          find_min_k, learn_epsilon0, lsi_unlearn_trace, rdp_to_dp,
                          sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
                          unlearn_rate)
-from certunlearn import accountant
+from certunlearn import accountant, get_preset
 from certunlearn.accountant import ALPHA_GRID
 
 mp.mp.dps = 40
@@ -413,6 +415,26 @@ class TestBinarySearchSigma:
             binary_search_sigma(1.0, 1e-4, 5, pc, Regime.CONVEX, sigma_hi=1e-3)
         with pytest.raises(NoFeasibleSigma):
             binary_search_sigma(1.0, 1e-4, 5, pc, Regime.CONVEX, sigma_hi=0.3)
+
+    # numpy's exp may differ in the last bit across platforms and versions
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11) or np.__version__ != "2.4.6",
+                        reason="the digest was computed on Python 3.11, numpy 2.4.6")
+    def test_sigma_grid_bits_are_pinned(self):
+        # perfbench's 108 calibrate cells in nested order: each sigma and its
+        # certificate as float hex, hashed; the first 16 hex digits of sha256
+        lines = []
+        for name in ("mnist38", "cifar10-binary", "cifar10-multi"):
+            pr = get_preset(name)
+            for eps in EPS_GRID:
+                for k in (1, 2, 5):
+                    for S in (1, 5):
+                        sigma = binary_search_sigma(eps, pr.delta, k, pr.pc, pr.regime,
+                                                    S=S, eta=pr.eta)
+                        cert = converted_epsilon(pr.pc, _ns(pr, sigma, k), pr.regime, S, k,
+                                                 pr.delta)
+                        lines.append(f"{name},{eps!r},{k},{S},{sigma.hex()},{cert.hex()}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert digest == "d7be1c41013e6023"
 
 
 class TestSequential:

@@ -518,13 +518,13 @@ class TestFlagsPerSubcommand:
 # 16 hex digits of its sha256, as the eagerly built parser printed them
 _PINNED_TEXTS = {
     ("--help",): (0, "67fd7906db0fb5e3"),
-    ("calibrate-sigma", "--help"): (0, "1682e445f9935595"),
-    ("unlearn-one", "--help"): (0, "a51b9cf66bc478f7"),
-    ("sequential", "--help"): (0, "2e9dd3a4b24835e2"),
-    ("sweep", "--help"): (0, "399e1028598c8c47"),
-    ("d2d", "--help"): (0, "bf44cb3255215c18"),
-    ("evaluate", "--help"): (0, "0723faa452343ae2"),
-    ("make-data", "--help"): (0, "458e08ef8233da71"),
+    ("calibrate-sigma", "--help"): (0, "691a1c4698332bd6"),
+    ("unlearn-one", "--help"): (0, "27962c22114d89d6"),
+    ("sequential", "--help"): (0, "b1324ffb1c56f3bd"),
+    ("sweep", "--help"): (0, "c579627ef0ae5f44"),
+    ("d2d", "--help"): (0, "cbf78b3a5aa33b5f"),
+    ("evaluate", "--help"): (0, "8f579cf74153fb10"),
+    ("make-data", "--help"): (0, "e4beba60af910082"),
     ("bogus",): (4, "5df08e114b82ffec"),
     (): (4, "81e584df89a21710"),
     ("sweep", "--sigma", "1"): (4, "ee9873c1bacb4948"),
