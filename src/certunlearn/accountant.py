@@ -128,11 +128,15 @@ def _check_chain(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                  C0: float, K: int) -> None:
     """Reject a fine-tuning chain of K steps from LSI constant C0 as
     lsi_unlearn_trace does."""
+    _check_start(C0, K)
+    validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
+
+
+def _check_start(C0: float, K: int) -> None:
     if not C0 > 0:
         raise ValueError(f"C0 must be positive, got {C0}")
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
 
 
 def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
@@ -146,6 +150,12 @@ def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     as a growing recursion actually needs it (K >= 1).
     """
     _check_chain(pc, ns, regime, C0, K)
+    return _trace(pc, ns, regime, C0, K)
+
+
+def _trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
+           C0: float, K: int) -> LsiTrace:
+    """lsi_unlearn_trace of a chain that _check_chain accepts."""
     noise = 2.0 * ns.eta * ns.sigma ** 2
 
     if regime is Regime.STRONGLY_CONVEX:
@@ -183,12 +193,28 @@ def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     """Sum of the rates R_k over K fine-tuning steps from LSI constant C0,
     and the LSI constant after them (C0 itself when strongly convex, whose
     constant trace is not built)."""
+    _check_chain(pc, ns, regime, C0, K)
+    return _rate_sum(pc, ns, regime, C0, K)
+
+
+def _rate_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
+              C0: float, K: int) -> tuple[float, float]:
+    """_decay_sum of a chain that _check_chain accepts."""
     if regime is Regime.STRONGLY_CONVEX:
-        _check_chain(pc, ns, regime, C0, K)
         return K * unlearn_rate(pc, ns, regime, C0), C0
-    trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
+    trace = _trace(pc, ns, regime, C0, K)
     return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K]),
             float(trace.values[-1]))
+
+
+def _unlearned_scalars(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
+                       S: int, K: int) -> tuple[float, float]:
+    """(slope, decay) of the curve exp(-decay/alpha) * slope * alpha that
+    unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
+    builds, after the same checks in the same order, each made once."""
+    slope, C0 = _learned(pc, ns, regime, S)
+    _check_start(C0, K)
+    return slope, _rate_sum(pc, ns, regime, C0, K)[0]
 
 
 def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
@@ -247,6 +273,12 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     recursion, capped by the ball geometry, so the T = INFINITE limit is
     cap/(eta*sigma^2). T = INFINITE selects the converged-training bound.
     """
+    return RenyiBound.linear(_learned(pc, ns, regime, S, T, C0)[0])
+
+
+def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
+             T: float | None = None, C0: float | None = None) -> tuple[float, float]:
+    """learn_epsilon0's slope, checks included, and the C0 it started from."""
     if S < 1:
         raise ValueError(f"group size S must be >= 1, got {S}")
     if T is None:
@@ -272,7 +304,7 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
             q = _sum_product_finite(pc, ns, regime, C0, T)
         slope = 2.0 * ns.eta * S * S * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q
 
-    return RenyiBound.linear(slope)
+    return slope, C0
 
 
 def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:

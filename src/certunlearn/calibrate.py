@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (ALPHA_GRID, RenyiBound, _decay_sum, _optimize_order,
-                         learn_epsilon0, rdp_to_dp, unlearn_epsilon)
+from .accountant import (ALPHA_GRID, _decay_sum, _optimize_order, _unlearned_scalars,
+                         learn_epsilon0)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
                         ProblemConstants, Regime, default_c0)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
@@ -27,23 +27,22 @@ def converted_epsilon(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                       S: int, K: int, delta: float) -> float:
     """(eps, delta) certificate after training to convergence and K
     fine-tuning steps: the full accountant chain at one (sigma, K)."""
-    eps, _ = rdp_to_dp(_unlearned(pc, ns, regime, S, K), delta)
-    return eps
+    return _converted(*_unlearned_scalars(pc, ns, regime, S, K), delta, {})
 
 
-def _unlearned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
-               S: int, K: int) -> RenyiBound:
-    """Renyi curve after training to convergence and K fine-tuning steps."""
-    return unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
+def _converted(slope: float, decay: float, delta: float, exps: dict,
+               target: float | None = None) -> float:
+    """rdp_to_dp's eps on the curve exp(-decay/alpha) * slope * alpha, or,
+    given a target, an eps that meets it exactly when rdp_to_dp's does (the
+    curve never decreases in alpha, so a bracket's floor is its value at the
+    lower end). `exps` holds exp(-decay/ALPHA_GRID) per decay for one search."""
+    if decay not in exps:
+        exps[decay] = np.exp(-decay / ALPHA_GRID)
 
-
-def _certifies(bound: RenyiBound, delta: float, eps_hat: float) -> bool:
-    """rdp_to_dp(bound, delta)[0] <= eps_hat for an unlearned curve
-    exp(-decay/alpha) * slope * alpha, refining the order only until the
-    verdict is known. Such a curve never decreases in alpha, so its value at
-    a bracket's lower end is the bracket's floor."""
-    return _optimize_order(bound._fn(ALPHA_GRID), bound, delta, eps_hat,
-                           lambda a, b: bound(a))[0] <= eps_hat
+    def curve(a):  # a float order or an ndarray of them
+        return np.exp(-decay / a) * (slope * a)
+    return float(_optimize_order(exps[decay] * (slope * ALPHA_GRID), curve, delta, target,
+                                 None if target is None else lambda a, b: curve(a))[0])
 
 
 def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSchedule,
@@ -59,14 +58,15 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    eps0 = learn_epsilon0(pc, ns, regime, S=S)
+    slope = learn_epsilon0(pc, ns, regime, S=S).meta["slope"]
+    c0, exps = default_c0(pc, ns, regime), {}
 
-    def bound_at(k: int) -> RenyiBound:
-        return unlearn_epsilon(eps0, pc, ns, regime, K=k)
+    def eps_at(k: int, target: float | None = None) -> float:
+        return _converted(slope, _decay_sum(pc, ns, regime, c0, k)[0], delta, exps, target)
 
-    k = _least_k(lambda k: _certifies(bound_at(k), delta, eps_hat), k_max)
+    k = _least_k(lambda k: eps_at(k, eps_hat) <= eps_hat, k_max)
     if k is None:
-        raise BudgetUnreachable(eps_hat, k_max, best=rdp_to_dp(bound_at(k_max), delta)[0])
+        raise BudgetUnreachable(eps_hat, k_max, best=eps_at(k_max))
     return k
 
 
@@ -130,11 +130,13 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
         raise ValueError(f"k_hat must be >= 0, got {k_hat}")
     if eta is None:
         eta = 1.0 / pc.L
+    exps = {}
 
     def feasible(sigma: float) -> bool:
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
         try:
-            return _certifies(_unlearned(pc, ns, regime, S, k_hat), delta, eps_hat)
+            slope, decay = _unlearned_scalars(pc, ns, regime, S, k_hat)
+            return _converted(slope, decay, delta, exps, eps_hat) <= eps_hat
         except (CapOverflow, VacuousBound):
             return False
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +99,16 @@ class Thm28Calibration:
     delta: float
 
     def iterations(self, i: int) -> int:
-        """Total deterministic steps for the i-th sequential request."""
+        """Total deterministic steps for the i-th sequential request;
+        InfeasibleBudget once 4*d*i/delta overflows float64."""
         if i < 1:
             raise ValueError(f"request index must be >= 1, got {i}")
         # 4*d*i/delta > 4 for d, i >= 1 and delta < 1, so the inner log is positive
-        extra = math.log(math.log(4.0 * self.d * i / self.delta)) / math.log(1.0 / self.gamma)
+        ratio = 4.0 * self.d * i / self.delta
+        if ratio == math.inf:
+            raise InfeasibleBudget(f"request {i}: 4*d*i/delta overflows float64 at "
+                                   f"delta={self.delta!r}; no step count follows")
+        extra = math.log(math.log(ratio)) / math.log(1.0 / self.gamma)
         return int(math.ceil(self.I_min + extra))
 
 
@@ -134,10 +140,11 @@ def d2d_sigma_thm28(eps: float, delta: float, M: float, m: float, n: int,
 
 
 def _check_eps_delta(eps: float, delta: float) -> None:
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    """eps in (0, inf), and delta in [least normal float64, 1), where log(2/delta) is finite."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not sys.float_info.min <= delta < 1.0:
+        raise ValueError(f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}")
 
 
 # Reference noise table published with the original baseline, kept as data

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -81,10 +82,11 @@ class ExperimentConfig:
         if not self.eps_targets:
             raise ConfigError("need at least one eps target")
         # the float checks negate an in-range test, so that nan fails them too
-        if any(not e > 0 for e in self.eps_targets):
-            raise ConfigError("eps targets must be positive")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        if any(not 0.0 < e < math.inf for e in self.eps_targets):
+            raise ConfigError(f"eps targets must be positive and finite, got {self.eps_targets}")
+        # from the least normal float64 up, log(1/delta) and log(2/delta) stay finite
+        if self.delta is not None and not sys.float_info.min <= self.delta < 1.0:
+            raise ConfigError(f"delta must be in [{sys.float_info.min!r}, 1), got {self.delta!r}")
         if self.k_budget < 0:
             raise ConfigError(f"k_budget must be >= 0, got {self.k_budget}")
         if self.batch < 1:

@@ -202,6 +202,43 @@ class TestUnlearnEpsilon:
         eps, _ = rdp_to_dp(bound, mnist.delta)
         assert eps == pytest.approx(1.0, rel=0.01)
 
+    def test_probe_scalars_are_the_public_chains(self, mnist):
+        # the calibration probes' (slope, decay) against unlearn_epsilon on
+        # learn_epsilon0: the same bits, and the same error where either fails
+        small = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
+        sc = (mnist.pc, mnist.regime)
+        cases = [
+            (*sc, NoiseSchedule(eta=mnist.eta, sigma=0.03), 1, 1),
+            (*sc, NoiseSchedule(eta=mnist.eta, sigma=0.03, T=50), 5, 0),
+            (*sc, NoiseSchedule(eta=mnist.eta, sigma=0.03), 0, 1),         # S < 1
+            (*sc, NoiseSchedule(eta=mnist.eta, sigma=0.03), 1, -1),        # K < 0
+            (*sc, NoiseSchedule(eta=2 * mnist.eta, sigma=0.03), 1, -1),    # step, then K
+            (*sc, NoiseSchedule(eta=mnist.eta, sigma=0.0), 1, 1),          # sigma range
+            (small, Regime.CONVEX, NoiseSchedule(eta=1.0, sigma=1.0), 1, 5),
+            (small, Regime.NONCONVEX, NoiseSchedule(eta=1.0, sigma=1.0, T=30), 2, 5),
+            (small, Regime.CONVEX, NoiseSchedule(eta=1.0, sigma=0.1), 1, -1),  # cap, then K
+            (small, Regime.CONVEX, NoiseSchedule(eta=1.0, sigma=0.05, T=0), 1, 3),
+            (small, Regime.CONVEX, NoiseSchedule(eta=1e-300, sigma=1e-20, T=0), 1, 3),
+            (small, Regime.STRONGLY_CONVEX, NoiseSchedule(eta=1.0, sigma=1.0), 1, 1),
+        ]
+
+        def outcome(fn):
+            try:
+                return tuple(v.hex() for v in fn())
+            except (ValueError, ZeroDivisionError, CapOverflow) as exc:
+                return type(exc), str(exc)
+
+        def public(pc, regime, ns, S, K):
+            meta = unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime,
+                                   K=K).meta
+            return meta["base"].meta["slope"], meta["decay_sum"]
+        got = [outcome(lambda: accountant._unlearned_scalars(pc, ns, regime, S, K))
+               for pc, regime, ns, S, K in cases]
+        assert got == [outcome(lambda: public(*case)) for case in cases]
+        errors = [g[1] for g in got if isinstance(g[0], type)]
+        assert [e.split(" ")[0] for e in errors] == [
+            "group", "K", "eta=7.6365", "privacy", "LSI", "LSI", "C0", "float"]
+
 
 class TestLearnEpsilon0:
     def test_strongly_convex_converged_slope(self, sc_setup):
@@ -658,11 +695,18 @@ class TestScalarFastPath:
                 out.append((sigma, converted_epsilon(pr.pc, ns, pr.regime, S, k, pr.delta)))
             return out
 
+        def reference_converted(slope, decay, delta, exps, target=None):
+            # the searches' curve as unlearn_epsilon composed it before, under
+            # rdp_to_dp with no target; the searches return a float
+            eps0 = RenyiBound.linear(slope)
+            bound = RenyiBound(lambda a: np.exp(-decay / a) * eps0(a))
+            return float(rdp_to_dp(bound, delta)[0])
+
         with pytest.MonkeyPatch.context() as mp:
-            # every curve evaluation and every unlearning curve of the searches
+            # every curve evaluation and every unlearned curve of the searches
             # on the reference path
             mp.setattr(RenyiBound, "__call__", _reference_call)
-            mp.setattr(calibrate, "unlearn_epsilon", _reference_unlearn_epsilon)
+            mp.setattr(calibrate, "_converted", reference_converted)
             want = certify()
         got = certify()
         for cell, (sigma, cert), (ref_sigma, ref_cert) in zip(cells, got, want):

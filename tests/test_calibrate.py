@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -204,9 +205,10 @@ class TestFindMinK:
         assert len(calls) == 1
 
 
-def _record_optimize(monkeypatch):
+def _record_optimize(monkeypatch, points=()):
     """Record every _optimize_order call of the calibration searches: its
-    curve, delta, target, result and its golden-section curve evaluations."""
+    curve, delta, target, result and its golden-section curve evaluations,
+    and the last of `points` recorded before it, if any."""
     optimize = calibrate._optimize_order
     calls = []
 
@@ -218,7 +220,8 @@ def _record_optimize(monkeypatch):
             return curve(a)
         out = optimize(on_grid, counting, delta, target, floor)
         calls.append({"curve": curve, "delta": delta, "target": target, "out": out,
-                      "evals": len(refined), "refined": bool(refined)})
+                      "evals": len(refined), "refined": bool(refined),
+                      "at": points[-1] if points else None})
         return out
 
     monkeypatch.setattr(calibrate, "_optimize_order", recording)
@@ -254,6 +257,24 @@ def _assert_probe_matches_rdp_to_dp(probe, bound, delta, eps_hat):
     assert probe["out"] in pairs
 
 
+def _record_probe_points(monkeypatch):
+    """Record the (schedule, K) at which each sigma or K probe builds its
+    unlearned curve."""
+    points = []
+    scalars, decay_sum = calibrate._unlearned_scalars, calibrate._decay_sum
+
+    def at_scalars(pc, ns, regime, S, K):
+        points.append((ns, K))
+        return scalars(pc, ns, regime, S, K)
+
+    def at_decay(pc, ns, regime, C0, K):
+        points.append((ns, K))
+        return decay_sum(pc, ns, regime, C0, K)
+    monkeypatch.setattr(calibrate, "_unlearned_scalars", at_scalars)
+    monkeypatch.setattr(calibrate, "_decay_sum", at_decay)
+    return points
+
+
 class TestGridCertifiedProbes:
     @pytest.mark.parametrize("preset_name", ["mnist", "cifar_multi"])
     @pytest.mark.parametrize("k_hat", [1, 5])
@@ -261,7 +282,7 @@ class TestGridCertifiedProbes:
     def test_probes_reach_rdp_to_dp_verdict(self, preset_name, k_hat, S, request,
                                             monkeypatch):
         pr = request.getfixturevalue(preset_name)
-        calls = _record_optimize(monkeypatch)
+        calls = _record_optimize(monkeypatch, _record_probe_points(monkeypatch))
         sigma = binary_search_sigma(1.0, pr.delta, k_hat, pr.pc, pr.regime, S=S,
                                     eta=pr.eta)
         # below the calibrated sigma, the least K exceeds the budget
@@ -269,7 +290,11 @@ class TestGridCertifiedProbes:
         monkeypatch.undo()
         assert k > k_hat and len(calls) > 20
         for call in calls:
-            _assert_probe_matches_rdp_to_dp(call, call["curve"], call["delta"], 1.0)
+            # each probe against rdp_to_dp on the public chain at its (sigma, K)
+            ns, K = call["at"]
+            bound = unlearn_epsilon(learn_epsilon0(pr.pc, ns, pr.regime, S=S), pr.pc, ns,
+                                    pr.regime, K=K)
+            _assert_probe_matches_rdp_to_dp(call, bound, call["delta"], 1.0)
         refined = [c["refined"] for c in calls]
         assert any(refined) and not all(refined)
 
@@ -278,8 +303,11 @@ def _unlearned_case(preset, sigma, S, K):
     """An unlearned curve, the targeted verdict the sigma and K searches reach
     on it, and its floor: the curve never decreases in alpha."""
     ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=K)
-    bound = calibrate._unlearned(preset.pc, ns, preset.regime, S, K)
-    return (bound, lambda target: calibrate._certifies(bound, preset.delta, target),
+    bound = unlearn_epsilon(learn_epsilon0(preset.pc, ns, preset.regime, S=S), preset.pc,
+                            ns, preset.regime, K=K)
+    slope, decay = accountant._unlearned_scalars(preset.pc, ns, preset.regime, S, K)
+    return (bound,
+            lambda target: calibrate._converted(slope, decay, preset.delta, {}, target) <= target,
             lambda a, b: bound(a), preset.delta)
 
 
@@ -435,6 +463,72 @@ class TestBinarySearchSigma:
                         lines.append(f"{name},{eps!r},{k},{S},{sigma.hex()},{cert.hex()}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
         assert digest == "d7be1c41013e6023"
+
+    # numpy's exp may differ in the last bit across platforms and versions
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11) or np.__version__ != "2.4.6",
+                        reason="the digest was computed on Python 3.11, numpy 2.4.6")
+    def test_convex_and_nonconvex_bits_are_pinned(self):
+        # the regimes the benchmark does not run, at L=1, m=0, M=1, R=0.5,
+        # n=1e4, eta=1, delta=1e-4, K=5, sigma_hi=4: sigma searches whose first
+        # probe overflows the LSI cap, certificates
+        # and K searches around the calibrated sigma, ending in K, a typed
+        # error or BudgetUnreachable's best eps; then a search whose first
+        # probe is infinite at every order. Values as float hex, hashed.
+        lines = []
+
+        def record(tag, fn):
+            try:
+                value = fn()
+                lines.append(f"{tag},{value.hex() if isinstance(value, float) else value}")
+            except (BudgetUnreachable, CapOverflow, VacuousBound) as exc:
+                best = getattr(exc, "best", None)
+                lines.append(f"{tag},{type(exc).__name__},{exc},"
+                             f"{'' if best is None else best.hex()}")
+
+        pc = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
+        for regime in (Regime.CONVEX, Regime.NONCONVEX):
+            sigma = binary_search_sigma(1.0, 1e-4, 5, pc, regime, sigma_hi=4.0)
+            lines.append(f"{regime.value},sigma,{sigma.hex()}")
+            for s in (sigma, 0.5 * sigma, 2.0 * sigma, 0.1):
+                ns = NoiseSchedule(eta=1.0, sigma=s, T=INFINITE, K=0)
+                for k in (0, 1, 5, 40):
+                    record(f"{regime.value},cert,{s.hex()},{k}",
+                           lambda: converted_epsilon(pc, ns, regime, 1, k, 1e-4))
+                for eps in (1.0, 0.3):
+                    record(f"{regime.value},k,{s.hex()},{eps}",
+                           lambda: find_min_k(eps, 1e-4, pc, ns, regime, k_max=1000))
+        tiny = ProblemConstants(L=1.0, m=1e-9, M=1.0, R=0.5, n=1, d=1)
+        sc = Regime.STRONGLY_CONVEX
+        record("sc,sigma", lambda: binary_search_sigma(1.0, 1e-4, 5, tiny, sc,
+                                                       sigma_lo=1e-150, sigma_hi=1e6))
+        record("sc,cert", lambda: converted_epsilon(tiny, NoiseSchedule(eta=1.0, sigma=1e-150),
+                                                    sc, 1, 5, 1e-4))
+        assert sum("CapOverflow" in line for line in lines) == 12
+        assert lines[-1].startswith("sc,cert,VacuousBound,")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert digest == "c5fcb663c7479d01"
+
+    def test_one_check_per_probe(self, mnist, monkeypatch):
+        # the prologue: find_min_k at sigma_hi builds its learning curve (c, v)
+        # and its C0 (c), then checks each K probe once (v p); each sigma probe
+        # then makes one default_c0 call, one validate_schedule call and one
+        # order search
+        events = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+        for module, name, tag in ((accountant, "validate_schedule", "v"),
+                                  (accountant, "default_c0", "c"),
+                                  (calibrate, "default_c0", "c"),
+                                  (calibrate, "_optimize_order", "p")):
+            monkeypatch.setattr(module, name, counting(tag, getattr(module, name)))
+        binary_search_sigma(1.0, mnist.delta, 1, mnist.pc, mnist.regime, S=1, eta=mnist.eta)
+        trace = "".join(events)
+        assert re.fullmatch(r"cvc(vp)+(cvp)+", trace), trace
+        assert trace.count("cvp") >= 20
 
 
 class TestSequential:

@@ -36,6 +36,9 @@ _FOREIGN = [(name, field) for name, fields in _subcommand_fields().items()
             for field in cli._FLAGS if field not in fields]
 
 
+_DELTA_TOO_SMALL = "config error: delta must be in [2.2250738585072014e-308, 1), got 1e-310"
+
+
 def _assert_config_error_once(err, caplog):
     """The message reaches stderr once, as the `config error:` line: it is
     neither repeated there nor logged as well."""
@@ -96,6 +99,37 @@ class TestExitCodes:
             assert not out.exists()
         else:  # an error row, or the report's blank stateless row
             assert out.read_text().splitlines()[-1].split(",")[4] == ""
+
+    @pytest.mark.parametrize("argv,expect,says", [
+        # an infinite target: a bare math-domain traceback, or sigma=0 at exit 0
+        (["unlearn-one", "--preset", "synthetic", "--trials", "0", "--method", "d2d_thm28",
+          "--eps", "inf"], EXIT_CONFIG, "eps targets must be positive and finite"),
+        (["d2d", "--preset", "mnist38", "--eps", "inf"], EXIT_CONFIG,
+         "eps targets must be positive and finite"),
+        (["unlearn-one", "--preset", "synthetic", "--trials", "0", "--method", "d2d_thm9",
+          "--eps", "inf"], EXIT_CONFIG, "eps targets must be positive and finite"),
+        # a delta whose log(1/delta) is infinite: sigma=nan, a NaN traceback, or
+        # a vacuous bound
+        (["unlearn-one", "--preset", "synthetic", "--trials", "0", "--method", "d2d_thm9",
+          "--delta", "1e-310"], EXIT_CONFIG, _DELTA_TOO_SMALL),
+        (["d2d", "--preset", "mnist38", "--delta", "1e-310"], EXIT_CONFIG, _DELTA_TOO_SMALL),
+        (["unlearn-one", "--preset", "synthetic", "--trials", "0", "--delta", "1e-310"],
+         EXIT_CONFIG, _DELTA_TOO_SMALL),
+        (["calibrate-sigma", "--preset", "mnist38", "--delta", "1e-310"], EXIT_CONFIG,
+         _DELTA_TOO_SMALL),
+        # 4*d*i/delta overflows in the stateless step rule: an OverflowError
+        (["sequential", "--preset", "cifar10-multi", "--trials", "0", "--method", "d2d_thm28",
+          "--total-removals", "3", "--delta", "1e-305"], EXIT_CALIBRATION,
+         "request 1: 4*d*i/delta overflows float64 at delta=1e-305"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_non_finite_certificate_inputs_exit_typed(self, tmp_path, capsys, argv, expect,
+                                                      says):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == expect
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err, err
+        for path in tmp_path.glob("x*.csv"):
+            text = path.read_text().lower()
+            assert "nan" not in text and "inf" not in text, path
 
     def test_bad_eps_is_config_error(self, tmp_path):
         code = main(["calibrate-sigma", "--eps", "banana",

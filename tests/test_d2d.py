@@ -198,6 +198,23 @@ class TestEngine:
         with pytest.raises(InfeasibleBudget, match="divides by zero"):
             d2d_sigma_thm28(eps, 1e-3, M=1.0, m=m, n=100, L=1.0, d=5)
 
+    @pytest.mark.parametrize("eps,delta", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, 1e-310),
+                                           (1.0, 0.0)])
+    def test_non_finite_eps_or_log_delta_is_rejected(self, eps, delta):
+        # inf eps or 1/delta past float64 gave a math-domain error or sigma = nan
+        with pytest.raises(ValueError, match="eps must be" if delta == 1e-3 else "delta must"):
+            d2d_sigma_thm9(eps, delta, 1, M=1.0, m=0.5, n=100, L=1.0)
+        with pytest.raises(ValueError, match="eps must be" if delta == 1e-3 else "delta must"):
+            d2d_sigma_thm28(eps, delta, M=1.0, m=0.5, n=100, L=1.0, d=5)
+
+    def test_thm28_iterations_past_float64_are_infeasible(self, cifar_multi):
+        # 4*d*i/delta overflows past i = 8777 at delta = 1e-300 (d = 5120)
+        pc = cifar_multi.pc
+        cal = d2d_sigma_thm28(1.0, 1e-300, pc.M, pc.m, pc.n, pc.L, pc.d)
+        assert cal.I_min < cal.iterations(8777) < math.inf
+        with pytest.raises(InfeasibleBudget, match=r"request 8778: .* at delta=1e-300;"):
+            cal.iterations(8778)
+
 
 def test_stateless_calibration_counts_parameters(cifar_multi, mnist):
     """The stateless calibration takes the parameter count: d*c weights on a
