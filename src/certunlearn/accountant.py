@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -55,10 +56,10 @@ class RenyiBound:
     """A privacy-loss curve eps(alpha) defined for every alpha > 1.
 
     Wraps a closed-form parameterization so the curve can be evaluated at
-    any order, scalar or ndarray. `fn` receives a float order as is (the
-    golden-section probes of `rdp_to_dp` are floats, and wrapping each in a
-    0-d array costs more than the curve) and any other order as a float
-    ndarray, so it must accept both, as numpy ufuncs and `np.where` do.
+    any order, scalar or ndarray. A call checks the order and hands `fn` a
+    float ndarray; `rdp_to_dp` hands `fn` its grid as an ndarray and its
+    golden-section probes, which lie inside the grid, as floats unchecked.
+    So `fn` must accept both, as numpy ufuncs and `np.where` do.
     `meta` carries the parameters that built the curve (slope, decay sum,
     ...), for introspection and tests.
     """
@@ -68,13 +69,8 @@ class RenyiBound:
         self.meta = meta
 
     def __call__(self, alpha: ArrayLike) -> ArrayLike:
-        # `not >` rather than `<=`, so that a nan order is rejected too
-        if isinstance(alpha, float):  # also np.float64, a float subclass
-            if not alpha > 1.0:
-                raise ValueError("Renyi order alpha must be > 1")
-            return float(self._fn(alpha))
         arr = np.asarray(alpha, dtype=float)
-        if not (arr > 1.0).all():
+        if not (arr > 1.0).all():  # negated so that a nan order fails too
             raise ValueError("Renyi order alpha must be > 1")
         out = self._fn(arr)
         if np.ndim(alpha) == 0:
@@ -192,14 +188,7 @@ def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                C0: float, K: int) -> tuple[float, float]:
     """Sum of the rates R_k over K fine-tuning steps from LSI constant C0,
     and the LSI constant after them (C0 itself when strongly convex, whose
-    constant trace is not built)."""
-    _check_chain(pc, ns, regime, C0, K)
-    return _rate_sum(pc, ns, regime, C0, K)
-
-
-def _rate_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
-              C0: float, K: int) -> tuple[float, float]:
-    """_decay_sum of a chain that _check_chain accepts."""
+    constant trace is not built). The chain must pass _check_chain."""
     if regime is Regime.STRONGLY_CONVEX:
         return K * unlearn_rate(pc, ns, regime, C0), C0
     trace = _trace(pc, ns, regime, C0, K)
@@ -211,10 +200,10 @@ def _unlearned_scalars(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                        S: int, K: int) -> tuple[float, float]:
     """(slope, decay) of the curve exp(-decay/alpha) * slope * alpha that
     unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
-    builds, after the same checks in the same order, each made once."""
+    builds, after the same checks in the same order, the schedule's made once."""
     slope, C0 = _learned(pc, ns, regime, S)
     _check_start(C0, K)
-    return slope, _rate_sum(pc, ns, regime, C0, K)[0]
+    return slope, _decay_sum(pc, ns, regime, C0, K)[0]
 
 
 def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
@@ -232,6 +221,7 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
         C0 = default_c0(pc, ns, regime)
     if K is None:
         K = ns.K
+    _check_chain(pc, ns, regime, C0, K)
     decay, _ = _decay_sum(pc, ns, regime, C0, K)
     base = eps0._fn
     return RenyiBound(lambda a: np.exp(-decay / a) * base(a),
@@ -290,6 +280,7 @@ def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
     if C0 is None:
         C0 = default_c0(pc, ns, regime)
     validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
+    _check_start(C0, 0)  # after the schedule, so that sigma = 0 reports the sigma range
 
     if regime is Regime.STRONGLY_CONVEX:
         base = 4.0 * S * S * pc.M ** 2 / (pc.m * ns.sigma ** 2 * pc.n ** 2)
@@ -316,7 +307,7 @@ def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
     minimizing alpha), never above the objective at any probed alpha. Raises
     VacuousBound when the curve is infinite at every grid order, ValueError at nan.
     """
-    return _optimize_order(bound._fn(ALPHA_GRID), bound, delta)
+    return _optimize_order(bound._fn(ALPHA_GRID), bound._fn, delta)
 
 
 @functools.lru_cache(maxsize=8)
@@ -373,8 +364,8 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
     minimum over a prefix of rdp_to_dp's probes, so `eps <= target` answers
     the question as rdp_to_dp's eps would.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not sys.float_info.min <= delta < 1.0:  # 1/delta overflows from subnormal deltas
+        raise ValueError(f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}")
     log_inv_delta = math.log(1.0 / delta)
 
     grid = ALPHA_GRID

@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (ALPHA_GRID, _decay_sum, _optimize_order, _unlearned_scalars,
-                         learn_epsilon0)
+from .accountant import (ALPHA_GRID, _check_start, _decay_sum, _optimize_order,
+                         _unlearned_scalars, learn_epsilon0)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
                         ProblemConstants, Regime, default_c0)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
@@ -51,7 +51,7 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
 
     Galloping doubling followed by bisection on the (non-increasing in K)
     converted epsilon; raises BudgetUnreachable past k_max. The learning
-    curve does not depend on K, so every probe shares one.
+    curve does not depend on K, so every probe shares one and its checks.
     """
     if not eps_hat > 0:
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
@@ -207,11 +207,13 @@ class _Stream:
 
     def decay(self, k: int) -> tuple[float, float]:
         """Decay sum of a next request of k steps, and its final LSI constant."""
+        _check_start(self.c_start, k)
         return _decay_sum(self.pc, self.ns, self.regime, self.c_start, k)
 
     def admit(self, size: int, k: int) -> None:
+        slope = self.slope(size)  # first: it checks the schedule the decay relies on
         decay, self.c_start = self.decay(k)
-        self.slopes.append(self.slope(size))
+        self.slopes.append(slope)
         self.decays.append(decay)
 
     def curve(self, alpha: np.ndarray) -> np.ndarray:
@@ -318,6 +320,8 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
     previous request's curve on the alpha grid computed once per request,
     and each request's search starts from the K its predecessors predict.
     """
+    if not eps_hat > 0:
+        raise ValueError(f"eps_hat must be positive, got {eps_hat}")
     if s_total < 1 or b < 1:
         raise ValueError("s_total and b must be >= 1")
     full, rem = divmod(s_total, b)

@@ -35,6 +35,9 @@ def project_ball(v: np.ndarray, R: float) -> np.ndarray:
     norm = math.sqrt((v * v).sum())
     if norm <= R:
         return v
+    if norm == math.inf:  # the squared norm overflowed: project v scaled by its largest entry
+        v = v / np.abs(v).max()
+        norm = math.sqrt((v * v).sum())
     return v * (R / norm)
 
 

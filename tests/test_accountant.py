@@ -128,23 +128,25 @@ class TestUnlearnTrace:
     def test_strongly_convex_decay_sum_builds_no_trace(self, sc_setup, monkeypatch):
         pc, ns, regime = sc_setup
         c0 = 2.0 * ns.sigma ** 2 / pc.m
-        cases = [(c0, 7), (c0, 0), (0.0, 7), (c0, -1), (0.5 * c0, 7)]  # the last is invalid
-        want = []
-        for C0, K in cases:
-            try:
-                trace = lsi_unlearn_trace(pc, ns, regime, C0, K)
-                want.append((K * unlearn_rate(pc, ns, regime, C0), trace.values[-1]))
-            except ValueError as exc:
-                want.append((type(exc), str(exc)))
-        monkeypatch.setattr(accountant, "lsi_unlearn_trace", None)
-        got = []
-        for C0, K in cases:
-            try:
-                got.append(accountant._decay_sum(pc, ns, regime, C0, K))
-            except ValueError as exc:
-                got.append((type(exc), str(exc)))
+        valid = [(c0, 7), (c0, 0)]
+        invalid = [(0.0, 7), (c0, -1), (0.5 * c0, 7)]  # the last fails the step condition
+
+        def error(fn):
+            with pytest.raises(ValueError) as info:
+                fn()
+            return str(info.value)
+        want = [(K * unlearn_rate(pc, ns, regime, C0),
+                 lsi_unlearn_trace(pc, ns, regime, C0, K).values[-1]) for C0, K in valid]
+        want_errors = [error(lambda: lsi_unlearn_trace(pc, ns, regime, C0, K))
+                       for C0, K in invalid]
+        monkeypatch.setattr(accountant, "_trace", None)
+        got = [accountant._decay_sum(pc, ns, regime, C0, K) for C0, K in valid]
         assert got == want and isinstance(got[0][0], float)
-        assert [type(g[0]) is type for g in got] == [False, False, True, True, True]
+        # the checking entries reject the chains _decay_sum does not check
+        eps0 = RenyiBound.linear(1.0)
+        for entry in (lambda C0, K: lsi_unlearn_trace(pc, ns, regime, C0, K),
+                      lambda C0, K: unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=K)):
+            assert [error(lambda: entry(C0, K)) for C0, K in invalid] == want_errors
 
 
 class TestUnlearnRate:
@@ -359,6 +361,24 @@ class TestLearnEpsilon0:
         ns = NoiseSchedule(eta=mnist.eta, sigma=0.03)
         with pytest.raises(CapOverflow):
             learn_epsilon0(mnist.pc.with_(m=0.0), ns, Regime.NONCONVEX, T=10)
+
+    @pytest.mark.parametrize("regime", [Regime.CONVEX, Regime.NONCONVEX])
+    @pytest.mark.parametrize("C0", [0.0, -5.0, math.nan])
+    def test_rejects_a_start_unlearn_epsilon_rejects(self, regime, C0):
+        # the learning entry checks C0 once for every chain that starts there
+        pc = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
+        for T in (30, 0, INFINITE):
+            ns = NoiseSchedule(eta=1.0, sigma=1.0, T=T)
+            with pytest.raises(ValueError, match="C0 must be positive"):
+                learn_epsilon0(pc, ns, regime, C0=C0)
+            with pytest.raises(ValueError, match="C0 must be positive"):
+                unlearn_epsilon(RenyiBound.linear(1.0), pc, ns, regime, C0=C0, K=5)
+
+    def test_zero_noise_reports_the_sigma_range(self, small_ball_pc):
+        # sigma = 0 also makes the default C0 zero; the schedule speaks first
+        ns = NoiseSchedule(eta=0.1, sigma=0.0, T=30)
+        with pytest.raises(ValueError, match="privacy accounting requires sigma"):
+            learn_epsilon0(small_ball_pc, ns, Regime.CONVEX)
 
 
 class TestRdpToDp:

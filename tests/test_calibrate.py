@@ -509,8 +509,9 @@ class TestBinarySearchSigma:
         assert digest == "c5fcb663c7479d01"
 
     def test_one_check_per_probe(self, mnist, monkeypatch):
-        # the prologue: find_min_k at sigma_hi builds its learning curve (c, v)
-        # and its C0 (c), then checks each K probe once (v p); each sigma probe
+        # the prologue: find_min_k at sigma_hi builds its learning curve (c, v),
+        # which checks the chain for every K probe, and its C0 (c), then runs
+        # each K probe's order search unchecked (p); each sigma probe
         # then makes one default_c0 call, one validate_schedule call and one
         # order search
         events = []
@@ -527,7 +528,7 @@ class TestBinarySearchSigma:
             monkeypatch.setattr(module, name, counting(tag, getattr(module, name)))
         binary_search_sigma(1.0, mnist.delta, 1, mnist.pc, mnist.regime, S=1, eta=mnist.eta)
         trace = "".join(events)
-        assert re.fullmatch(r"cvc(vp)+(cvp)+", trace), trace
+        assert re.fullmatch(r"cvc(p)+(cvp)+", trace), trace
         assert trace.count("cvp") >= 20
 
 
@@ -723,6 +724,27 @@ class TestSequential:
                 eps, alpha = rdp_to_dp(bound, mnist.delta)
                 assert math.isfinite(eps) and math.isfinite(alpha)
 
+    @pytest.mark.parametrize("eps_hat", [-1.0, 0.0, math.nan])
+    def test_schedule_rejects_a_target_find_min_k_rejects(self, mnist, eps_hat):
+        with pytest.raises(ValueError, match="eps_hat must be positive"):
+            sequential_k_schedule(eps_hat, mnist.delta, 0.03, 17, 5, mnist.pc, mnist.regime,
+                                  eta=mnist.eta)
+
+    def test_one_schedule_check_per_batch_size(self, mnist, monkeypatch):
+        # the learning slope of each batch size checks the schedule for every
+        # K probe; 17 removals at b=5 are batches of 5, 5, 5 and 2
+        calls = []
+        check = accountant.validate_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+        monkeypatch.setattr(accountant, "validate_schedule", counting)
+        ks = sequential_k_schedule(1.0, mnist.delta, 0.03, 17, 5, mnist.pc, mnist.regime,
+                                   eta=mnist.eta)
+        assert ks[:3] == ORACLE_SEQ_HEADS[5]
+        assert len(calls) == 2
+
     def test_rejects_bad_indices(self, mnist):
         with pytest.raises(ValueError):
             sequential_epsilon(2.0, 0.03, 5, 0, [], mnist.pc, mnist.regime)
@@ -734,6 +756,40 @@ class TestSequential:
         for order in (math.nan, np.array(math.nan), np.array([2.0, math.nan])):
             with pytest.raises(ValueError, match="alpha"):
                 sequential_epsilon(order, 0.03, 5, 2, [10, 10], mnist.pc, mnist.regime)
+
+
+def _delta_entries(pr, delta):
+    """Every library entry that converts a Renyi curve at this delta."""
+    ns = _ns(pr, 0.03, 1)
+    return {
+        "converted_epsilon": lambda: converted_epsilon(pr.pc, ns, pr.regime, 1, 1, delta),
+        "find_min_k": lambda: find_min_k(1.0, delta, pr.pc, ns, pr.regime),
+        "binary_search_sigma": lambda: binary_search_sigma(1.0, delta, 1, pr.pc, pr.regime,
+                                                           eta=pr.eta),
+        "rdp_to_dp": lambda: rdp_to_dp(learn_epsilon0(pr.pc, ns, pr.regime), delta),
+        "sequential_k_schedule": lambda: sequential_k_schedule(
+            1.0, delta, 0.03, 17, 5, pr.pc, pr.regime, eta=pr.eta),
+    }
+
+
+_DELTA_ENTRY_NAMES = list(_delta_entries(get_preset("mnist38"), 0.5))
+
+
+class TestDeltaRange:
+    """Below the least normal float, 1/delta can overflow and the order term
+    with it; the library rejects such a delta as the CLI and d2d do, rather
+    than calling every curve vacuous."""
+
+    @pytest.mark.parametrize("entry", _DELTA_ENTRY_NAMES)
+    def test_subnormal_delta_is_a_range_error(self, mnist, entry):
+        message = f"delta must be in [{sys.float_info.min!r}, 1), got 1e-310"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _delta_entries(mnist, 1e-310)[entry]()
+
+    @pytest.mark.parametrize("entry", _DELTA_ENTRY_NAMES)
+    def test_least_normal_delta_certifies(self, mnist, entry):
+        out = _delta_entries(mnist, sys.float_info.min)[entry]()
+        assert np.isfinite(out).all() and np.greater(out, 0).all()
 
 
 class TestConvertedEpsilonChain:

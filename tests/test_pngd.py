@@ -43,6 +43,16 @@ class TestProjection:
         doubled = project_ball(2.0 * v, 1.0)
         assert doubled == pytest.approx(v, rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_norm_keeps_direction(self, scale):
+        # the squared norm overflows (numpy warns); the projection must not
+        # send v to zero but onto the sphere of radius R along v
+        u = np.array([1.0, -2.0, 3.0])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = project_ball(scale * u, 2.0)
+        assert np.linalg.norm(got) == pytest.approx(2.0, rel=1e-15)
+        assert got == pytest.approx(2.0 * u / np.linalg.norm(u), rel=1e-15)
+
 
 class TestStep:
     def test_zero_noise_zero_step_is_identity(self):
