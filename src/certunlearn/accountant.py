@@ -71,7 +71,7 @@ class RenyiBound:
     def __call__(self, alpha: ArrayLike) -> ArrayLike:
         arr = np.asarray(alpha, dtype=float)
         if not (arr > 1.0).all():  # negated so that a nan order fails too
-            raise ValueError("Renyi order alpha must be > 1")
+            raise ValueError("alpha must be > 1")
         out = self._fn(arr)
         if np.ndim(alpha) == 0:
             return float(out)
@@ -110,7 +110,11 @@ def lsi_cap(R: float, M: float, eta: float, xi: float) -> float:
     """
     if not (R > 0 and M >= 0 and eta >= 0 and xi > 0):
         raise ValueError("lsi_cap needs R > 0, M >= 0, eta >= 0, xi > 0")
-    reach2 = 4.0 * (R + eta * M) ** 2
+    reach = R + eta * M
+    try:
+        reach2 = 4.0 * reach ** 2
+    except OverflowError:  # float ** raises where * gives inf; the cap overflows too
+        raise CapOverflow(4.0 * reach * (reach / xi)) from None
     exponent = reach2 / xi
     if exponent > _EXP_OVERFLOW:
         raise CapOverflow(exponent)
@@ -194,16 +198,6 @@ def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     trace = _trace(pc, ns, regime, C0, K)
     return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K]),
             float(trace.values[-1]))
-
-
-def _unlearned_scalars(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
-                       S: int, K: int) -> tuple[float, float]:
-    """(slope, decay) of the curve exp(-decay/alpha) * slope * alpha that
-    unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
-    builds, after the same checks in the same order, the schedule's made once."""
-    slope, C0 = _learned(pc, ns, regime, S)
-    _check_start(C0, K)
-    return slope, _decay_sum(pc, ns, regime, C0, K)[0]
 
 
 def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,

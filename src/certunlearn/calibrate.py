@@ -11,10 +11,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (ALPHA_GRID, _check_start, _decay_sum, _optimize_order,
-                         _unlearned_scalars, learn_epsilon0)
+from .accountant import (ALPHA_GRID, RenyiBound, _check_start, _decay_sum, _learned,
+                         _optimize_order)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
-                        ProblemConstants, Regime, default_c0)
+                        ProblemConstants, Regime)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
 DEFAULT_K_MAX = 10 ** 6
@@ -27,7 +27,7 @@ def converted_epsilon(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                       S: int, K: int, delta: float) -> float:
     """(eps, delta) certificate after training to convergence and K
     fine-tuning steps: the full accountant chain at one (sigma, K)."""
-    return _converted(*_unlearned_scalars(pc, ns, regime, S, K), delta, {})
+    return _converted(*_Stream(pc, ns, regime).admit(S, K), delta, {})
 
 
 def _converted(slope: float, decay: float, delta: float, exps: dict,
@@ -58,11 +58,11 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    slope = learn_epsilon0(pc, ns, regime, S=S).meta["slope"]
-    c0, exps = default_c0(pc, ns, regime), {}
+    stream, exps = _Stream(pc, ns, regime), {}
+    slope = stream.slope(S)
 
     def eps_at(k: int, target: float | None = None) -> float:
-        return _converted(slope, _decay_sum(pc, ns, regime, c0, k)[0], delta, exps, target)
+        return _converted(slope, stream.decay(k)[0], delta, exps, target)
 
     k = _least_k(lambda k: eps_at(k, eps_hat) <= eps_hat, k_max)
     if k is None:
@@ -133,9 +133,11 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     exps = {}
 
     def feasible(sigma: float) -> bool:
+        # _Stream.admit's chain of one, with no object; C0 and k_hat are checked
         ns = NoiseSchedule(eta=eta, sigma=sigma, T=INFINITE, K=k_hat)
         try:
-            slope, decay = _unlearned_scalars(pc, ns, regime, S, k_hat)
+            slope, c0 = _learned(pc, ns, regime, S)
+            decay = _decay_sum(pc, ns, regime, c0, k_hat)[0]
             return _converted(slope, decay, delta, exps, eps_hat) <= eps_hat
         except (CapOverflow, VacuousBound):
             return False
@@ -158,73 +160,68 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     return hi
 
 
-def _level(factor, a, slope: float, prev):
-    """One request's Renyi loss at order a (scalar or ndarray).
-
-    `factor` is the request's decay exp(-decay/a) and `prev` the previous
-    request's loss at order 2a, chained with this request's own learning
-    loss at 2a by the weak triangle inequality (None for the first request).
-    """
-    if prev is None:
-        return factor * slope * a
-    return factor * ((a - 0.5) / (a - 1.0)) * (slope * 2.0 * a + prev)
-
-
 def _level_on(alpha: np.ndarray, slope: float, decay: float, prev) -> np.ndarray:
-    """_level over an array of orders. An order whose unrolled orders
-    overflow float64 (inf/inf weights, 0*inf) gives +inf: vacuous there."""
+    """One request's Renyi loss at every order in alpha (an ndarray): its decay
+    exp(-decay/alpha) times slope*alpha for the first request (prev None),
+    else times the weak triangle inequality's chain of its learning loss at
+    2*alpha with `prev`, the previous request's loss there. An order whose
+    unrolled orders overflow float64 (inf/inf weights, 0*inf) gives +inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _level(np.exp(-decay / alpha), alpha, slope, prev)
+        factor = np.exp(-decay / alpha)
+        out = (factor * slope * alpha if prev is None
+               else factor * ((alpha - 0.5) / (alpha - 1.0)) * (slope * 2.0 * alpha + prev))
     out[np.isnan(out)] = np.inf
     return out
 
 
 class _Stream:
-    """The per-request constants of a removal stream, each computed once.
+    """The accountant chain of a removal stream, each constant computed once;
+    a single request is a stream of one.
 
-    Holds the learning slope (one learn_epsilon0 call per distinct batch
-    size) and the decay sum of every admitted request, and threads the
-    starting LSI constant of convex and non-convex chains from one request
-    to the next. The loss after request i needs the loss after request i-1
-    at twice the order, so request j of i is evaluated at alpha*2^(i-j).
+    Holds the learning slope of each distinct batch size (one _learned call
+    each, which checks the schedule and gives the starting LSI constant C0)
+    and the decay sum of every admitted request, and threads the LSI
+    constant of convex and non-convex chains from one request to the next.
+    The loss after request i needs the loss after request i-1 at twice the
+    order, so request j of i is evaluated at alpha*2^(i-j).
     """
 
-    def __init__(self, sigma: float, pc: ProblemConstants, regime: Regime,
-                 eta: float | None):
-        self.pc, self.regime = pc, regime
-        self.ns = NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma,
-                                T=INFINITE, K=0)
-        self.c_start = default_c0(pc, self.ns, regime)
+    def __init__(self, pc: ProblemConstants, ns: NoiseSchedule, regime: Regime):
+        self.pc, self.ns, self.regime = pc, ns, regime
+        self.c_start: float | None = None  # the first _learned call's C0
         self.slopes: list[float] = []
         self.decays: list[float] = []
         self._slope_of: dict[int, float] = {}
 
     def slope(self, size: int) -> float:
         if size not in self._slope_of:
-            self._slope_of[size] = learn_epsilon0(self.pc, self.ns, self.regime,
-                                                  S=size).meta["slope"]
+            self._slope_of[size], c0 = _learned(self.pc, self.ns, self.regime, size)
+            if self.c_start is None:
+                self.c_start = c0
         return self._slope_of[size]
 
     def decay(self, k: int) -> tuple[float, float]:
-        """Decay sum of a next request of k steps, and its final LSI constant."""
-        _check_start(self.c_start, k)
+        """Decay sum of a next request of k >= 0 steps, and its final LSI constant."""
         return _decay_sum(self.pc, self.ns, self.regime, self.c_start, k)
 
-    def admit(self, size: int, k: int) -> None:
+    def admit(self, size: int, k: int) -> tuple[float, float]:
+        """Append a request; returns its (slope, decay sum)."""
         slope = self.slope(size)  # first: it checks the schedule the decay relies on
+        _check_start(self.c_start, k)
         decay, self.c_start = self.decay(k)
         self.slopes.append(slope)
         self.decays.append(decay)
+        return slope, decay
 
     def curve(self, alpha: np.ndarray) -> np.ndarray:
-        """Loss after the last admitted request at every order in alpha."""
-        n = len(self.decays)
-        out = None
+        """Loss after the last admitted request at every order in alpha, an
+        ndarray of any shape (0-d included)."""
+        flat, n, out = alpha.reshape(-1), len(self.decays), None
         for j, (slope, decay) in enumerate(zip(self.slopes, self.decays)):
             with np.errstate(over="ignore"):
-                orders = np.ldexp(alpha, n - 1 - j)
+                orders = np.ldexp(flat, n - 1 - j)
             out = _level_on(orders, slope, decay, out)
-        return out
+        return out.reshape(alpha.shape)
 
 
 def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., float]:
@@ -262,7 +259,7 @@ def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., flo
                 weights = (hi * scales).tolist()
         out = None
         for factor, a, w, s in zip(np.exp(neg_decays / orders).tolist(), levels, weights,
-                                   slopes):  # _level, with the weight at order w
+                                   slopes):  # _level_on, with the weight at order w
             out = (factor * s * a if out is None
                    else factor * ((w - 0.5) / (w - 1.0)) * (s * 2.0 * a + out))
         return out if hi is not None or not math.isnan(out) else math.inf
@@ -295,16 +292,11 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
     if len(sizes) < i:
         raise ValueError("batch_sizes must cover every request")
 
-    stream = _Stream(sigma, pc, regime, eta)
+    stream = _Stream(pc, NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma),
+                     regime)
     for j in range(i):
         stream.admit(sizes[j], int(K_list[j]))
-
-    arr = np.asarray(alpha, dtype=float)
-    if not (arr > 1.0).all():  # negated so that a nan order fails too
-        raise ValueError("alpha must be > 1")
-    if np.ndim(alpha) == 0:
-        return _scalar_curve(stream.slopes, stream.decays)(float(arr))
-    return stream.curve(arr)
+    return RenyiBound(stream.curve)(alpha)
 
 
 def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: int,
@@ -327,7 +319,8 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
     full, rem = divmod(s_total, b)
     sizes = [b] * full + ([rem] if rem else [])
 
-    stream = _Stream(sigma, pc, regime, eta)
+    stream = _Stream(pc, NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma),
+                     regime)
     schedule: list[int] = []
     for size in sizes:
         slope = stream.slope(size)

@@ -71,7 +71,8 @@ class InitSpec:
 def draw_init(spec: InitSpec, shape: tuple[int, ...], R: float,
               rng: np.random.Generator) -> np.ndarray:
     w0 = spec.mean + math.sqrt(spec.variance) * rng.standard_normal(shape)
-    return project_ball(w0, R)
+    with np.errstate(over="ignore"):  # a huge mean overflows the squared norm
+        return project_ball(w0, R)
 
 
 def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator) -> np.ndarray:

@@ -14,23 +14,22 @@ from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          VacuousBound)
 from certunlearn import accountant
 from certunlearn.accountant import ALPHA_GRID
-from certunlearn.calibrate import _level
+from certunlearn.calibrate import _level_on
 
 
 def _weak_triangle(alpha, d1_at_2alpha, d2_at_2alpha):
     """Two Renyi differences at order 2*alpha chained into one at alpha: the
-    oracle of calibrate._level, which groups the product differently."""
+    oracle of calibrate._level_on, which groups the product differently."""
     return (alpha - 0.5) / (alpha - 1.0) * (d1_at_2alpha + d2_at_2alpha)
 
 
 def _reference_call(curve, alpha):
-    """The array-only RenyiBound.__call__: every order, scalars included, is
-    wrapped in a float ndarray and checked by a numpy reduction. The scalar
-    path must return exactly what this returns."""
+    """The curve at valid orders as the grid evaluates it: its function on a
+    1-d float array of the orders, unchecked. RenyiBound.__call__ hands the
+    function a 0-d array for a scalar order instead, and must return exactly
+    this, as a float."""
     arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 1.0):
-        raise ValueError("Renyi order alpha must be > 1")
-    out = curve._fn(arr)
+    out = curve._fn(arr.reshape(-1)).reshape(arr.shape)
     if np.ndim(alpha) == 0:
         return float(out)
     return out
@@ -83,6 +82,27 @@ class TestLsiCap:
         with pytest.raises(CapOverflow) as err:
             lsi_cap(10.0, 1.0, eta, xi)
         assert err.value.exponent == pytest.approx(1.11129e5, rel=1e-4)
+
+    def test_overflowing_reach_is_cap_overflow(self):
+        # (R + eta*M)^2 overflows before the exponent is formed
+        with pytest.raises(CapOverflow) as err:
+            lsi_cap(1e200, 1.0, 1.0, 1.0)
+        assert err.value.exponent == math.inf
+        with pytest.raises(CapOverflow) as err:
+            lsi_cap(1e200, 1.0, 1.0, 1e300)
+        assert err.value.exponent == pytest.approx(4e100, rel=1e-12)
+
+    @pytest.mark.parametrize("regime", [Regime.CONVEX, Regime.NONCONVEX])
+    @pytest.mark.parametrize("entry", ["learn_epsilon0", "converted_epsilon",
+                                       "binary_search_sigma"])
+    def test_entries_at_an_overflowing_reach_raise_cap_overflow(self, regime, entry):
+        pc = ProblemConstants(L=1.0, m=0.0, M=1.0, R=1e200, n=100, d=2)
+        ns = NoiseSchedule(eta=1.0, sigma=0.5)
+        call = {"learn_epsilon0": lambda: learn_epsilon0(pc, ns, regime),
+                "converted_epsilon": lambda: converted_epsilon(pc, ns, regime, 1, 1, 1e-4),
+                "binary_search_sigma": lambda: binary_search_sigma(1.0, 1e-4, 1, pc, regime)}
+        with pytest.raises(CapOverflow):
+            call[entry]()
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -205,8 +225,9 @@ class TestUnlearnEpsilon:
         assert eps == pytest.approx(1.0, rel=0.01)
 
     def test_probe_scalars_are_the_public_chains(self, mnist):
-        # the calibration probes' (slope, decay) against unlearn_epsilon on
-        # learn_epsilon0: the same bits, and the same error where either fails
+        # the (slope, decay) of calibration's chain of one request against
+        # unlearn_epsilon on learn_epsilon0: the same bits, and the same
+        # error where either fails
         small = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
         sc = (mnist.pc, mnist.regime)
         cases = [
@@ -227,19 +248,19 @@ class TestUnlearnEpsilon:
         def outcome(fn):
             try:
                 return tuple(v.hex() for v in fn())
-            except (ValueError, ZeroDivisionError, CapOverflow) as exc:
+            except (ValueError, CapOverflow) as exc:
                 return type(exc), str(exc)
 
         def public(pc, regime, ns, S, K):
             meta = unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime,
                                    K=K).meta
             return meta["base"].meta["slope"], meta["decay_sum"]
-        got = [outcome(lambda: accountant._unlearned_scalars(pc, ns, regime, S, K))
+        got = [outcome(lambda: calibrate._Stream(pc, ns, regime).admit(S, K))
                for pc, regime, ns, S, K in cases]
         assert got == [outcome(lambda: public(*case)) for case in cases]
         errors = [g[1] for g in got if isinstance(g[0], type)]
         assert [e.split(" ")[0] for e in errors] == [
-            "group", "K", "eta=7.6365", "privacy", "LSI", "LSI", "C0", "float"]
+            "group", "K", "eta=7.6365", "privacy", "LSI", "LSI", "C0", "strongly"]
 
 
 class TestLearnEpsilon0:
@@ -570,12 +591,14 @@ class TestSmallOps:
     ])
     def test_weak_triangle(self, alpha, d1, d2, expect):
         assert _weak_triangle(alpha, d1, d2) == pytest.approx(expect, rel=1e-8)
-        # _level chains a request's learning loss at 2a (slope * 2a) with the
-        # previous request's loss at 2a by the same inequality, then decays
-        slope, factor = d1 / (2.0 * alpha), 0.25
-        assert _level(factor, alpha, slope, d2) == pytest.approx(
+        # _level_on chains a request's learning loss at 2a (slope * 2a) with
+        # the previous request's loss at 2a by the same inequality, then decays
+        slope, decay = d1 / (2.0 * alpha), alpha * math.log(4.0)
+        factor = math.exp(-decay / alpha)  # 1/4
+        orders = np.array([alpha])
+        assert _level_on(orders, slope, decay, np.array([d2]))[0] == pytest.approx(
             factor * _weak_triangle(alpha, d1, d2), rel=1e-14)
-        assert _level(factor, alpha, slope, None) == pytest.approx(
+        assert _level_on(orders, slope, decay, None)[0] == pytest.approx(
             factor * slope * alpha, rel=1e-15)
 
     def test_adjacency_bound(self):
@@ -656,7 +679,7 @@ def _same(x, y):
 
 
 class TestScalarFastPath:
-    """Scalar orders skip the ndarray wrapping; every result must stay identical."""
+    """A scalar order gives exactly what the array path gives at that order."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(alpha=st.floats(1.0, 1e7, exclude_min=True),
@@ -688,14 +711,14 @@ class TestScalarFastPath:
             assert _same(bound(order), _reference_call(reference, order))
 
     def test_ndarray_curve_accepts_a_float(self):
+        # rdp_to_dp's golden-section probes hand the curve's function bare
+        # floats; each must give what a 1-element array gives
         for curve in _USER_CURVES:
             for order in (1.5, 30.0, 1e5):
                 assert isinstance(curve(order), float)
             delta = 1e-5
             got = rdp_to_dp(curve, delta)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(RenyiBound, "__call__", _reference_call)
-                want = rdp_to_dp(curve, delta)
+            want = rdp_to_dp(RenyiBound(lambda a: _reference_call(curve, a)), delta)
             assert all(_same(g, w) for g, w in zip(got, want))
 
     def test_calibration_bit_equal_to_reference(self):

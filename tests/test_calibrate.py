@@ -193,12 +193,13 @@ class TestFindMinK:
     def test_one_learning_curve_per_search(self, mnist, monkeypatch):
         # the learning curve does not depend on K, so every K probe shares one
         calls = []
+        learned = accountant._learned
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return learn_epsilon0(*args, **kwargs)
+            return learned(*args, **kwargs)
 
-        monkeypatch.setattr(calibrate, "learn_epsilon0", counting)
+        monkeypatch.setattr(calibrate, "_learned", counting)
         ns = _ns(mnist, 0.03)
         k = find_min_k(1.0, mnist.delta, mnist.pc, ns, mnist.regime, S=100)
         assert k == ORACLE_FIND_K_S100
@@ -259,18 +260,13 @@ def _assert_probe_matches_rdp_to_dp(probe, bound, delta, eps_hat):
 
 def _record_probe_points(monkeypatch):
     """Record the (schedule, K) at which each sigma or K probe builds its
-    unlearned curve."""
+    unlearned curve: every probe takes the decay sum at its K."""
     points = []
-    scalars, decay_sum = calibrate._unlearned_scalars, calibrate._decay_sum
-
-    def at_scalars(pc, ns, regime, S, K):
-        points.append((ns, K))
-        return scalars(pc, ns, regime, S, K)
+    decay_sum = calibrate._decay_sum
 
     def at_decay(pc, ns, regime, C0, K):
         points.append((ns, K))
         return decay_sum(pc, ns, regime, C0, K)
-    monkeypatch.setattr(calibrate, "_unlearned_scalars", at_scalars)
     monkeypatch.setattr(calibrate, "_decay_sum", at_decay)
     return points
 
@@ -305,7 +301,7 @@ def _unlearned_case(preset, sigma, S, K):
     ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=K)
     bound = unlearn_epsilon(learn_epsilon0(preset.pc, ns, preset.regime, S=S), preset.pc,
                             ns, preset.regime, K=K)
-    slope, decay = accountant._unlearned_scalars(preset.pc, ns, preset.regime, S, K)
+    slope, decay = calibrate._Stream(preset.pc, ns, preset.regime).admit(S, K)
     return (bound,
             lambda target: calibrate._converted(slope, decay, preset.delta, {}, target) <= target,
             lambda a, b: bound(a), preset.delta)
@@ -314,7 +310,7 @@ def _unlearned_case(preset, sigma, S, K):
 def _stream_case(preset, sigma, ks, sizes):
     """The curve after a stream of requests, the targeted verdict the
     schedule search reaches on it, and its floor."""
-    stream = calibrate._Stream(sigma, preset.pc, preset.regime, preset.eta)
+    stream = calibrate._Stream(preset.pc, _ns(preset, sigma), preset.regime)
     for size, k in zip(sizes, ks):
         stream.admit(size, k)
     on_grid = stream.curve(ALPHA_GRID)
@@ -509,11 +505,10 @@ class TestBinarySearchSigma:
         assert digest == "c5fcb663c7479d01"
 
     def test_one_check_per_probe(self, mnist, monkeypatch):
-        # the prologue: find_min_k at sigma_hi builds its learning curve (c, v),
-        # which checks the chain for every K probe, and its C0 (c), then runs
-        # each K probe's order search unchecked (p); each sigma probe
-        # then makes one default_c0 call, one validate_schedule call and one
-        # order search
+        # the prologue: find_min_k at sigma_hi builds its learning slope and
+        # C0 (c, v), which checks the chain for every K probe, then runs each
+        # K probe's order search unchecked (p); each sigma probe then makes
+        # one default_c0 call, one validate_schedule call and one order search
         events = []
 
         def counting(name, fn):
@@ -523,12 +518,11 @@ class TestBinarySearchSigma:
             return wrapped
         for module, name, tag in ((accountant, "validate_schedule", "v"),
                                   (accountant, "default_c0", "c"),
-                                  (calibrate, "default_c0", "c"),
                                   (calibrate, "_optimize_order", "p")):
             monkeypatch.setattr(module, name, counting(tag, getattr(module, name)))
         binary_search_sigma(1.0, mnist.delta, 1, mnist.pc, mnist.regime, S=1, eta=mnist.eta)
         trace = "".join(events)
-        assert re.fullmatch(r"cvc(p)+(cvp)+", trace), trace
+        assert re.fullmatch(r"cv(p)+(cvp)+", trace), trace
         assert trace.count("cvp") >= 20
 
 
@@ -667,10 +661,15 @@ class TestSequential:
             np.testing.assert_array_equal(
                 sequential_epsilon(ALPHA_GRID, *args, **kw),
                 _recursive_sequential_epsilon(ALPHA_GRID, *args, **kw))
+            # the schedule search's probe evaluator on the same requests
+            stream = calibrate._Stream(pc, NoiseSchedule(eta=eta, sigma=sigma), reg)
+            for size, k in zip(sizes, ks):
+                stream.admit(size, k)
+            probe = calibrate._scalar_curve(stream.slopes, stream.decays)
             for a in np.concatenate([ALPHA_GRID[::97], 1.0 + 10.0 ** rng.uniform(-6, 6, 20)]):
-                got = sequential_epsilon(float(a), *args, **kw)
-                assert got == _recursive_sequential_epsilon(float(a), *args, **kw)
-                assert isinstance(got, float)
+                want = _recursive_sequential_epsilon(float(a), *args, **kw)
+                for got in (sequential_epsilon(float(a), *args, **kw), probe(float(a))):
+                    assert got == want and isinstance(got, float)
 
     def test_k_probes_certify_what_rdp_to_dp_certifies(self, mnist, monkeypatch):
         # every K probe of the schedule search reaches rdp_to_dp's verdict on

@@ -414,6 +414,19 @@ class TestOutputs:
         assert out.exists()
         assert proc.stdout == ""  # results go only to --out
 
+    def test_far_initial_mean_leaves_stderr_empty(self, tmp_path):
+        # the initial point's squared norm overflows; it is projected all the
+        # same, and numpy's overflow warning must not reach the user
+        out = tmp_path / "u.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "certunlearn.cli", "unlearn-one", "--preset", "synthetic",
+             "--eps", "1", "--trials", "2", "--n-iter", "3", "--init-mean", "1e200",
+             "--out", str(out)],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["acc_mean"] == "0.746"
+
 
 class TestLoggingEnv:
     def test_invalid_level_warns_and_falls_back(self, tmp_path):

@@ -3,8 +3,10 @@ import math
 import pytest
 
 from certunlearn import (INFINITE, ConfigError, NoiseSchedule, ProblemConstants,
-                         Regime, binary_search_sigma, converted_epsilon, default_c0,
-                         get_preset, regime_for, validate_schedule)
+                         Regime, RenyiBound, binary_search_sigma, converted_epsilon,
+                         default_c0, find_min_k, get_preset, learn_epsilon0, regime_for,
+                         sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
+                         validate_schedule)
 from certunlearn.constants import SIGMA_RANGE
 from certunlearn.harness import ExperimentConfig
 
@@ -63,6 +65,24 @@ class TestRegimeValidation:
             validate_schedule(pc, ns, Regime.CONVEX)
         with pytest.raises(ValueError, match="requires m > 0"):
             validate_schedule(pc.with_(m=0.0), ns, Regime.STRONGLY_CONVEX)
+
+    def test_strongly_convex_entries_reject_m_zero(self):
+        # C0 defaults before the schedule is checked; it must not divide by m = 0
+        pc = ProblemConstants(L=1.0, m=0.0, M=1.0, R=1.0, n=100, d=2)
+        sc, ns = Regime.STRONGLY_CONVEX, NoiseSchedule(eta=1.0, sigma=0.5)
+        entries = [
+            lambda: default_c0(pc, ns, sc),
+            lambda: learn_epsilon0(pc, ns, sc),
+            lambda: unlearn_epsilon(RenyiBound.linear(1.0), pc, ns, sc, K=1),
+            lambda: converted_epsilon(pc, ns, sc, 1, 1, 1e-4),
+            lambda: find_min_k(1.0, 1e-4, pc, ns, sc),
+            lambda: binary_search_sigma(1.0, 1e-4, 1, pc, sc),
+            lambda: sequential_k_schedule(1.0, 1e-4, 0.5, 4, 2, pc, sc),
+            lambda: sequential_epsilon(2.0, 0.5, 2, 1, [1], pc, sc),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match="^strongly convex regime requires m > 0$"):
+                entry()
 
     def test_step_size_limits(self):
         pc = ProblemConstants(L=1.0, m=0.5, M=1.0, R=1.0, n=10, d=2)
