@@ -15,9 +15,9 @@ from .constants import (INFINITE, PRESETS, NoiseSchedule, Preset, ProblemConstan
 from .d2d import (Thm28Calibration, d2d_sigma_thm9, d2d_sigma_thm28, d2d_train,
                   d2d_unlearn)
 from .data import SyntheticSpec, load_dataset, make_synthetic, save_dataset
-from .errors import (BudgetUnreachable, CapOverflow, CertUnlearnError, ConfigError,
-                     DatasetFormatError, InfeasibleBudget, NoFeasibleSigma,
-                     VacuousBound)
+from .errors import (BudgetUnreachable, CalibrationInfeasible, CapOverflow,
+                     CertUnlearnError, ConfigError, DatasetFormatError, InfeasibleBudget,
+                     NoFeasibleSigma, VacuousBound)
 from .objectives import (Dataset, Objective, UnlearningRequest, apply_request,
                          evaluate, logistic_objective, multiclass_objective,
                          objective_for, quadratic_objective)
@@ -26,8 +26,8 @@ from .pngd import InitSpec, make_rng, pngd_step, project_ball, train, unlearn
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetUnreachable", "CapOverflow", "CertUnlearnError", "ConfigError",
-    "Dataset", "DatasetFormatError", "INFINITE",
+    "BudgetUnreachable", "CalibrationInfeasible", "CapOverflow", "CertUnlearnError",
+    "ConfigError", "Dataset", "DatasetFormatError", "INFINITE",
     "InfeasibleBudget", "InitSpec", "LsiTrace", "NoFeasibleSigma",
     "NoiseSchedule", "Objective", "PRESETS", "Preset",
     "ProblemConstants", "Regime", "RenyiBound", "SyntheticSpec",

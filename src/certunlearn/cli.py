@@ -17,8 +17,7 @@ import sys
 from . import d2d as _d2d
 from .constants import PRESETS
 from .data import SyntheticSpec, make_synthetic, save_dataset, write_csv
-from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError, DatasetFormatError,
-                     InfeasibleBudget, NoFeasibleSigma, VacuousBound)
+from .errors import CalibrationInfeasible, CertUnlearnError, ConfigError, DatasetFormatError
 from .harness import (_CALIBRATE_SIGMA_READS, _EVALUATE_READS, _SEQUENTIAL_READS,
                       _SWEEP_READS, _UNLEARN_ONE_READS, METHODS, ExperimentConfig, _certified,
                       emit_results, run_calibrate_sigma, run_evaluate, run_sequential,
@@ -149,11 +148,8 @@ def _cmd_make_data(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand. Only the first subcommand named in
-    argv gets -h and its flags (all do when argv names none): argparse sizes
-    the terminal at each add_argument, and a subcommand argv does not name is
-    never parsed, so help and errors read the same."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand and its flags."""
     parser = _Parser(
         prog="certunlearn",
         description="Certified machine unlearning: PNGD training/unlearning, a "
@@ -173,14 +169,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
                      "train once and report test accuracy"),
         "make-data": (_cmd_make_data, _MAKE_DATA_READS, "write a synthetic dataset CSV"),
     }
-    named = next((arg for arg in argv or () if arg in commands), None)
     for name, (fn, reads, help_text) in commands.items():
-        flagged = named in (None, name)
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS,
-                           add_help=flagged)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.set_defaults(handler=fn)
-        if not flagged:
-            continue
         p.add_argument("--config", help="key=value file; explicit flags override it")
         p.add_argument("--out")
         for field in reads:
@@ -191,7 +182,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _configure_logging()
-    parser = build_parser(argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if hasattr(args, "config"):  # the file's flags go first, so explicit ones win
@@ -203,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoFeasibleSigma, BudgetUnreachable, InfeasibleBudget, VacuousBound) as exc:
+    except CalibrationInfeasible as exc:
         print(f"calibration infeasible: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
     except (DatasetFormatError, OSError) as exc:

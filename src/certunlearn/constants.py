@@ -145,12 +145,13 @@ def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 
 def default_c0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime) -> float:
     """Default initialization LSI constant: 2 sigma^2/m when strongly convex, else eta sigma^2."""
-    if regime is Regime.STRONGLY_CONVEX:
-        try:
+    try:
+        if regime is Regime.STRONGLY_CONVEX:
             return 2.0 * ns.sigma ** 2 / pc.m
-        except ZeroDivisionError:  # as validate_schedule, which runs after, would say
-            raise ValueError("strongly convex regime requires m > 0") from None
-    return ns.eta * ns.sigma ** 2
+        return ns.eta * ns.sigma ** 2
+    except (ZeroDivisionError, OverflowError):  # m = 0, or sigma past ~1.3e154
+        validate_schedule(pc, ns, regime)  # names the cause
+        raise
 
 
 def model_constants(n: int, shape: tuple[int, ...], lam: float,

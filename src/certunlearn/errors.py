@@ -5,7 +5,11 @@ class CertUnlearnError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CapOverflow(CertUnlearnError):
+class CalibrationInfeasible(CertUnlearnError):
+    """No certificate exists at these noise and step settings (CLI exit 2)."""
+
+
+class CapOverflow(CalibrationInfeasible):
     """The ball-constrained LSI cap is not representable in float64.
 
     The cap has the form a * exp(e); once the exponent e passes ~709 the
@@ -24,12 +28,10 @@ class CapOverflow(CertUnlearnError):
         )
 
 
-class BudgetUnreachable(CertUnlearnError):
+class BudgetUnreachable(CalibrationInfeasible):
     """No iteration count up to K_max meets the privacy target."""
 
     def __init__(self, target: float, k_max: int, best: float | None = None):
-        self.target = target
-        self.k_max = k_max
         self.best = best
         msg = f"target epsilon {target:.6g} unreachable within K_max={k_max}"
         if best is not None:
@@ -37,24 +39,21 @@ class BudgetUnreachable(CertUnlearnError):
         super().__init__(msg)
 
 
-class NoFeasibleSigma(CertUnlearnError):
+class NoFeasibleSigma(CalibrationInfeasible):
     """Even the largest probed noise level fails the iteration budget."""
 
     def __init__(self, sigma_hi: float, k_hat: int, k_at_hi: int | None = None):
-        self.sigma_hi = sigma_hi
-        self.k_hat = k_hat
-        self.k_at_hi = k_at_hi
         msg = f"sigma_hi={sigma_hi:.6g} does not meet the step budget K_hat={k_hat}"
         if k_at_hi is not None:
             msg += f" (needs K={k_at_hi})"
         super().__init__(msg)
 
 
-class InfeasibleBudget(CertUnlearnError):
+class InfeasibleBudget(CalibrationInfeasible):
     """A closed-form calibration formula has no solution at these parameters."""
 
 
-class VacuousBound(CertUnlearnError):
+class VacuousBound(CalibrationInfeasible):
     """The Renyi bound is infinite at every probed order, so it certifies nothing.
 
     A sequential bound gets here once its unrolled orders alpha * 2^(i-1)

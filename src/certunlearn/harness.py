@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -30,8 +31,7 @@ from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule, Preset,
                         ProblemConstants, default_c0, get_preset, regime_for)
 from .data import SyntheticSpec, load_dataset, make_synthetic, write_csv
-from .errors import (BudgetUnreachable, CertUnlearnError, ConfigError, DatasetFormatError,
-                     NoFeasibleSigma)
+from .errors import CalibrationInfeasible, ConfigError, DatasetFormatError
 from .objectives import (Dataset, Objective, UnlearningRequest, _replace_rows, evaluate,
                          objective_for)
 
@@ -75,6 +75,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         get_preset(self.preset)  # ConfigError for an unknown name
+        for name in ("trials", "seed", "k_budget", "batch", "s_total", "n_iter"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.trials < 0:
@@ -290,7 +293,7 @@ def run_calibrate_sigma(cfg: ExperimentConfig) -> list[TrialResult]:
             cert = converted_epsilon(pc, ns, regime, cfg.batch, cfg.k_budget, delta)
             rows.append(TrialResult("langevin", sigma, eps_hat, cert, cfg.k_budget,
                                     None, None, None, cfg.seed))
-        except (NoFeasibleSigma, BudgetUnreachable) as exc:
+        except CalibrationInfeasible as exc:
             log.error("eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult("langevin", None, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
@@ -313,7 +316,7 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
         t0 = time.perf_counter()
         try:
             rows.append(_unlearn_one_row(cfg, pc, eps_hat, run))
-        except CertUnlearnError as exc:
+        except CalibrationInfeasible as exc:
             log.error("target eps=%g: %s", eps_hat, exc)
             rows.append(TrialResult(cfg.method, None, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))
@@ -327,7 +330,7 @@ def run_unlearn_one(cfg: ExperimentConfig) -> list[TrialResult]:
 def _unlearn_one_row(cfg: ExperimentConfig, pc: ProblemConstants, eps_hat: float,
                      run) -> TrialResult:
     regime, eta, delta = regime_for(pc), 1.0 / pc.L, cfg.resolved_delta(pc)
-    k_hat = int(cfg.k_budget)
+    k_hat = cfg.k_budget
 
     if cfg.method in ("langevin", "retrain"):
         sigma = cfg.sigma if cfg.sigma is not None else binary_search_sigma(
@@ -418,7 +421,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[t
         try:
             eps0 = rdp_to_dp(learn_epsilon0(pc, ns, regime, S=S), delta)[0]
             k = find_min_k(eps_hat, delta, pc, ns, regime, S=S)
-        except CertUnlearnError as exc:
+        except CalibrationInfeasible as exc:
             log.error("sigma=%g: %s", sigma, exc)
             rows.append(TrialResult("langevin", sigma, eps_hat, None, None, None,
                                     None, None, cfg.seed, error=str(exc)))

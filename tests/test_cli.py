@@ -9,10 +9,11 @@ import sys
 
 import pytest
 
-from certunlearn import (INFINITE, NoiseSchedule, SyntheticSpec, VacuousBound,
-                         binary_search_sigma, cli, converted_epsilon, d2d_sigma_thm28,
-                         find_min_k, get_preset, load_dataset, make_synthetic, objective_for,
-                         regime_for, save_dataset, sequential_k_schedule)
+from certunlearn import (INFINITE, BudgetUnreachable, CalibrationInfeasible, CapOverflow,
+                         InfeasibleBudget, NoFeasibleSigma, NoiseSchedule, SyntheticSpec,
+                         VacuousBound, binary_search_sigma, cli, converted_epsilon,
+                         d2d_sigma_thm28, find_min_k, get_preset, load_dataset, make_synthetic,
+                         objective_for, regime_for, save_dataset, sequential_k_schedule)
 from certunlearn.cli import (EXIT_CALIBRATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
 from certunlearn.harness import METHODS, ExperimentConfig
 
@@ -62,13 +63,19 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == EXIT_CALIBRATION
 
-    def test_vacuous_bound_is_calibration_infeasible(self, tmp_path, monkeypatch):
-        def vacuous(cfg):
-            raise VacuousBound()
-        monkeypatch.setattr(cli, "run_sequential", vacuous)
-        code = main(["sequential", "--preset", "mnist38", "--sigma", "0.03", "--eps", "1",
-                     "--out", str(tmp_path / "seq.csv")])
-        assert code == EXIT_CALIBRATION
+    def test_vacuous_bound_is_calibration_infeasible(self, tmp_path, monkeypatch, capsys):
+        # and so is every other way of having no certificate
+        errors = [VacuousBound(), CapOverflow(800.0), BudgetUnreachable(1.0, 10),
+                  NoFeasibleSigma(1.0, 1), InfeasibleBudget("no solution")]
+        assert {type(e) for e in errors} == set(CalibrationInfeasible.__subclasses__())
+        for error in errors:
+            def infeasible(cfg):
+                raise error
+            monkeypatch.setattr(cli, "run_sequential", infeasible)
+            code = main(["sequential", "--preset", "mnist38", "--sigma", "0.03", "--eps", "1",
+                         "--out", str(tmp_path / "seq.csv")])
+            assert code == EXIT_CALIBRATION, error
+            assert capsys.readouterr().err == f"calibration infeasible: {error}\n"
 
     def test_io_error(self, tmp_path, capsys):
         for command in ("calibrate-sigma", "d2d"):  # both go through one writer
@@ -591,8 +598,7 @@ def _cli_text(argv, monkeypatch):
 
 
 class TestHelpText:
-    """main builds only the named subcommand's flags; what it prints is the
-    same as with every subcommand's flags built."""
+    """What main prints for help and for a rejected command line."""
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="argparse lays out help differently across Python versions")
@@ -600,17 +606,3 @@ class TestHelpText:
     def test_pinned_bytes(self, monkeypatch, argv):
         code, text = _cli_text(argv, monkeypatch)
         assert (code, hashlib.sha256(text.encode()).hexdigest()[:16]) == _PINNED_TEXTS[argv]
-
-    @pytest.mark.parametrize("argv", list(_PINNED_TEXTS), ids=lambda a: " ".join(a) or "none")
-    def test_same_as_the_full_parser(self, monkeypatch, argv):
-        lazy = _cli_text(argv, monkeypatch)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
-        assert _cli_text(argv, monkeypatch) == lazy
-
-    def test_only_the_named_subcommand_gets_flags(self):
-        sub = next(a for a in cli.build_parser(["sweep", "--trials", "0"])._actions
-                   if a.choices)
-        flagged = {name for name, p in sub.choices.items() if len(p._actions) > 1}
-        assert flagged == {"sweep"}
-        assert set(_subcommand_fields()) == set(sub.choices)

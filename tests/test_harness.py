@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from certunlearn import (ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
+from certunlearn import (CapOverflow, ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
                          UnlearningRequest, apply_request, binary_search_sigma,
                          converted_epsilon, default_c0, evaluate, get_preset,
                          objective_for, sequential_k_schedule)
@@ -252,7 +252,8 @@ class TestConfig:
         ("sigma_grid", (float("nan"),)), ("eps_targets", (float("nan"),)),
         ("init_mean", float("nan")), ("init_mean", float("inf")), ("preset", "bogus"),
         ("sigma", 1e200), ("sigma", 1e-300), ("sigma_grid", (float("inf"),)),
-        ("sigma_grid", (0.5, 1e151)), ("sigma", -1.0),
+        ("sigma_grid", (0.5, 1e151)), ("sigma", -1.0), ("trials", 1.5), ("seed", 1.5),
+        ("k_budget", 1.5), ("batch", 1.5), ("s_total", 2.5), ("n_iter", 2.5),
     ])
     def test_rejects_out_of_range_numbers(self, field, value):
         with pytest.raises(ConfigError):
@@ -327,6 +328,20 @@ class TestCalibrateSigma:
         assert ok.error is None and cert <= 1.0 and ok.per_trial_acc == []
         assert bad.epsilon_target == 1e-9 and "unreachable" in bad.error
         assert (bad.sigma, bad.epsilon_achieved, bad.k_total) == (None, None, None)
+
+    def test_cap_overflow_is_an_error_row(self, monkeypatch):
+        search = harness.binary_search_sigma
+
+        def overflowing_first(eps_hat, *args, **kw):
+            if eps_hat == 2.0:
+                raise CapOverflow(800.0)
+            return search(eps_hat, *args, **kw)
+        monkeypatch.setattr(harness, "binary_search_sigma", overflowing_first)
+        bad, ok = run_calibrate_sigma(tiny_cfg(preset="mnist38", eps_targets=(2.0, 1.0)))
+        assert (bad.epsilon_target, bad.sigma) == (2.0, None)
+        assert bad.error == str(CapOverflow(800.0))
+        expected, = run_calibrate_sigma(tiny_cfg(preset="mnist38", eps_targets=(1.0,)))
+        assert (ok.error, ok.sigma) == (None, expected.sigma)
 
 
 class TestUnlearnOne:

@@ -3,6 +3,8 @@ so a documented name the package no longer has fails here."""
 import re
 from pathlib import Path
 
+from certunlearn import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,3 +16,13 @@ def test_python_blocks_run():
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["eps"] <= 1.0 and namespace["cert"] <= 1.0
     assert namespace["accuracy"] > 0.9
+
+
+def test_flag_table_matches_the_parser():
+    """Each row of the README's subcommand table lists exactly the flags the
+    parser gives that subcommand, --config, --out and -h aside."""
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]*)` \|$", README.read_text(), flags=re.M)
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    parsed = {name: {flag for action in parser._actions for flag in action.option_strings}
+              - {"--config", "--out", "-h", "--help"} for name, parser in sub.choices.items()}
+    assert {name: set(flags.split()) for name, flags in rows} == parsed
