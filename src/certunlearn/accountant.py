@@ -410,13 +410,21 @@ def retrain_saving_lower_bound(pc: ProblemConstants, ns: NoiseSchedule,
 
     Returns (saving, vacuous). The bound (alpha/(m*eta)) * log(m^2 n^2 / (16 M^2))
     is only meaningful for strongly convex problems with m*n > 4*M; otherwise
-    it is reported as 0 with vacuous=True.
+    it is reported as 0 with vacuous=True. A bound beyond float64 raises
+    ValueError.
     """
     if not alpha > 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     if pc.m <= 0:
         raise ValueError("retraining-saving bound requires strong convexity (m > 0)")
-    arg = pc.m ** 2 * pc.n ** 2 / (16.0 * pc.M ** 2)
-    if arg <= 1.0:
+    # log(m^2 n^2 / (16 M^2)) as twice the log of m n / (4 M): the squares
+    # leave float64 at constants (M = 1e200, m = M = 5e-324) whose ratio does not
+    ratio = pc.m / pc.M * (pc.n / 4.0)
+    if not ratio > 1.0:
         return 0.0, True
-    return alpha / (pc.m * ns.eta) * math.log(arg), False
+    rate = pc.m * ns.eta
+    saving = alpha / rate * (2.0 * math.log(ratio)) if rate > 0 else math.inf
+    if not math.isfinite(saving):
+        raise ValueError(f"retraining-saving bound exceeds float64: alpha={alpha!r}, "
+                         f"m*eta={rate!r}, m n / (4 M)={ratio!r}")
+    return saving, False

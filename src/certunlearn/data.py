@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetFormatError
-from .objectives import (Dataset, _off_unit_row, _row_blocks, _unit_rows, normalize_rows,
+from .objectives import (Dataset, _OffUnitRow, _row_blocks, _unit_rows, normalize_rows,
                          one_hot)
 from .pngd import make_rng
 
@@ -99,10 +99,11 @@ def _parse_dataset(lines: list[str]) -> Dataset:
             raise DatasetFormatError(
                 f"class label must lie in [0, {c}), got {y[bad[0]]}", line=linenos[bad[0]])
         y = one_hot(y, c)
-    if normalized and (off := _off_unit_row(X)):
+    try:
+        return Dataset(features=X, labels=y, normalized=normalized)
+    except _OffUnitRow as exc:
         raise DatasetFormatError(f"header says normalized=1 but this row has norm "
-                                 f"{float(off[1])!r}", line=linenos[off[0]])
-    return Dataset(features=X, labels=y, normalized=normalized)
+                                 f"{float(exc.norm)!r}", line=linenos[exc.row]) from None
 
 
 @dataclass(frozen=True)

@@ -203,38 +203,43 @@ def _run_trial(cfg: ExperimentConfig, method: str, sigma: float,
     order = rng.choice(data.n, size=sum(size for size, _ in requests),
                        replace=False).tolist()
 
-    def served():
-        """(objective on the post-request data, steps) per request. Every
-        request writes its rows into one copy of the data, so a yielded
-        objective holds only until the next one is drawn."""
-        if not requests:
-            return
-        X, y = data.features.copy(), data.labels.copy()
+    def serve(w, step):
+        """w after the last request: each request writes its rows into the
+        loaded data, then w = step(w, objective on the post-request data,
+        steps). No objective outlives its step unless the step returns it."""
         lo = 0
         for r, (size, steps) in enumerate(requests):
             req = UnlearningRequest(indices=tuple(order[lo:lo + size]),
                                     replacement_seed=replacement_seed(cfg.seed, t, r))
-            _replace_rows(X, y, req)
+            _replace_rows(data.features, data.labels, req)
             lo += size
-            yield objective_for(Dataset(X, y, normalized=data.normalized), lam=pc.lam,
-                                radius=pc.R), steps
+            w = step(w, objective_for(Dataset(data.features, data.labels,
+                                              normalized=data.normalized),
+                                      lam=pc.lam, radius=pc.R), steps)
+        return w
 
-    if method in ("langevin", "retrain"):
-        ns = NoiseSchedule(eta=1.0 / pc.L, sigma=sigma, T=cfg.n_iter)
-        init = _pngd.InitSpec(mean=cfg.init_mean, variance=default_c0(pc, ns, regime_for(pc)))
-        if method == "retrain":  # exact removal: train once on what remains
-            for objective, _ in served():
-                pass
-            return evaluate(_pngd.train(objective, ns, init, rng), test)[1]
-        w = _pngd.train(objective, ns, init, rng)
-        for updated, steps in served():
-            w = _pngd.unlearn(w, updated, steps, ns, rng)
-    else:
-        w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
-                            objective.shape, pc.R, rng)
-        w = _d2d.d2d_train(objective, cfg.n_iter, w)
-        for updated, steps in served():
-            w = _d2d.d2d_unlearn(w, updated, steps, sigma, rng)
+    # the rows the requests overwrite, put back before evaluation: with no
+    # test file, the test set is the training set
+    kept = data.features[order], data.labels[order]
+    try:
+        if method in ("langevin", "retrain"):
+            ns = NoiseSchedule(eta=1.0 / pc.L, sigma=sigma, T=cfg.n_iter)
+            init = _pngd.InitSpec(mean=cfg.init_mean,
+                                  variance=default_c0(pc, ns, regime_for(pc)))
+            if method == "retrain":  # exact removal: train once on what remains
+                w = _pngd.train(serve(objective, lambda _, updated, steps: updated),
+                                ns, init, rng)
+            else:
+                w = serve(_pngd.train(objective, ns, init, rng),
+                          lambda w, updated, steps: _pngd.unlearn(w, updated, steps, ns, rng))
+        else:
+            w = _pngd.draw_init(_pngd.InitSpec(mean=cfg.init_mean, variance=1.0),
+                                objective.shape, pc.R, rng)
+            w = serve(_d2d.d2d_train(objective, cfg.n_iter, w),
+                      lambda w, updated, steps: _d2d.d2d_unlearn(w, updated, steps, sigma,
+                                                                  rng))
+    finally:
+        data.features[order], data.labels[order] = kept
     return evaluate(w, test)[1]
 
 

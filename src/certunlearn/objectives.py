@@ -8,7 +8,7 @@ clipping, so M certifies the data term alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,14 +48,13 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _off_unit_row(X: np.ndarray) -> tuple[int, np.float64] | None:
-    """(index, norm) of the row of X farthest from unit norm, or None when
-    every row is within UNIT_NORM_ATOL of it."""
-    norms = _row_norms(X)
-    if np.allclose(norms, 1.0, rtol=0.0, atol=UNIT_NORM_ATOL):
-        return None
-    worst = int(np.argmax(np.abs(norms - 1.0)))
-    return worst, norms[worst]
+class _OffUnitRow(ValueError):
+    """A dataset marked normalized has a row more than UNIT_NORM_ATOL off
+    unit norm: `row` is the farthest one and `norm` its norm."""
+
+    def __init__(self, row: int, norm: np.float64):
+        self.row, self.norm = row, norm
+        super().__init__(f"dataset marked normalized but row {row} has norm {norm!r}")
 
 
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
@@ -70,12 +69,15 @@ class Dataset:
     """Feature matrix plus labels.
 
     Binary labels are a length-n vector in {-1, +1}; multiclass labels are
-    an n-by-c one-hot matrix. `normalized` asserts unit-norm feature rows.
+    an n-by-c one-hot matrix. `normalized` asserts unit-norm feature rows;
+    the row norms that check computes are kept for the objectives to read,
+    so they describe the rows as they were when the Dataset was built.
     """
 
     features: np.ndarray
     labels: np.ndarray
     normalized: bool = True
+    _norms: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
@@ -96,8 +98,12 @@ class Dataset:
                 raise ValueError("multiclass labels must be one-hot rows")
         else:
             raise ValueError(f"labels must be 1-D or 2-D, got shape {y.shape}")
-        if self.normalized and (off := _off_unit_row(X)):
-            raise ValueError(f"dataset marked normalized but row {off[0]} has norm {off[1]!r}")
+        if self.normalized:
+            norms = _row_norms(X)
+            if not np.allclose(norms, 1.0, rtol=0.0, atol=UNIT_NORM_ATOL):
+                worst = int(np.argmax(np.abs(norms - 1.0)))
+                raise _OffUnitRow(worst, norms[worst])
+            object.__setattr__(self, "_norms", norms)
 
     @property
     def n(self) -> int:
@@ -229,7 +235,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     n = data.n
     pc = model_constants(n, (data.d,), lam, radius)
     M = pc.M
-    row_norms = _row_norms(X)
+    row_norms = data._norms
     long_rows = np.flatnonzero(row_norms > M)
     long_norms = row_norms[long_rows]
 
@@ -281,7 +287,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
     n, d, c = data.n, data.d, data.n_classes
     pc = model_constants(n, (d, c), lam, radius)
     M = pc.M
-    row_norms = _row_norms(X)
+    row_norms = data._norms
 
     def loss(W: np.ndarray) -> float:
         _check_weight_shape(W, d, c)

@@ -619,6 +619,20 @@ class TestSmallOps:
         assert not vacuous
         assert value == pytest.approx(3146.012841884, rel=1e-9)
 
+    def test_retrain_saving_at_extreme_constants(self, mnist):
+        ns = NoiseSchedule(eta=mnist.eta, sigma=0.03)
+        # M^2 overflows float64: m n / (4 M) is far below 1
+        assert retrain_saving_lower_bound(mnist.pc.with_(M=1e200), ns, 20.0) == (0.0, True)
+        # m^2 and M^2 underflow to 0: m n / (4 M) is n / 4
+        tiny = mnist.pc.with_(m=5e-324, M=5e-324)
+        value, vacuous = retrain_saving_lower_bound(tiny, ns.with_(eta=1e308), 20.0)
+        assert not vacuous and math.isfinite(value)
+        assert value == pytest.approx(20.0 / (5e-324 * 1e308) * math.log(11982 ** 2 / 16),
+                                      rel=1e-12)
+        # m * eta underflows to 0: the saving exceeds float64
+        with pytest.raises(ValueError, match="exceeds float64"):
+            retrain_saving_lower_bound(tiny, ns.with_(eta=1e-10), 20.0)
+
     def test_retrain_saving_doubling_n(self, mnist):
         ns = NoiseSchedule(eta=mnist.eta, sigma=0.03)
         v1, _ = retrain_saving_lower_bound(mnist.pc, ns, alpha=20.0)

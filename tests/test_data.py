@@ -5,6 +5,7 @@ import pytest
 
 from certunlearn import (DatasetFormatError, SyntheticSpec, load_dataset,
                          make_synthetic, save_dataset)
+from certunlearn import objectives
 from certunlearn.data import one_hot
 from certunlearn.pngd import make_rng
 
@@ -39,6 +40,16 @@ class TestRoundTrip:
         save_dataset(data, str(p1))
         save_dataset(data, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_checks_unit_norms_in_one_pass(tmp_path, monkeypatch):
+    path = tmp_path / "unit.csv"
+    save_dataset(make_synthetic(SyntheticSpec(n=50, d=7), seed=3), str(path))
+    passes = []
+    real = objectives._row_norms
+    monkeypatch.setattr(objectives, "_row_norms", lambda X: passes.append(X.shape) or real(X))
+    load_dataset(str(path))
+    assert passes == [(50, 7)]
 
 
 class TestParseErrors:

@@ -157,8 +157,13 @@ class TestRunnerMatchesReferences:
         dict(method="langevin"), dict(method="retrain"), dict(method="d2d_thm9"),
         dict(method="d2d_thm28"), dict(method="langevin", k_budget=3),
         dict(method="langevin", constants=_THREE_CLASS, n_classes=3, n_iter=80),
-    ], ids=["langevin", "retrain", "d2d_thm9", "d2d_thm28", "k_budget_3", "three_class"])
-    def test_unlearn_one(self, kw, weights):
+        dict(method="langevin", data_path="train.csv", trials=8),
+    ], ids=["langevin", "retrain", "d2d_thm9", "d2d_thm28", "k_budget_3", "three_class",
+            "test_is_train"])
+    def test_unlearn_one(self, kw, weights, tmp_path, monkeypatch):
+        if "data_path" in kw:  # with no test file, the trials evaluate on the training set
+            monkeypatch.chdir(tmp_path)
+            save_dataset(make_synthetic(SyntheticSpec(), seed=5), kw["data_path"])
         cfg = tiny_cfg(**kw)
         preset, objective, test = _trial_inputs(cfg)
         row, = run_unlearn_one(cfg)
@@ -226,7 +231,7 @@ class TestTrialRunner:
 
 class TestTrialMemory:
     def test_sequential_trial_holds_no_more_than_unlearn_one(self, extra_bytes):
-        # every request of a trial writes into one copy of the data
+        # every request of a trial writes its rows into the loaded data: no copy of X
         cfg = tiny_cfg(n_iter=2)
         objective = objective_for(make_synthetic(SyntheticSpec(n=20000, d=100), seed=3),
                                   lam=0.002)  # X: 16 MB
@@ -236,8 +241,47 @@ class TestTrialMemory:
             return extra_bytes(lambda: harness._run_trial(
                 cfg, "langevin", 0.5, requests, objective, test, 0))
         one, sequential = peak([(1, 2)]), peak([(1, 2)] * 3)
-        assert objective.data.features.nbytes <= one
+        assert one <= 0.25 * objective.data.features.nbytes
         assert sequential <= 1.05 * one
+
+
+def _data_bytes(data):
+    return data.features.tobytes(), data.labels.tobytes()
+
+
+class TestTrialPutsDataBack:
+    """A trial writes its requests' rows into the loaded training data and
+    puts the original rows back, also when it raises."""
+
+    @pytest.fixture
+    def inputs(self):
+        objective = objective_for(make_synthetic(SyntheticSpec(n=300, d=5), seed=1), lam=0.002)
+        return objective, make_synthetic(SyntheticSpec(n=100, d=5), seed=2)
+
+    @pytest.mark.parametrize("method,requests", [
+        ("langevin", [(1, 2)]), ("retrain", [(1, 2)]), ("d2d_thm9", [(1, 2)]),
+        ("langevin", [(2, 2)] * 3),
+    ], ids=["langevin", "retrain", "d2d_thm9", "langevin_sequence"])
+    def test_rows_put_back(self, inputs, method, requests):
+        objective, test = inputs
+        before = _data_bytes(objective.data)
+        harness._run_trial(tiny_cfg(n_iter=5), method, 0.5, requests, objective, test, 0)
+        assert _data_bytes(objective.data) == before
+
+    @pytest.mark.parametrize("method,engine", [("langevin", "unlearn"), ("retrain", "train")])
+    def test_rows_put_back_when_the_trial_raises(self, inputs, method, engine, monkeypatch):
+        objective, test = inputs
+        before, replaced = _data_bytes(objective.data), []
+
+        def fail(*args, **kwargs):
+            replaced.append(_data_bytes(objective.data) != before)
+            raise RuntimeError("engine failed")
+        monkeypatch.setattr(harness._pngd, engine, fail)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            harness._run_trial(tiny_cfg(n_iter=5), method, 0.5, [(2, 2)] * 3, objective,
+                               test, 0)
+        assert replaced == [True]  # it raised after a request wrote its rows
+        assert _data_bytes(objective.data) == before
 
 
 class TestConfig:

@@ -10,6 +10,7 @@ from certunlearn import (Dataset, InitSpec, NoiseSchedule, UnlearningRequest,
                          logistic_objective, make_rng, make_synthetic,
                          multiclass_objective, objective_for, pngd_step, project_ball,
                          quadratic_objective, regime_for, SyntheticSpec, train, unlearn)
+from certunlearn import objectives
 from certunlearn.objectives import _BLOCK_BYTES, _row_norms, normalize_rows, one_hot
 from certunlearn.pngd import draw_init
 
@@ -500,6 +501,16 @@ class TestRowBlocks:
             assert _row_norms(X).tobytes() == want, n
             for other in (np.asfortranarray(X), X[:, ::-1], X[::2]):  # other layouts
                 assert _row_norms(other).tobytes() == np.linalg.norm(other, axis=1).tobytes()
+
+    @pytest.mark.parametrize("make,build", [(binary_data, logistic_objective),
+                                            (onehot_data, multiclass_objective)])
+    def test_objective_reads_the_norm_check_pass(self, make, build, monkeypatch):
+        data = make(n=300, d=9)
+        passes = []
+        monkeypatch.setattr(objectives, "_row_norms",
+                            lambda X: passes.append(X.shape) or _row_norms(X))
+        build(Dataset(data.features, data.labels))
+        assert passes == [(300, 9)]  # the Dataset check's
 
     def test_normalize_rows_returns_a_new_array(self):
         X = make_rng(4).standard_normal((300, 9))

@@ -3,7 +3,7 @@ so a documented name the package no longer has fails here."""
 import re
 from pathlib import Path
 
-from certunlearn import cli
+from certunlearn import cli, get_preset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +26,15 @@ def test_flag_table_matches_the_parser():
     parsed = {name: {flag for action in parser._actions for flag in action.option_strings}
               - {"--config", "--out", "-h", "--help"} for name, parser in sub.choices.items()}
     assert {name: set(flags.split()) for name, flags in rows} == parsed
+
+
+def test_trial_memory_figures_match_the_mnist38_shape():
+    """The trial-memory paragraph's MB figures are n*d*8 bytes of the mnist38
+    training matrix and of its test split (max(200, n // 4) rows, as
+    harness._load_data draws it), rounded to whole MB."""
+    paragraph = re.search(r"^A trial holds .*?\n\n", README.read_text(), flags=re.M | re.S)
+    train_mb, test_mb = re.search(r"about (\d+) \+ (\d+) MB at the mnist38 shape",
+                                  paragraph.group()).groups()
+    preset = get_preset("mnist38")
+    assert int(train_mb) == round(preset.n * preset.d * 8 / 1e6)
+    assert int(test_mb) == round(max(200, preset.n // 4) * preset.d * 8 / 1e6)
