@@ -7,12 +7,13 @@ fits a step budget, and how do sequential removal requests compose.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .accountant import (ALPHA_GRID, RenyiBound, _check_start, _decay_sum, _learned,
-                         _optimize_order)
+                         _optimize_order, _order_term)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
                         ProblemConstants, Regime)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
@@ -165,13 +166,16 @@ def _level_on(alpha: np.ndarray, slope: float, decay: float, prev) -> np.ndarray
     exp(-decay/alpha) times slope*alpha for the first request (prev None),
     else times the weak triangle inequality's chain of its learning loss at
     2*alpha with `prev`, the previous request's loss there. An order whose
-    unrolled orders overflow float64 (inf/inf weights, 0*inf) gives +inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(-decay / alpha)
-        out = (factor * slope * alpha if prev is None
-               else factor * ((alpha - 0.5) / (alpha - 1.0)) * (slope * 2.0 * alpha + prev))
-    out[np.isnan(out)] = np.inf
-    return out
+    unrolled orders overflow float64 (inf/inf weights, 0*inf) gives nan or
+    +inf, with numpy's warnings; the caller silences them and maps nan to +inf."""
+    factor = np.exp(-decay / alpha)
+    return (factor * slope * alpha if prev is None
+            else factor * ((alpha - 0.5) / (alpha - 1.0)) * (slope * 2.0 * alpha + prev))
+
+
+# the weak triangle inequality's weight on ALPHA_GRID; shared, so read-only
+_GRID_WEIGHT = (ALPHA_GRID - 0.5) / (ALPHA_GRID - 1.0)
+_GRID_WEIGHT.flags.writeable = False
 
 
 class _Stream:
@@ -215,12 +219,18 @@ class _Stream:
 
     def curve(self, alpha: np.ndarray) -> np.ndarray:
         """Loss after the last admitted request at every order in alpha, an
-        ndarray of any shape (0-d included)."""
+        ndarray of any shape (0-d included); +inf where an unrolled order
+        overflows float64.
+
+        The levels run under one errstate, and nan becomes +inf once, at the
+        end: a nan level stays nan through every later level, and an inf
+        level stays inf or turns nan, so the result is the one a per-level
+        map would give."""
         flat, n, out = alpha.reshape(-1), len(self.decays), None
-        for j, (slope, decay) in enumerate(zip(self.slopes, self.decays)):
-            with np.errstate(over="ignore"):
-                orders = np.ldexp(flat, n - 1 - j)
-            out = _level_on(orders, slope, decay, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (slope, decay) in enumerate(zip(self.slopes, self.decays)):
+                out = _level_on(np.ldexp(flat, n - 1 - j), slope, decay, out)
+        out[np.isnan(out)] = np.inf
         return out.reshape(alpha.shape)
 
 
@@ -247,16 +257,17 @@ def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., flo
     # alpha * 2^top stays finite exactly below 2^(1024 - top)
     finite_below = math.ldexp(1.0, 1024 - top) if top else math.inf
 
+    def scaled(x: float) -> np.ndarray:  # x * 2^(i-j) per request j, +inf past float64
+        if x < finite_below:
+            return x * scales
+        with np.errstate(over="ignore"):
+            return x * scales
+
     def at(alpha: float, hi: float | None = None) -> float:
-        if alpha < finite_below:
-            orders = alpha * scales
-        else:
-            with np.errstate(over="ignore"):
-                orders = alpha * scales
+        orders = scaled(alpha)
         levels = weights = orders.tolist()
         if hi is not None:
-            with np.errstate(over="ignore"):
-                weights = (hi * scales).tolist()
+            weights = scaled(hi).tolist()
         out = None
         for factor, a, w, s in zip(np.exp(neg_decays / orders).tolist(), levels, weights,
                                    slopes):  # _level_on, with the weight at order w
@@ -309,35 +320,70 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
     uses its actual size as the group size); each request's K is the least
     count certifying eps_hat, with earlier entries frozen. Each K probe
     certifies exactly what rdp_to_dp on sequential_epsilon would, with the
-    previous request's curve on the alpha grid computed once per request,
-    and each request's search starts from the K its predecessors predict.
+    request's constant factors on the alpha grid (the previous request's
+    curve at twice the order among them) computed once per request.
+
+    The search for each K is the same whatever it starts from; only its
+    probe count depends on the start. A strongly convex request starts at
+    the least K at which some grid order certifies (_grid_k), which off-grid
+    refinement can only lower; from the third request on, at the smaller of
+    that and the K the last two requests extrapolate to, which lands closer
+    deep into a b=1 stream. Convex and non-convex requests, and a request
+    with no finite grid K, start from the extrapolation.
     """
     if not eps_hat > 0:
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
     if s_total < 1 or b < 1:
         raise ValueError("s_total and b must be >= 1")
+    if not sys.float_info.min <= delta < 1.0:  # every probe's check, before `room` needs 1/delta
+        raise ValueError(f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}")
     full, rem = divmod(s_total, b)
     sizes = [b] * full + ([rem] if rem else [])
 
     stream = _Stream(pc, NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma),
                      regime)
+    room = eps_hat - _order_term(delta)  # what the loss may take at each grid order
     schedule: list[int] = []
     for size in sizes:
         slope = stream.slope(size)
-        prev = stream.curve(2.0 * ALPHA_GRID) if schedule else None
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lift = slope * 2.0 * ALPHA_GRID + stream.curve(2.0 * ALPHA_GRID) if schedule else None
+            k_grid = (_grid_k(slope * ALPHA_GRID if lift is None else _GRID_WEIGHT * lift,
+                              stream.decay(1)[0], room, k_max)
+                      if regime is Regime.STRONGLY_CONVEX else None)
 
         def ok(k: int) -> bool:
             decay, _ = stream.decay(k)
             at = _scalar_curve(stream.slopes + [slope], stream.decays + [decay])
-            on_grid = _level_on(ALPHA_GRID, slope, decay, prev)
+            with np.errstate(over="ignore", invalid="ignore"):  # _level_on, hoisted
+                factor = np.exp(-decay / ALPHA_GRID)
+                on_grid = (factor * slope * ALPHA_GRID if lift is None
+                           else factor * _GRID_WEIGHT * lift)
+            on_grid[np.isnan(on_grid)] = np.inf
             return _optimize_order(on_grid, at, delta, eps_hat, at)[0] <= eps_hat
 
         # K grows about linearly along a stream: extrapolate the last two
         guess = (2 * schedule[-1] - schedule[-2] if len(schedule) > 1
                  else schedule[-1] if schedule else 0)
+        if k_grid is not None:
+            guess = k_grid if len(schedule) < 2 else min(guess, k_grid)
         k = _least_k(ok, k_max, guess)
         if k is None:
             raise BudgetUnreachable(eps_hat, k_max)
         stream.admit(size, k)
         schedule.append(k)
     return schedule
+
+
+def _grid_k(base: np.ndarray, rate: float, room: np.ndarray, k_max: int) -> int | None:
+    """Least K in [0, k_max] at which a strongly convex request's grid loss
+    exp(-K*rate/alpha) * base(alpha) meets `room` (the target less the delta
+    term) at some grid order, up to rounding; None when no order gives a
+    finite K. An order certifies from K >= alpha*log(base/room)/rate on, and
+    only where room > 0. The caller silences numpy's warnings."""
+    if not rate > 0:
+        return None
+    need = np.where(room > 0, ALPHA_GRID * np.log(base / room), np.inf).min() / rate
+    if not math.isfinite(need):
+        return None
+    return min(max(math.ceil(need), 0), k_max)

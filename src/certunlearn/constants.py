@@ -144,12 +144,17 @@ def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 
 
 def default_c0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime) -> float:
-    """Default initialization LSI constant: 2 sigma^2/m when strongly convex, else eta sigma^2."""
+    """Default initialization LSI constant: 2 sigma^2/m when strongly convex,
+    else eta sigma^2. A sigma outside SIGMA_RANGE, or m = 0 when strongly
+    convex, raises validate_schedule's ValueError."""
+    sigma = ns.sigma
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        validate_schedule(pc, ns, regime)  # raises: sigma is out of range
     try:
         if regime is Regime.STRONGLY_CONVEX:
-            return 2.0 * ns.sigma ** 2 / pc.m
-        return ns.eta * ns.sigma ** 2
-    except (ZeroDivisionError, OverflowError):  # m = 0, or sigma past ~1.3e154
+            return 2.0 * sigma ** 2 / pc.m
+        return ns.eta * sigma ** 2
+    except ZeroDivisionError:  # m = 0
         validate_schedule(pc, ns, regime)  # names the cause
         raise
 

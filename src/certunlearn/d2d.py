@@ -51,8 +51,8 @@ def d2d_unlearn(params: np.ndarray, objective, I: int, sigma: float,
     perturbation N(0, sigma^2 I), not projected again (none when sigma is 0).
     Only the perturbed iterate is returned, so a stateless caller never sees
     the non-private intermediate."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     w = d2d_train(objective, I, params)
     return w if sigma == 0.0 else w + sigma * rng.standard_normal(w.shape)
 

@@ -50,6 +50,18 @@ def pngd_step(params: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
     return project_ball(moved, R)
 
 
+def _check_noise(ns: NoiseSchedule) -> None:
+    """Reject a schedule whose per-step noise variance 2*eta*sigma^2 is not
+    finite: every step would end in inf or nan weights."""
+    try:
+        variance = 2.0 * ns.eta * ns.sigma ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"the noise variance 2*eta*sigma^2 must be finite, got "
+                         f"eta={ns.eta!r}, sigma={ns.sigma!r}")
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Gaussian initialization N(mean * 1, variance * I), projected onto the ball.
@@ -85,6 +97,7 @@ def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator) -> np.nd
     """
     if math.isinf(ns.T):
         raise ValueError("train needs a finite T; INFINITE is an accountant-only value")
+    _check_noise(ns)
     R = objective.constants.R
     if isinstance(init, InitSpec):
         w = draw_init(init, objective.shape, R, rng)
@@ -104,6 +117,7 @@ def unlearn(params: np.ndarray, objective, K: int, ns: NoiseSchedule,
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
+    _check_noise(ns)
     R = objective.constants.R
     w = np.array(params, dtype=float)
     for _ in range(K):

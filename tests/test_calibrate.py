@@ -397,6 +397,50 @@ class TestEarlyExits:
         assert sum(call["evals"] for call in calls) <= 3388 // 3
 
 
+# K probes of the benchmark streams (mnist38, sigma=0.03, eps=1, 100 removals)
+# per batch size; the extrapolation-only start made 67, 110 and 131
+STREAM_PROBES = {20: 11, 10: 52, 5: 65}
+
+
+class TestStreamProbeCounts:
+    """Counts, not clocks: a schedule's K probes are exact and machine-free,
+    and the start of each request's search changes them, never the schedule."""
+
+    def _run(self, monkeypatch, args, eta, **patches):
+        """The schedule (or its error type) and its K probe count, with the
+        calibrate attributes in `patches` replaced."""
+        for name, value in patches.items():
+            monkeypatch.setattr(calibrate, name, value)
+        calls = _record_optimize(monkeypatch)
+        out = _schedule_or_error(*args, eta=eta)
+        monkeypatch.undo()
+        return out, len(calls)
+
+    def test_benchmark_streams_probe_counts(self, mnist, monkeypatch):
+        for b, most in STREAM_PROBES.items():
+            args = (1.0, mnist.delta, 0.03, 100, b, mnist.pc, mnist.regime)
+            ks, probes = self._run(monkeypatch, args, mnist.eta)
+            assert sum(ks) == ORACLE_SEQ_TOTALS[b]
+            assert probes <= most, (b, probes)
+
+    def test_grid_start_equals_cold_search_and_saves_probes(self, mnist, cifar_multi,
+                                                            monkeypatch):
+        saved = 0
+        for pr in (mnist, cifar_multi, get_preset("synthetic")):
+            for sigma in (0.01, 0.1):
+                for b in (1, 5, 20):
+                    args = (1.0, pr.delta, sigma, 40, b, pr.pc, pr.regime)
+                    warm, probes = self._run(monkeypatch, args, pr.eta)
+                    cold, _ = self._run(monkeypatch, args, pr.eta, _least_k=_cold_least_k)
+                    # the extrapolation alone, as before grid starts
+                    extrapolated, most = self._run(monkeypatch, args, pr.eta,
+                                                   _grid_k=lambda *a: None)
+                    assert warm == cold == extrapolated and isinstance(warm, list)
+                    assert probes <= most, (pr.name, sigma, b, probes, most)
+                    saved += most - probes
+        assert saved > 0
+
+
 class TestBinarySearchSigma:
     @pytest.mark.parametrize("preset_name", sorted(ORACLE_SIGMA))
     def test_matches_frozen_oracle(self, preset_name, request):
@@ -673,27 +717,32 @@ class TestSequential:
 
     def test_k_probes_certify_what_rdp_to_dp_certifies(self, mnist, monkeypatch):
         # every K probe of the schedule search reaches rdp_to_dp's verdict on
-        # sequential_epsilon at that K, with an (eps, alpha) rdp_to_dp evaluates
+        # sequential_epsilon at that K, with an (eps, alpha) rdp_to_dp evaluates;
+        # the warm search probes near each answer and the cold one from 0, so
+        # together they cover both sides of every boundary
         probes = []
-        search = calibrate._least_k
-        requests = []
-        calls = _record_optimize(monkeypatch)
-
-        def recording_search(ok, k_max, guess=0):
-            requests.append(len(requests))
-
-            def recording_ok(k):  # one _optimize_order call per probe
-                verdict = ok(k)
-                probes.append(dict(calls[-1], req=requests[-1], k=k, verdict=verdict))
-                return verdict
-            return search(recording_ok, k_max, guess)
-
-        monkeypatch.setattr(calibrate, "_least_k", recording_search)
         sigma, b = 0.03, 5
-        ks = sequential_k_schedule(1.0, mnist.delta, sigma, 17, b, mnist.pc, mnist.regime,
-                                   eta=mnist.eta)
-        monkeypatch.undo()
-        assert len(ks) == 4 and len(probes) > 4 * 10
+        schedules = []
+        for search in (calibrate._least_k, _cold_least_k):
+            requests = []
+            calls = _record_optimize(monkeypatch)
+
+            def recording_search(ok, k_max, guess=0, search=search, requests=requests,
+                                 calls=calls):
+                requests.append(len(requests))
+
+                def recording_ok(k):  # one _optimize_order call per probe
+                    verdict = ok(k)
+                    probes.append(dict(calls[-1], req=requests[-1], k=k, verdict=verdict))
+                    return verdict
+                return search(recording_ok, k_max, guess)
+
+            monkeypatch.setattr(calibrate, "_least_k", recording_search)
+            schedules.append(sequential_k_schedule(1.0, mnist.delta, sigma, 17, b, mnist.pc,
+                                                   mnist.regime, eta=mnist.eta))
+            monkeypatch.undo()
+        ks = schedules[0]
+        assert schedules[1] == ks and len(ks) == 4 and len(probes) > 4 * 10
         sizes = [5, 5, 5, 2]
         for probe in probes:
             req, k = probe["req"], probe["k"]
@@ -784,6 +833,13 @@ class TestDeltaRange:
         message = f"delta must be in [{sys.float_info.min!r}, 1), got 1e-310"
         with pytest.raises(ValueError, match=re.escape(message)):
             _delta_entries(mnist, 1e-310)[entry]()
+
+    @pytest.mark.parametrize("entry", _DELTA_ENTRY_NAMES)
+    def test_zero_and_negative_deltas_are_range_errors(self, mnist, entry):
+        for delta in (0.0, -1.0):
+            message = f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _delta_entries(mnist, delta)[entry]()
 
     @pytest.mark.parametrize("entry", _DELTA_ENTRY_NAMES)
     def test_least_normal_delta_certifies(self, mnist, entry):

@@ -106,8 +106,8 @@ class TestRegimeValidation:
             validate_schedule(pc, NoiseSchedule(eta=0.5, sigma=0.0),
                               Regime.STRONGLY_CONVEX)
 
-    @pytest.mark.parametrize("sigma", [1e-161, 1e-155, 1e153, 1e154, math.inf, 1e155, 1e200,
-                                       1e308])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-161, 1e-155, 1e153, 1e154, math.inf, 1e155,
+                                       1e200, 1e308])
     def test_accounting_rejects_noise_outside_the_range(self, sigma):
         p = get_preset("synthetic")
         ns = NoiseSchedule(eta=p.eta, sigma=sigma, T=INFINITE, K=1)
@@ -120,12 +120,8 @@ class TestRegimeValidation:
                   lambda: sequential_epsilon(2.0, sigma, 2, 1, [1], p.pc, p.regime, eta=p.eta),
                   lambda: sequential_k_schedule(1.0, p.delta, sigma, 4, 2, p.pc, p.regime,
                                                 eta=p.eta)]
-        checks += [lambda pc=pc, regime=regime: learn_epsilon0(pc, ns, regime)
-                   for pc, regime in regimes]
-        if 1e155 <= sigma < math.inf:  # sigma ** 2 overflows in default_c0, which
-            # each entry reaches before validate_schedule; below, C0 is a number
-            checks += [lambda pc=pc, regime=regime: default_c0(pc, ns, regime)
-                       for pc, regime in regimes]
+        checks += [lambda pc=pc, regime=regime, fn=fn: fn(pc, ns, regime)
+                   for pc, regime in regimes for fn in (learn_epsilon0, default_c0)]
         for check in checks:
             with pytest.raises(ValueError, match=r"within \[1e-150, 1e150\]"):
                 check()

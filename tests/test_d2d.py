@@ -170,6 +170,12 @@ class TestEngine:
         got = d2d_unlearn(center.copy(), obj, 3, 0.0, make_rng(0))
         assert got == pytest.approx(center, abs=1e-14)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+    def test_unlearn_rejects_a_non_finite_or_negative_noise_scale(self, sigma):
+        obj = quadratic_objective(np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            d2d_unlearn(np.zeros(3), obj, 2, sigma, make_rng(0))
+
     def test_unlearn_of_i_steps_makes_i_grad_calls(self):
         obj = objective_for(make_synthetic(SyntheticSpec(n=150, d=6), seed=21))
         calls = []

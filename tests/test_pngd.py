@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,18 @@ class TestTrainUnlearn:
 
 
 class TestNoiseScale:
+    # sigma ** 2 overflows; 2*eta*sigma^2 overflows; sigma is infinite
+    @pytest.mark.parametrize("eta,sigma", [(0.1, 1e155), (1.0, 1e154), (0.1, math.inf)])
+    def test_engines_reject_a_non_finite_noise_variance(self, eta, sigma):
+        obj = quadratic_objective(np.zeros(3), 1.0)
+        ns = NoiseSchedule(eta=eta, sigma=sigma, T=2, K=2)
+        for run in (lambda: train(obj, ns, np.zeros(3), make_rng(0)),
+                    lambda: train(obj, ns, InitSpec(), make_rng(0)),
+                    lambda: unlearn(np.zeros(3), obj, 2, ns, make_rng(0)),
+                    lambda: unlearn(np.zeros(3), obj, 0, ns, make_rng(0))):
+            with pytest.raises(ValueError, match=r"noise variance 2\*eta\*sigma\^2 must be finite"):
+                run()
+
     def test_increment_variance_matches_schedule(self):
         # grad = 0, huge ball: increments are pure noise of variance 2*eta*sigma^2
         eta, sigma = 0.3, 0.8
