@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -263,8 +264,9 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
              T: float | None = None, C0: float | None = None) -> tuple[float, float]:
     """learn_epsilon0's slope, checks included, and the C0 it started from."""
-    if S < 1:
-        raise ValueError(f"group size S must be >= 1, got {S}")
+    # int first: the ABC check alone costs about 0.5 us per calibration probe
+    if not (type(S) is int or isinstance(S, numbers.Integral)) or S < 1:
+        raise ValueError(f"group size S must be an integer >= 1, got {S!r}")
     if T is None:
         T = ns.T
     if not math.isinf(T):

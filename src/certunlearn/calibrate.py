@@ -252,8 +252,11 @@ def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., flo
     """
     neg_decays = -np.array(decays)
     top = len(slopes) - 1
-    with np.errstate(over="ignore"):
+    if top < 1024:  # 2^top is finite
         scales = np.ldexp(1.0, np.arange(top, -1, -1))
+    else:
+        with np.errstate(over="ignore"):
+            scales = np.ldexp(1.0, np.arange(top, -1, -1))
     # alpha * 2^top stays finite exactly below 2^(1024 - top)
     finite_below = math.ldexp(1.0, 1024 - top) if top else math.inf
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DatasetFormatError
-from .objectives import (Dataset, _OffUnitRow, _row_blocks, _unit_rows, normalize_rows,
-                         one_hot)
+from .objectives import (Dataset, _OffUnitRow, _checked_norms, _row_blocks, _unit_rows,
+                         normalize_rows, one_hot)
 from .pngd import make_rng
 
 _HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+c=(\d+)\s+normalized=([01])\s*$")
@@ -44,66 +44,76 @@ def save_dataset(data: Dataset, path: str) -> None:
 def load_dataset(path: str) -> Dataset:
     """Parse a dataset CSV; malformed input, or a row that is not unit-norm
     under a normalized=1 header, raises DatasetFormatError naming the file
-    and the offending line number."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    and the offending line number. The file is read twice, a line at a time:
+    once to count the rows, then straight into the feature matrix."""
     try:
-        return _parse_dataset(lines)
+        return _parse_dataset(path)
     except DatasetFormatError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
-def _parse_dataset(lines: list[str]) -> Dataset:
-    if not lines:
+def _lines(path: str) -> Iterator[str]:
+    """The file's lines, as `str.splitlines` splits its text, read one at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        for physical in fh:
+            yield from physical.splitlines()
+
+
+def _parse_dataset(path: str) -> Dataset:
+    lines = _lines(path)
+    header = next(lines, None)
+    if header is None:
         raise DatasetFormatError("empty file", line=1)
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(header)
     if not m:
         raise DatasetFormatError(
             "expected header '# d=<d> c=<c> normalized=<0|1>'", line=1)
     d, c, normalized = int(m.group(1)), int(m.group(2)), bool(int(m.group(3)))
     if d < 1 or c < 2:
         raise DatasetFormatError(f"invalid dimensions d={d} c={c}", line=1)
+    n = last = 0
+    for last, raw in enumerate(lines, start=2):
+        n += bool(raw.strip())
+    if not n:
+        raise DatasetFormatError("no data rows", line=max(last, 1))
 
-    rows, labels, linenos = [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+    X = np.empty((n, d))
+    y = np.empty(n, dtype=np.int64)
+    linenos = np.empty(n, dtype=np.int64)
+    wide = {}  # labels beyond int64, by row: y holds -2, invalid for either kind
+    i = 0
+    for lineno, raw in enumerate(_lines(path), start=1):
+        if lineno == 1 or not raw.strip():
             continue
         cells = raw.split(",")
         if len(cells) != d + 1:
             raise DatasetFormatError(
                 f"expected {d + 1} columns, got {len(cells)}", line=lineno)
         try:
-            feats = [float(v) for v in cells[:-1]]
+            X[i] = [float(v) for v in cells[:-1]]
             label = int(cells[-1])
         except ValueError as exc:
             raise DatasetFormatError(str(exc), line=lineno) from None
-        if any(not math.isfinite(v) for v in feats):
+        if not np.isfinite(X[i]).all():
             raise DatasetFormatError("non-finite feature value", line=lineno)
-        rows.append(feats)
-        labels.append(label)
-        linenos.append(lineno)
-    if not rows:
-        raise DatasetFormatError("no data rows", line=len(lines))
+        if not -2 ** 63 <= label < 2 ** 63:
+            wide[i], label = label, -2
+        y[i], linenos[i] = label, lineno
+        i += 1
 
-    X = np.array(rows, dtype=float)
-    y = np.array(labels, dtype=int)
-    if c == 2:
-        bad = np.nonzero(~np.isin(y, (-1, 1)))[0]
-        if bad.size:
-            raise DatasetFormatError(
-                f"binary label must be -1 or +1, got {y[bad[0]]}", line=linenos[bad[0]])
-    else:
-        bad = np.nonzero((y < 0) | (y >= c))[0]
-        if bad.size:
-            raise DatasetFormatError(
-                f"class label must lie in [0, {c}), got {y[bad[0]]}", line=linenos[bad[0]])
+    bad = np.flatnonzero(~np.isin(y, (-1, 1)) if c == 2 else (y < 0) | (y >= c))
+    if bad.size:
+        row = int(bad[0])
+        rule = "binary label must be -1 or +1" if c == 2 else f"class label must lie in [0, {c})"
+        raise DatasetFormatError(f"{rule}, got {wide.get(row, y[row])}", line=int(linenos[row]))
+    if c > 2:
         y = one_hot(y, c)
     try:
         return Dataset(features=X, labels=y, normalized=normalized)
     except _OffUnitRow as exc:
         raise DatasetFormatError(f"header says normalized=1 but this row has norm "
-                                 f"{float(exc.norm)!r}", line=linenos[exc.row]) from None
+                                 f"{float(exc.norm)!r}", line=int(linenos[exc.row])) from None
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,22 @@ def make_synthetic(spec: SyntheticSpec, seed: int,
     train/test splits that share the geometry seed share the distribution
     while sampling independent points.
     """
+    labels, blocks = _synthetic_rows(spec, seed, geometry_seed)
+    X, norms = np.empty((spec.n, spec.d)), np.empty(spec.n)
+    for rows, _, block_norms in blocks(out=X):
+        norms[rows] = block_norms
+    return Dataset(features=X, labels=labels, normalized=True, _unit_norms=norms)
+
+
+def _synthetic_rows(spec: SyntheticSpec, seed: int, geometry_seed: int | None = None):
+    """make_synthetic's labels (in Dataset form), drawn first, and a
+    generator over its row blocks (`_row_blocks`), to be called once:
+    blocks(out=None) yields (rows, features, row norms), each block drawn,
+    shifted by its class means, normalized and checked unit-norm when it is
+    reached, in out[rows] for an n-by-d `out`, else in a new array. A block
+    holds the bytes of the same rows of the whole matrix: the draws come in
+    the same order, and every other step works on each row alone.
+    """
     if spec.n < spec.n_classes or spec.d < 1:
         raise ValueError(f"bad synthetic spec {spec}")
     if spec.n_classes > 2 and spec.d < spec.n_classes:
@@ -141,14 +167,18 @@ def make_synthetic(spec: SyntheticSpec, seed: int,
         frame, _ = np.linalg.qr(geo.standard_normal((spec.d, spec.n_classes)))
         means = frame.T * spec.separation / math.sqrt(2.0)
     labels = rng.integers(0, spec.n_classes, size=spec.n)
-    # X = means[labels] + noise*Z, built in Z's buffer a row block at a time
-    # (IEEE + and * commute, so the bytes equal the formula's)
-    X = rng.standard_normal((spec.n, spec.d))
-    X *= spec.noise
-    for rows in _row_blocks(X):
-        X[rows] += means[labels[rows]]
-    _unit_rows(X)
+
+    def blocks(out: np.ndarray | None = None):
+        # X = means[labels] + noise*Z, built in Z's buffer (IEEE + and *
+        # commute, so the bytes equal the formula's)
+        for rows in _row_blocks(spec.n, spec.n * spec.d * 8):
+            X = (rng.standard_normal((rows.stop - rows.start, spec.d)) if out is None
+                 else rng.standard_normal(out=out[rows]))
+            X *= spec.noise
+            X += means[labels[rows]]
+            _unit_rows(X)
+            yield rows, X, _checked_norms(X, rows.start)
+
     if spec.n_classes == 2:
-        y = labels * 2 - 1
-        return Dataset(features=X, labels=y.astype(int), normalized=True)
-    return Dataset(features=X, labels=one_hot(labels, spec.n_classes), normalized=True)
+        return labels * 2 - 1, blocks
+    return one_hot(labels, spec.n_classes), blocks

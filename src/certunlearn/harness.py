@@ -2,7 +2,8 @@
 their result files. Every protocol but the sigma table runs its trials
 through one runner, `_trials`: train, then serve a list of removal requests
 (none for `evaluate`, one for `unlearn-one` and `sweep`, a stream for
-`sequential`).
+`sequential`); once every trial has run, one pass over the test split, a row
+block at a time, scores them all.
 
 Determinism contract: every experiment is a pure function of its config.
 The generator for trial t is Philox keyed by `seed XOR t`; it draws the
@@ -20,6 +21,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,10 +32,10 @@ from .calibrate import (binary_search_sigma, converted_epsilon, find_min_k,
                         sequential_k_schedule)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule, Preset,
                         ProblemConstants, default_c0, get_preset, regime_for)
-from .data import SyntheticSpec, load_dataset, make_synthetic, write_csv
+from .data import SyntheticSpec, _synthetic_rows, load_dataset, make_synthetic, write_csv
 from .errors import CalibrationInfeasible, ConfigError, DatasetFormatError
-from .objectives import (Dataset, Objective, UnlearningRequest, _replace_rows, evaluate,
-                         objective_for)
+from .objectives import (Dataset, Objective, UnlearningRequest, _hits, _replace_rows,
+                         _row_blocks, objective_for)
 
 log = logging.getLogger("certunlearn")
 
@@ -41,6 +43,9 @@ REPLACEMENT_TAG = 0x7265706C << 32  # ascii "repl", shifted clear of trial indic
 _TEST_SPLIT_TAG = 0x74657374         # ascii "test"
 
 METHODS = ("langevin", "d2d_thm9", "d2d_thm28", "retrain")
+
+# a test split's (features, labels) row blocks, labels in Dataset form
+_Blocks = Iterator[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -144,10 +149,11 @@ def replacement_seed(master_seed: int, trial: int, request: int = 0) -> int:
     return trial_seed(master_seed, trial) ^ REPLACEMENT_TAG ^ request
 
 
-def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """(train, test) datasets for the configured source. A training file
-    must hold unit-norm rows (normalized=1), and a test file the same
-    feature dimension and class count."""
+def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Callable[[], _Blocks]]:
+    """The training set and the test split's row blocks for the configured
+    source. A training file must hold unit-norm rows (normalized=1), and a
+    test file the same feature dimension and class count. A generated split
+    is drawn a block at a time, anew each time its blocks are asked for."""
     preset = cfg.resolved_preset()
     if cfg.data_path:
         train = load_dataset(cfg.data_path)
@@ -156,22 +162,40 @@ def _load_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
                                      "train only on unit-norm rows (normalized=1)", line=1)
         if not cfg.test_data_path:
             log.info("no test data supplied; evaluating on the training set")
-            return train, train
+            return train, lambda: _row_slices(train)
         test = load_dataset(cfg.test_data_path)
         if (test.d, test.n_classes) != (train.d, train.n_classes):
             raise DatasetFormatError(
                 f"header of {cfg.test_data_path} says d={test.d} c={test.n_classes}, but the "
                 f"training data {cfg.data_path} has d={train.d} c={train.n_classes}", line=1)
-        return train, test
+        return train, lambda: _row_slices(test)
     if cfg.preset != "synthetic" and cfg.constants is None:
         raise ConfigError(
             f"preset {cfg.preset!r} needs a feature CSV (data=<path>); only the "
             "synthetic preset (or an explicit constants bundle) generates its own data")
     spec = SyntheticSpec(n=preset.n, d=preset.d, n_classes=preset.n_classes)
-    train = make_synthetic(spec, cfg.seed)
-    test = make_synthetic(replace(spec, n=max(200, preset.n // 4)),
-                          cfg.seed ^ _TEST_SPLIT_TAG, geometry_seed=cfg.seed)
-    return train, test
+
+    def test_blocks() -> _Blocks:
+        labels, blocks = _synthetic_rows(replace(spec, n=max(200, preset.n // 4)),
+                                         cfg.seed ^ _TEST_SPLIT_TAG, geometry_seed=cfg.seed)
+        return ((X, labels[rows]) for rows, X, _ in blocks())
+    return make_synthetic(spec, cfg.seed), test_blocks
+
+
+def _row_slices(data: Dataset) -> _Blocks:
+    return ((data.features[rows], data.labels[rows])
+            for rows in _row_blocks(data.n, data.features.nbytes))
+
+
+def _accuracies(weights: list[np.ndarray], blocks: _Blocks) -> list[float]:
+    """Test accuracy of each weight vector, by `evaluate`'s rule, from one
+    pass over the test split's (features, labels) row blocks."""
+    correct, n = [0] * len(weights), 0
+    for X, labels in blocks:
+        n += X.shape[0]
+        for i, w in enumerate(weights):
+            correct[i] += int(np.count_nonzero(_hits(X @ w, labels)))
+    return [c / n for c in correct]
 
 
 def _certified(cfg: ExperimentConfig, objective: Objective | None = None) -> ProblemConstants:
@@ -188,8 +212,8 @@ def _certified(cfg: ExperimentConfig, objective: Objective | None = None) -> Pro
 
 def _run_trial(cfg: ExperimentConfig, method: str, sigma: float,
                requests: list[tuple[int, int]], objective: Objective,
-               test: Dataset, t: int) -> float:
-    """Test accuracy of trial t: train, then serve `requests` in turn.
+               t: int) -> np.ndarray:
+    """Weights of trial t: train, then serve `requests` in turn.
 
     Each request is (points removed, unlearning steps). The trial's
     generator draws the whole removal order before training. Langevin
@@ -218,8 +242,8 @@ def _run_trial(cfg: ExperimentConfig, method: str, sigma: float,
                                       lam=pc.lam, radius=pc.R), steps)
         return w
 
-    # the rows the requests overwrite, put back before evaluation: with no
-    # test file, the test set is the training set
+    # the rows the requests overwrite, put back before the trial returns:
+    # with no test file, the test set is the training set
     kept = data.features[order], data.labels[order]
     try:
         if method in ("langevin", "retrain"):
@@ -240,17 +264,18 @@ def _run_trial(cfg: ExperimentConfig, method: str, sigma: float,
                                                                   rng))
     finally:
         data.features[order], data.labels[order] = kept
-    return evaluate(w, test)[1]
+    return w
 
 
 def _trials(cfg: ExperimentConfig, count: int):
     """The constants `count` trials certify with (see `_certified`), and
     their runner, which maps (method, sigma, requests) to the per-trial
     accuracies and their mean and sample std (None, None for no trials).
-    The data are loaded here, once, and only when count > 0."""
-    objective = test = None
+    The runner runs every trial, then scores them all in one pass over the
+    test split. The data are loaded here, once, and only when count > 0."""
+    objective = test_blocks = None
     if count > 0:
-        data, test = _load_data(cfg)
+        data, test_blocks = _load_data(cfg)
         objective = objective_for(data, lam=cfg.resolved_preset().lam)
     pc = _certified(cfg, objective)
 
@@ -259,10 +284,10 @@ def _trials(cfg: ExperimentConfig, count: int):
         if count > 0 and removed > objective.data.n:
             raise ConfigError(f"{removed} removals per trial exceed the "
                               f"{objective.data.n} training rows")
-        accs = [_run_trial(cfg, method, sigma, requests, objective, test, t)
-                for t in range(count)]
-        if not accs:
-            return accs, None, None
+        if count == 0:
+            return [], None, None
+        accs = _accuracies([_run_trial(cfg, method, sigma, requests, objective, t)
+                            for t in range(count)], test_blocks())
         arr = np.asarray(accs, dtype=float)
         return accs, float(arr.mean()), float(arr.std(ddof=1)) if len(accs) > 1 else 0.0
     return pc, run

@@ -8,7 +8,7 @@ clipping, so M certifies the data term alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,26 +17,30 @@ from .constants import DEFAULT_RADIUS, ProblemConstants, model_constants
 from .pngd import make_rng
 
 UNIT_NORM_ATOL = 1e-12
-_BLOCK_BYTES = 1 << 20  # temporary a row-wise pass over an n-by-d array may build
+# temporary a row-wise pass over an n-by-d array may build; a run's peak is
+# its training matrix plus a few of these
+_BLOCK_BYTES = 1 << 18
 
 
-def _row_blocks(X: np.ndarray):
-    """Slices of consecutive rows of X, each about _BLOCK_BYTES of it, so a
-    row-wise pass builds block-sized temporaries instead of n-by-d ones. No
-    slice holds a lone row of several: numpy may sum a lone row of a strided
-    X in another order than it sums that row within X."""
-    n = X.shape[0]
-    count = max(1, min(n // 2, -(-X.nbytes // _BLOCK_BYTES)))
+def _row_blocks(n: int, nbytes: int):
+    """Slices of consecutive rows of an array of n rows and nbytes bytes,
+    each about _BLOCK_BYTES of it, so a row-wise pass builds block-sized
+    temporaries instead of n-by-d ones. No slice holds a lone row of several:
+    numpy may sum a lone row of a strided X in another order than it sums
+    that row within X."""
+    count = max(1, min(n // 2, -(-nbytes // _BLOCK_BYTES)))
     return (slice(n * i // count, n * (i + 1) // count) for i in range(count))
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=1) bit for bit, for a 2-D X of any layout,
-    reduced a row block at a time, which sums each row in the same order and
-    skips the n-by-d X*X temporary."""
+    """np.linalg.norm(X, axis=1) bit for bit, for a 2-D float X of any
+    layout, reduced a row block at a time, which sums each row in the same
+    order and skips the n-by-d X*X temporary. Each block makes norm's own
+    product and sum, without the copy its x.conj() makes of a real block."""
     out = np.empty(X.shape[0])
-    for rows in _row_blocks(X):
-        out[rows] = np.linalg.norm(X[rows], axis=1)
+    for rows in _row_blocks(X.shape[0], X.nbytes):
+        block = X[rows]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=out[rows])
     return out
 
 
@@ -57,6 +61,17 @@ class _OffUnitRow(ValueError):
         super().__init__(f"dataset marked normalized but row {row} has norm {norm!r}")
 
 
+def _checked_norms(X: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """The row norms of X, once each is within UNIT_NORM_ATOL of 1; else
+    _OffUnitRow names the farthest row, counting X's rows from first_row."""
+    norms = _row_norms(X)
+    off = np.abs(norms - 1.0)
+    if not off.max(initial=0.0) <= UNIT_NORM_ATOL:  # a nan norm fails too
+        worst = int(np.argmax(off))
+        raise _OffUnitRow(first_row + worst, norms[worst])
+    return norms
+
+
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
     """n-by-c integer matrix whose row i has its one 1 in column labels[i]."""
     out = np.zeros((len(labels), c), dtype=int)
@@ -71,15 +86,18 @@ class Dataset:
     Binary labels are a length-n vector in {-1, +1}; multiclass labels are
     an n-by-c one-hot matrix. `normalized` asserts unit-norm feature rows;
     the row norms that check computes are kept for the objectives to read,
-    so they describe the rows as they were when the Dataset was built.
+    so they describe the rows as they were when the Dataset was built. A
+    builder that has already checked the rows (`_checked_norms`) passes
+    their norms as `_unit_norms` instead.
     """
 
     features: np.ndarray
     labels: np.ndarray
     normalized: bool = True
     _norms: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _unit_norms: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _unit_norms):
         X = np.asarray(self.features, dtype=float)
         y = np.asarray(self.labels)
         object.__setattr__(self, "features", X)
@@ -99,11 +117,8 @@ class Dataset:
         else:
             raise ValueError(f"labels must be 1-D or 2-D, got shape {y.shape}")
         if self.normalized:
-            norms = _row_norms(X)
-            if not np.allclose(norms, 1.0, rtol=0.0, atol=UNIT_NORM_ATOL):
-                worst = int(np.argmax(np.abs(norms - 1.0)))
-                raise _OffUnitRow(worst, norms[worst])
-            object.__setattr__(self, "_norms", norms)
+            object.__setattr__(self, "_norms",
+                               _checked_norms(X) if _unit_norms is None else _unit_norms)
 
     @property
     def n(self) -> int:
@@ -367,12 +382,18 @@ def evaluate(params: np.ndarray, data: Dataset,
     params = np.asarray(params, dtype=float)
     if data.is_multiclass:
         _check_weight_shape(params, data.d, data.n_classes)
-        loss, truth = _softmax_loss, np.argmax(data.labels, axis=1)
+        loss = _softmax_loss
     elif params.shape != (data.d,):
         raise ValueError(f"params must have shape ({data.d},), got {params.shape}")
     else:
-        loss, truth = _logistic_loss, data.labels
+        loss = _logistic_loss
     scores = data.features @ params
-    # labels: sign with the tie sign(0) -> +1, argmax with ties to the lowest class
-    pred = np.where(scores >= 0.0, 1, -1) if scores.ndim == 1 else np.argmax(scores, axis=1)
-    return loss(scores, data.labels, params, lam), float(np.mean(pred == truth))
+    return loss(scores, data.labels, params, lam), float(np.mean(_hits(scores, data.labels)))
+
+
+def _hits(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Whether each row's scores predict its label (Dataset form): the sign,
+    with the tie sign(0) -> +1, or the argmax, with ties to the lowest class."""
+    if scores.ndim == 1:
+        return np.where(scores >= 0.0, 1, -1) == labels
+    return np.argmax(scores, axis=1) == np.argmax(labels, axis=1)

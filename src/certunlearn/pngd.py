@@ -46,20 +46,21 @@ def pngd_step(params: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
               rng: np.random.Generator) -> np.ndarray:
     """One noisy projected step; consumes exactly params.size Gaussian draws."""
     noise = rng.standard_normal(params.shape)
-    moved = params - eta * grad(params) + math.sqrt(2.0 * eta * sigma ** 2) * noise
+    moved = params - eta * grad(params) + _noise_scale(eta, sigma) * noise
     return project_ball(moved, R)
 
 
-def _check_noise(ns: NoiseSchedule) -> None:
-    """Reject a schedule whose per-step noise variance 2*eta*sigma^2 is not
-    finite: every step would end in inf or nan weights."""
+def _noise_scale(eta: float, sigma: float) -> float:
+    """sqrt(2*eta*sigma^2), the per-step noise scale. A scale that is not
+    finite would end every step in inf or nan weights: ValueError."""
     try:
-        variance = 2.0 * ns.eta * ns.sigma ** 2
+        scale = math.sqrt(2.0 * eta * sigma ** 2)
     except OverflowError:  # float ** raises where * gives inf
-        variance = math.inf
-    if not math.isfinite(variance):
+        scale = math.inf
+    if not math.isfinite(scale):
         raise ValueError(f"the noise variance 2*eta*sigma^2 must be finite, got "
-                         f"eta={ns.eta!r}, sigma={ns.sigma!r}")
+                         f"eta={eta!r}, sigma={sigma!r}")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def train(objective, ns: NoiseSchedule, init, rng: np.random.Generator) -> np.nd
     """
     if math.isinf(ns.T):
         raise ValueError("train needs a finite T; INFINITE is an accountant-only value")
-    _check_noise(ns)
+    _noise_scale(ns.eta, ns.sigma)  # once per call, also for no steps
     R = objective.constants.R
     if isinstance(init, InitSpec):
         w = draw_init(init, objective.shape, R, rng)
@@ -117,7 +118,7 @@ def unlearn(params: np.ndarray, objective, K: int, ns: NoiseSchedule,
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    _check_noise(ns)
+    _noise_scale(ns.eta, ns.sigma)  # once per call, also for no steps
     R = objective.constants.R
     w = np.array(params, dtype=float)
     for _ in range(K):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, adjacency_bound_unbiased,
                          binary_search_sigma, calibrate, converted_epsilon, default_c0,
-                         get_preset, learn_epsilon0, lsi_cap, lsi_unlearn_trace, rdp_to_dp,
+                         find_min_k, get_preset, learn_epsilon0, lsi_cap, lsi_unlearn_trace,
+                         rdp_to_dp,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
                          VacuousBound)
 from certunlearn import accountant
@@ -294,6 +295,24 @@ class TestLearnEpsilon0:
         s1 = learn_epsilon0(pc, ns, regime, S=1).meta["slope"]
         s3 = learn_epsilon0(pc, ns, regime, S=3).meta["slope"]
         assert s3 == pytest.approx(9.0 * s1, rel=1e-14)
+
+    @pytest.mark.parametrize("S", [1.5, 2.0, "2"])
+    def test_group_size_must_be_an_integer(self, S, mnist):
+        # S = 1.5 returned a curve, and converted_epsilon certified 0.4745 with it
+        ns = NoiseSchedule(eta=mnist.eta, sigma=0.03, T=INFINITE, K=1)
+        pc, regime, delta = mnist.pc, mnist.regime, mnist.delta
+        for entry in (lambda: learn_epsilon0(pc, ns, regime, S=S),
+                      lambda: converted_epsilon(pc, ns, regime, S, 1, delta),
+                      lambda: find_min_k(1.0, delta, pc, ns, regime, S=S),
+                      lambda: binary_search_sigma(1.0, delta, 1, pc, regime, S=S,
+                                                  eta=mnist.eta)):
+            with pytest.raises(ValueError, match="group size S must be an integer >= 1"):
+                entry()
+
+    def test_numpy_integer_group_size_passes(self, sc_setup):
+        pc, ns, regime = sc_setup
+        assert (learn_epsilon0(pc, ns, regime, S=np.int64(3)).meta["slope"]
+                == learn_epsilon0(pc, ns, regime, S=3).meta["slope"])
 
     def test_monotone_in_n_sigma_t(self, sc_setup):
         pc, ns, regime = sc_setup

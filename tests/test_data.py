@@ -52,6 +52,16 @@ def test_load_checks_unit_norms_in_one_pass(tmp_path, monkeypatch):
     assert passes == [(50, 7)]
 
 
+def test_load_builds_one_matrix(tmp_path, extra_bytes):
+    # reading the whole text and parsing it into lists of Python floats
+    # peaked at 8x the matrix; the loader counts the rows, then parses each
+    # line straight into the preallocated matrix
+    data = make_synthetic(SyntheticSpec(n=2000, d=100), seed=3)  # X: 1.6 MB
+    path = tmp_path / "big.csv"
+    save_dataset(data, str(path))
+    assert extra_bytes(lambda: load_dataset(str(path))) <= 1.5 * data.features.nbytes
+
+
 class TestParseErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

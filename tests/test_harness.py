@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from certunlearn import (CapOverflow, ConfigError, INFINITE, NoiseSchedule, ProblemConstants,
-                         UnlearningRequest, apply_request, binary_search_sigma,
+from certunlearn import (CapOverflow, ConfigError, Dataset, INFINITE, NoiseSchedule,
+                         ProblemConstants, UnlearningRequest, apply_request, binary_search_sigma,
                          converted_epsilon, default_c0, evaluate, get_preset,
                          objective_for, sequential_k_schedule)
 from certunlearn import d2d as _d2d
+from certunlearn.constants import model_constants
 from certunlearn.data import SyntheticSpec, make_synthetic, save_dataset
 from certunlearn import harness
 from certunlearn import pngd as _pngd
@@ -102,10 +103,17 @@ def _ref_sweep_trial(cfg, preset, sigma, k, objective, test, t):
     return evaluate(w, test)[1]
 
 
+def _whole_split(blocks):
+    """The test split the runner scores, as one Dataset."""
+    features, labels = zip(*blocks)
+    return Dataset(np.concatenate(features), np.concatenate(labels), normalized=False)
+
+
 def _ref_evaluate_accs(cfg):
     preset = cfg.resolved_preset()
     sigma = cfg.sigma if cfg.sigma is not None else 0.03
-    data, test = _load_data(cfg)
+    data, test_blocks = _load_data(cfg)
+    test = _whole_split(test_blocks())
     objective = objective_for(data, lam=preset.lam)
     ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=cfg.n_iter, K=0)
     c0 = default_c0(preset.pc, ns, preset.regime)
@@ -120,8 +128,8 @@ def _ref_evaluate_accs(cfg):
 
 def _trial_inputs(cfg):
     preset = cfg.resolved_preset()
-    data, test = _load_data(cfg)
-    return preset, objective_for(data, lam=preset.lam), test
+    data, test_blocks = _load_data(cfg)
+    return preset, objective_for(data, lam=preset.lam), _whole_split(test_blocks())
 
 
 # softmax regression on 300 rows of 6 features in 3 classes: 18 weights
@@ -130,15 +138,19 @@ _THREE_CLASS = ProblemConstants(L=1.002, m=0.002, M=2.0, R=100.0, n=300, d=18, l
 
 @pytest.fixture
 def weights(monkeypatch):
-    """Bytes of every weight vector evaluated by the runner or a reference:
-    accuracy alone is too coarse to tell two trajectories apart."""
+    """Bytes of every weight vector scored by the runner or evaluated by a
+    reference: accuracy alone is too coarse to tell two trajectories apart."""
     seen = []
-    real = evaluate
+    real_accuracies, real_evaluate = harness._accuracies, evaluate
+
+    def scoring(ws, blocks):
+        seen.extend(np.asarray(w).tobytes() for w in ws)
+        return real_accuracies(ws, blocks)
 
     def recording(w, data, *args, **kwargs):
         seen.append(np.asarray(w).tobytes())
-        return real(w, data, *args, **kwargs)
-    monkeypatch.setattr(harness, "evaluate", recording)
+        return real_evaluate(w, data, *args, **kwargs)
+    monkeypatch.setattr(harness, "_accuracies", scoring)
     monkeypatch.setitem(globals(), "evaluate", recording)
     return seen
 
@@ -235,14 +247,22 @@ class TestTrialMemory:
         cfg = tiny_cfg(n_iter=2)
         objective = objective_for(make_synthetic(SyntheticSpec(n=20000, d=100), seed=3),
                                   lam=0.002)  # X: 16 MB
-        test = make_synthetic(SyntheticSpec(n=500, d=100), seed=4)
 
         def peak(requests):
             return extra_bytes(lambda: harness._run_trial(
-                cfg, "langevin", 0.5, requests, objective, test, 0))
+                cfg, "langevin", 0.5, requests, objective, 0))
         one, sequential = peak([(1, 2)]), peak([(1, 2)] * 3)
         assert one <= 0.25 * objective.data.features.nbytes
         assert sequential <= 1.05 * one
+
+    def test_run_holds_the_training_matrix_and_no_test_split(self, extra_bytes):
+        # the generated test split (a quarter of the rows: 4 MB) is drawn and
+        # scored a row block at a time, after the trials
+        def run(n, d):
+            return run_unlearn_one(tiny_cfg(constants=model_constants(n, (d,), 0.002),
+                                            trials=2, n_iter=2))
+        run(400, 10)  # numpy's lazy imports and caches are not the run's
+        assert extra_bytes(lambda: run(20000, 100)) <= 1.1 * 20000 * 100 * 8  # X: 16 MB
 
 
 def _data_bytes(data):
@@ -254,23 +274,20 @@ class TestTrialPutsDataBack:
     puts the original rows back, also when it raises."""
 
     @pytest.fixture
-    def inputs(self):
-        objective = objective_for(make_synthetic(SyntheticSpec(n=300, d=5), seed=1), lam=0.002)
-        return objective, make_synthetic(SyntheticSpec(n=100, d=5), seed=2)
+    def objective(self):
+        return objective_for(make_synthetic(SyntheticSpec(n=300, d=5), seed=1), lam=0.002)
 
     @pytest.mark.parametrize("method,requests", [
         ("langevin", [(1, 2)]), ("retrain", [(1, 2)]), ("d2d_thm9", [(1, 2)]),
         ("langevin", [(2, 2)] * 3),
     ], ids=["langevin", "retrain", "d2d_thm9", "langevin_sequence"])
-    def test_rows_put_back(self, inputs, method, requests):
-        objective, test = inputs
+    def test_rows_put_back(self, objective, method, requests):
         before = _data_bytes(objective.data)
-        harness._run_trial(tiny_cfg(n_iter=5), method, 0.5, requests, objective, test, 0)
+        harness._run_trial(tiny_cfg(n_iter=5), method, 0.5, requests, objective, 0)
         assert _data_bytes(objective.data) == before
 
     @pytest.mark.parametrize("method,engine", [("langevin", "unlearn"), ("retrain", "train")])
-    def test_rows_put_back_when_the_trial_raises(self, inputs, method, engine, monkeypatch):
-        objective, test = inputs
+    def test_rows_put_back_when_the_trial_raises(self, objective, method, engine, monkeypatch):
         before, replaced = _data_bytes(objective.data), []
 
         def fail(*args, **kwargs):
@@ -278,8 +295,7 @@ class TestTrialPutsDataBack:
             raise RuntimeError("engine failed")
         monkeypatch.setattr(harness._pngd, engine, fail)
         with pytest.raises(RuntimeError, match="engine failed"):
-            harness._run_trial(tiny_cfg(n_iter=5), method, 0.5, [(2, 2)] * 3, objective,
-                               test, 0)
+            harness._run_trial(tiny_cfg(n_iter=5), method, 0.5, [(2, 2)] * 3, objective, 0)
         assert replaced == [True]  # it raised after a request wrote its rows
         assert _data_bytes(objective.data) == before
 

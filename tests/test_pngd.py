@@ -165,6 +165,12 @@ class TestNoiseScale:
             with pytest.raises(ValueError, match=r"noise variance 2\*eta\*sigma\^2 must be finite"):
                 run()
 
+    @pytest.mark.parametrize("sigma", [1e155, math.inf])
+    def test_step_rejects_a_non_finite_noise_variance(self, sigma):
+        # a bare OverflowError at 1e155 and nan weights at inf, before the check
+        with pytest.raises(ValueError, match=r"noise variance 2\*eta\*sigma\^2 must be finite"):
+            pngd_step(np.zeros(3), lambda x: np.zeros_like(x), 0.1, sigma, 10.0, make_rng(0))
+
     def test_increment_variance_matches_schedule(self):
         # grad = 0, huge ball: increments are pure noise of variance 2*eta*sigma^2
         eta, sigma = 0.3, 0.8

@@ -29,12 +29,10 @@ def test_flag_table_matches_the_parser():
 
 
 def test_trial_memory_figures_match_the_mnist38_shape():
-    """The trial-memory paragraph's MB figures are n*d*8 bytes of the mnist38
-    training matrix and of its test split (max(200, n // 4) rows, as
-    harness._load_data draws it), rounded to whole MB."""
-    paragraph = re.search(r"^A trial holds .*?\n\n", README.read_text(), flags=re.M | re.S)
-    train_mb, test_mb = re.search(r"about (\d+) \+ (\d+) MB at the mnist38 shape",
-                                  paragraph.group()).groups()
+    """The run-memory paragraph's MB figure is n*d*8 bytes of the mnist38
+    training matrix, rounded to whole MB."""
+    paragraph = re.search(r"^A run holds .*?\n\n", README.read_text(), flags=re.M | re.S)
+    train_mb, = re.search(r"about (\d+) MB at the\s+mnist38 shape",
+                          paragraph.group()).groups()
     preset = get_preset("mnist38")
     assert int(train_mb) == round(preset.n * preset.d * 8 / 1e6)
-    assert int(test_mb) == round(max(200, preset.n // 4) * preset.d * 8 / 1e6)
