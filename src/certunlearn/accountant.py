@@ -10,10 +10,10 @@ Pure, deterministic formulas. Three ingredients compose:
   * `rdp_to_dp` - conversion of a Renyi curve into a single (eps, delta)
     guarantee by optimizing the Renyi order alpha.
 
-All curves are represented as `RenyiBound` objects: total functions of
-alpha > 1 that also accept numpy arrays, so the alpha optimization can be
-vectorized. Everything here is a pure function of its arguments; there is
-no shared mutable state.
+Every single-request curve has the form eps(alpha) = exp(-decay/alpha) *
+slope * alpha, so a curve is a `RenyiBound` value holding its two scalars,
+and `rdp_to_dp` converts it from them. Everything here is a pure function
+of its arguments; there is no shared mutable state.
 """
 from __future__ import annotations
 
@@ -53,40 +53,35 @@ ALPHA_GRID.flags.writeable = False
 assert (ALPHA_GRID > 1.0).all(), "curves are evaluated on ALPHA_GRID unchecked"
 
 
+def _at_orders(curve: Callable[[np.ndarray], np.ndarray], alpha: ArrayLike) -> ArrayLike:
+    """curve at alpha, a scalar order (giving a float) or an ndarray, each checked > 1."""
+    arr = np.asarray(alpha, dtype=float)
+    if not (arr > 1.0).all():  # negated so that a nan order fails too
+        raise ValueError("alpha must be > 1")
+    out = curve(arr)
+    return float(out) if np.ndim(alpha) == 0 else out
+
+
+def _loss(slope: float, decay: float, alpha: ArrayLike) -> ArrayLike:
+    """exp(-decay/alpha) * slope * alpha at a float order or an ndarray of them, unchecked."""
+    return np.exp(-decay / alpha) * (slope * alpha)
+
+
+@dataclass(frozen=True)
 class RenyiBound:
-    """A privacy-loss curve eps(alpha) defined for every alpha > 1.
+    """The privacy-loss curve eps(alpha) = exp(-decay/alpha) * slope * alpha
+    for alpha > 1, as a scalar order (giving a float) or an ndarray. A learning
+    curve has decay 0; fine-tuning adds its rate sum. An infinite slope is vacuous."""
 
-    Wraps a closed-form parameterization so the curve can be evaluated at
-    any order, scalar or ndarray. A call checks the order and hands `fn` a
-    float ndarray; `rdp_to_dp` hands `fn` its grid as an ndarray and its
-    golden-section probes, which lie inside the grid, as floats unchecked.
-    So `fn` must accept both, as numpy ufuncs and `np.where` do.
-    `meta` carries the parameters that built the curve (slope, decay sum,
-    ...), for introspection and tests.
-    """
+    slope: float
+    decay: float = 0.0
 
-    def __init__(self, fn: Callable[[ArrayLike], ArrayLike], **meta):
-        self._fn = fn
-        self.meta = meta
+    def __post_init__(self):
+        if not (self.slope >= 0 and self.decay >= 0):
+            raise ValueError(f"slope and decay must be non-negative, got {self!r}")
 
     def __call__(self, alpha: ArrayLike) -> ArrayLike:
-        arr = np.asarray(alpha, dtype=float)
-        if not (arr > 1.0).all():  # negated so that a nan order fails too
-            raise ValueError("alpha must be > 1")
-        out = self._fn(arr)
-        if np.ndim(alpha) == 0:
-            return float(out)
-        return out
-
-    def __repr__(self):
-        return f"RenyiBound({self.meta})"
-
-    @staticmethod
-    def linear(slope: float) -> "RenyiBound":
-        """Curve eps(alpha) = slope * alpha (every learning bound has this shape)."""
-        if slope < 0:
-            raise ValueError(f"slope must be non-negative, got {slope}")
-        return RenyiBound(lambda a: slope * a, slope=slope)
+        return _at_orders(functools.partial(_loss, self.slope, self.decay), alpha)
 
 
 @dataclass(frozen=True)
@@ -157,16 +152,11 @@ def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 def _trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
            C0: float, K: int) -> LsiTrace:
     """lsi_unlearn_trace of a chain that _check_chain accepts."""
-    noise = 2.0 * ns.eta * ns.sigma ** 2
-
-    if regime is Regime.STRONGLY_CONVEX:
+    if regime is Regime.STRONGLY_CONVEX or K == 0:
         return LsiTrace(values=np.full(K + 1, C0, dtype=float), cap=math.inf)
-
-    if K == 0:
-        return LsiTrace(values=np.array([C0]), cap=math.inf)
-
+    noise = 2.0 * ns.eta * ns.sigma ** 2
     cap = lsi_cap(pc.R, pc.M, ns.eta, noise)  # CapOverflow propagates
-    growth = (1.0 + ns.eta * pc.L) ** 2 if regime is Regime.NONCONVEX else 1.0
+    growth = _growth(pc, ns, regime)
     values = np.empty(K + 1, dtype=float)
     values[0] = C0
     c = C0
@@ -174,6 +164,14 @@ def _trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
         c = min(growth * c + noise, cap)
         values[k + 1] = c
     return LsiTrace(values=values, cap=cap)
+
+
+def _growth(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime) -> float:
+    """LSI constant growth per step: (1 + eta*L)^2 if non-convex, else 1; inf past float64."""
+    try:
+        return (1.0 + ns.eta * pc.L) ** 2 if regime is Regime.NONCONVEX else 1.0
+    except OverflowError:
+        return math.inf
 
 
 def unlearn_rate(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
@@ -186,7 +184,7 @@ def unlearn_rate(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
         return noise / C_k
     if regime is Regime.CONVEX:
         return math.log1p(noise / C_k)
-    return math.log1p(noise / ((1.0 + ns.eta * pc.L) ** 2 * C_k))
+    return math.log1p(noise / (_growth(pc, ns, regime) * C_k))
 
 
 def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
@@ -204,13 +202,9 @@ def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
                     regime: Regime, C0: float | None = None,
                     K: int | None = None) -> RenyiBound:
-    """Privacy loss after K fine-tuning steps: alpha -> exp(-sum R_k / alpha) * eps0(alpha).
-
-    C0 defaults to the regime's standard initialization constant and K to
-    the schedule's K. The rate sum is alpha-independent, so the returned
-    curve is the input curve scaled by exp(-decay/alpha). It scales the
-    input's function, not the input curve, so that the order is checked
-    once, by the returned curve.
+    """Privacy loss after K fine-tuning steps: alpha -> exp(-sum R_k / alpha) * eps0(alpha),
+    which adds the rate sum to eps0's decay. C0 defaults to the regime's
+    standard initialization constant and K to the schedule's K.
     """
     if C0 is None:
         C0 = default_c0(pc, ns, regime)
@@ -218,9 +212,7 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
         K = ns.K
     _check_chain(pc, ns, regime, C0, K)
     decay, _ = _decay_sum(pc, ns, regime, C0, K)
-    base = eps0._fn
-    return RenyiBound(lambda a: np.exp(-decay / a) * base(a),
-                      decay_sum=decay, K=K, C0=C0, base=eps0)
+    return RenyiBound(eps0.slope, eps0.decay + decay)
 
 
 def _learning_caps(pc: ProblemConstants, ns: NoiseSchedule) -> float:
@@ -235,7 +227,7 @@ def _sum_product_finite(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
         return 0.0
     cap = _learning_caps(pc, ns)
     half = ns.eta * ns.sigma ** 2
-    growth = (1.0 + ns.eta * pc.L) ** 2 if regime is Regime.NONCONVEX else 1.0
+    growth = _growth(pc, ns, regime)
     r = np.empty(T, dtype=float)
     c = C0
     for t in range(T):
@@ -258,12 +250,12 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     recursion, capped by the ball geometry, so the T = INFINITE limit is
     cap/(eta*sigma^2). T = INFINITE selects the converged-training bound.
     """
-    return RenyiBound.linear(_learned(pc, ns, regime, S, T, C0)[0])
+    return RenyiBound(_learned(pc, ns, regime, S, T, C0)[0])
 
 
 def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
              T: float | None = None, C0: float | None = None) -> tuple[float, float]:
-    """learn_epsilon0's slope, checks included, and the C0 it started from."""
+    """learn_epsilon0's slope, checks included (VacuousBound past float64), and its C0."""
     # int first: the ABC check alone costs about 0.5 us per calibration probe
     if not (type(S) is int or isinstance(S, numbers.Integral)) or S < 1:
         raise ValueError(f"group size S must be an integer >= 1, got {S!r}")
@@ -278,19 +270,21 @@ def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
     validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
     _check_start(C0, 0)  # after the schedule, so that sigma = 0 reports the sigma range
 
+    try:
+        M2 = pc.M ** 2
+    except OverflowError:
+        raise VacuousBound() from None
     if regime is Regime.STRONGLY_CONVEX:
-        base = 4.0 * S * S * pc.M ** 2 / (pc.m * ns.sigma ** 2 * pc.n ** 2)
         factor = 1.0 if math.isinf(T) else -math.expm1(-pc.m * ns.eta * T)
-        slope = base * factor
+        slope = 4.0 * S * S * M2 / (pc.m * ns.sigma ** 2 * pc.n ** 2) * factor
     else:
-        if math.isinf(T):
-            # the LSI constants saturate at the cap, where Q <- r(Q + 1) has
-            # the fixed point r/(1 - r) = cap/(eta sigma^2)
-            q = _learning_caps(pc, ns) / (ns.eta * ns.sigma ** 2)
-        else:
-            q = _sum_product_finite(pc, ns, regime, C0, T)
-        slope = 2.0 * ns.eta * S * S * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q
-
+        # at T = INFINITE the LSI constants saturate at the cap, where
+        # Q <- r(Q + 1) has the fixed point r/(1 - r) = cap/(eta sigma^2)
+        q = (_learning_caps(pc, ns) / (ns.eta * ns.sigma ** 2) if math.isinf(T)
+             else _sum_product_finite(pc, ns, regime, C0, T))
+        slope = 2.0 * ns.eta * S * S * M2 / (ns.sigma ** 2 * pc.n ** 2) * q
+    if not math.isfinite(slope):
+        raise VacuousBound()
     return slope, C0
 
 
@@ -303,7 +297,23 @@ def rdp_to_dp(bound: RenyiBound, delta: float) -> tuple[float, float]:
     minimizing alpha), never above the objective at any probed alpha. Raises
     VacuousBound when the curve is infinite at every grid order, ValueError at nan.
     """
-    return _optimize_order(bound._fn(ALPHA_GRID), bound._fn, delta)
+    return _converted(bound.slope, bound.decay, delta, {})
+
+
+def _converted(slope: float, decay: float, delta: float, exps: dict,
+               target: float | None = None) -> tuple[float, float]:
+    """rdp_to_dp on RenyiBound(slope, decay), without building it, as floats;
+    given a target, a pair whose eps meets it exactly when rdp_to_dp's does
+    (the curve never decreases in alpha, so a bracket's floor is its value at
+    the lower end). `exps` holds exp(-decay/ALPHA_GRID) per decay for one search."""
+    if slope == math.inf:
+        raise VacuousBound()
+    if decay not in exps:
+        exps[decay] = np.exp(-decay / ALPHA_GRID)
+    curve = functools.partial(_loss, slope, decay)
+    eps, alpha = _optimize_order(exps[decay] * (slope * ALPHA_GRID), curve, delta, target,
+                                 None if target is None else lambda a, b: curve(a))
+    return float(eps), float(alpha)
 
 
 @functools.lru_cache(maxsize=8)

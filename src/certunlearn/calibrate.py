@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accountant import (ALPHA_GRID, RenyiBound, _check_start, _decay_sum, _learned,
-                         _optimize_order, _order_term)
+from .accountant import (ALPHA_GRID, _at_orders, _check_start, _converted, _decay_sum,
+                         _learned, _optimize_order, _order_term)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
                         ProblemConstants, Regime)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
@@ -28,22 +28,7 @@ def converted_epsilon(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                       S: int, K: int, delta: float) -> float:
     """(eps, delta) certificate after training to convergence and K
     fine-tuning steps: the full accountant chain at one (sigma, K)."""
-    return _converted(*_Stream(pc, ns, regime).admit(S, K), delta, {})
-
-
-def _converted(slope: float, decay: float, delta: float, exps: dict,
-               target: float | None = None) -> float:
-    """rdp_to_dp's eps on the curve exp(-decay/alpha) * slope * alpha, or,
-    given a target, an eps that meets it exactly when rdp_to_dp's does (the
-    curve never decreases in alpha, so a bracket's floor is its value at the
-    lower end). `exps` holds exp(-decay/ALPHA_GRID) per decay for one search."""
-    if decay not in exps:
-        exps[decay] = np.exp(-decay / ALPHA_GRID)
-
-    def curve(a):  # a float order or an ndarray of them
-        return np.exp(-decay / a) * (slope * a)
-    return float(_optimize_order(exps[decay] * (slope * ALPHA_GRID), curve, delta, target,
-                                 None if target is None else lambda a, b: curve(a))[0])
+    return _converted(*_Stream(pc, ns, regime).admit(S, K), delta, {})[0]
 
 
 def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSchedule,
@@ -63,7 +48,7 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     slope = stream.slope(S)
 
     def eps_at(k: int, target: float | None = None) -> float:
-        return _converted(slope, stream.decay(k)[0], delta, exps, target)
+        return _converted(slope, stream.decay(k)[0], delta, exps, target)[0]
 
     k = _least_k(lambda k: eps_at(k, eps_hat) <= eps_hat, k_max)
     if k is None:
@@ -139,7 +124,7 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
         try:
             slope, c0 = _learned(pc, ns, regime, S)
             decay = _decay_sum(pc, ns, regime, c0, k_hat)[0]
-            return _converted(slope, decay, delta, exps, eps_hat) <= eps_hat
+            return _converted(slope, decay, delta, exps, eps_hat)[0] <= eps_hat
         except (CapOverflow, VacuousBound):
             return False
 
@@ -310,7 +295,7 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
                      regime)
     for j in range(i):
         stream.admit(sizes[j], int(K_list[j]))
-    return RenyiBound(stream.curve)(alpha)
+    return _at_orders(stream.curve, alpha)
 
 
 def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: int,

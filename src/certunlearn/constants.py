@@ -47,18 +47,18 @@ class ProblemConstants:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError(f"L must be positive and finite, got {self.L}")
-        if self.m < 0:
-            raise ValueError(f"m must be non-negative, got {self.m}")
+        for name in ("L", "M", "R"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.m >= 0 and math.isfinite(self.m)):
+            raise ValueError(f"m must be non-negative and finite, got {self.m}")
         if self.m > self.L * (1 + 1e-12):
             raise ValueError(f"m={self.m} exceeds L={self.L}")
-        if not self.M > 0:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
+        if not (self.n >= 1 and math.isfinite(self.n)):
+            raise ValueError(f"n must be >= 1 and finite, got {self.n}")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
 
     def with_(self, **kw) -> "ProblemConstants":
         return replace(self, **kw)
@@ -119,8 +119,11 @@ def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     Strongly convex: eta <= min(2/m (1 - sigma^2/(m C)), 1/L), which for the
     default C = 2 sigma^2/m collapses to eta <= 1/L. Convex: eta <= 2/L.
     Non-convex: no step condition. Privacy accounting needs noise in
-    SIGMA_RANGE (the optimizer itself tolerates sigma = 0).
+    SIGMA_RANGE (the optimizer itself tolerates sigma = 0). A regime that is
+    not a Regime is rejected.
     """
+    if not isinstance(regime, Regime):
+        raise ValueError(f"regime must be a Regime, got {regime!r}")
     if regime is Regime.STRONGLY_CONVEX and pc.m <= 0:
         raise ValueError("strongly convex regime requires m > 0")
     if regime is Regime.CONVEX and pc.m != 0:

@@ -201,12 +201,12 @@ def test_criterion_4_monotonicity_suites():
     # (b) learning loss falls with n and sigma, grows quadratically with S
     for _ in range(n_bundles):
         pc, ns, _ = _random_sc_bundle(rng)
-        slope = learn_epsilon0(pc, ns, Regime.STRONGLY_CONVEX).meta["slope"]
+        slope = learn_epsilon0(pc, ns, Regime.STRONGLY_CONVEX).slope
         bigger_n = learn_epsilon0(pc.with_(n=2 * pc.n), ns,
-                                  Regime.STRONGLY_CONVEX).meta["slope"]
+                                  Regime.STRONGLY_CONVEX).slope
         bigger_sigma = learn_epsilon0(pc, ns.with_(sigma=1.7 * ns.sigma),
-                                      Regime.STRONGLY_CONVEX).meta["slope"]
-        s4 = learn_epsilon0(pc, ns, Regime.STRONGLY_CONVEX, S=4).meta["slope"]
+                                      Regime.STRONGLY_CONVEX).slope
+        s4 = learn_epsilon0(pc, ns, Regime.STRONGLY_CONVEX, S=4).slope
         assert bigger_n < slope and bigger_sigma < slope
         assert s4 == pytest.approx(16.0 * slope, rel=1e-12)
 

@@ -24,13 +24,44 @@ def _weak_triangle(alpha, d1_at_2alpha, d2_at_2alpha):
     return (alpha - 0.5) / (alpha - 1.0) * (d1_at_2alpha + d2_at_2alpha)
 
 
-def _reference_call(curve, alpha):
-    """The curve at valid orders as the grid evaluates it: its function on a
-    1-d float array of the orders, unchecked. RenyiBound.__call__ hands the
-    function a 0-d array for a scalar order instead, and must return exactly
-    this, as a float."""
+class _Closure:
+    """A curve as RenyiBound held it before it became two scalars: a function
+    of the orders, called behind the order check (a float for a scalar
+    order). The reference the value type keeps its bits against."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, alpha):
+        arr = np.asarray(alpha, dtype=float)
+        if not (arr > 1.0).all():
+            raise ValueError("alpha must be > 1")
+        out = self.fn(arr)
+        return float(out) if np.ndim(alpha) == 0 else out
+
+
+def _closure_of(bound):
+    """The function the closure layer built for a learned or once-unlearned
+    curve: RenyiBound.linear's, then unlearn_epsilon's decay factor times it."""
+    def linear(a):
+        return bound.slope * a
+    if bound.decay == 0.0:
+        return linear
+    return lambda a: np.exp(-bound.decay / a) * linear(a)
+
+
+def _closure_rdp_to_dp(fn, delta):
+    """rdp_to_dp as it ran on a closure's function: the grid, then the probes,
+    unchecked."""
+    return accountant._optimize_order(fn(ALPHA_GRID), fn, delta)
+
+
+def _reference_call(fn, alpha):
+    """A curve's function at valid orders as the grid evaluates it: on a 1-d
+    float array of the orders, unchecked. A call of the curve hands it a 0-d
+    array for a scalar order instead, and must return exactly this, as a float."""
     arr = np.asarray(alpha, dtype=float)
-    out = curve._fn(arr.reshape(-1)).reshape(arr.shape)
+    out = fn(arr.reshape(-1)).reshape(arr.shape)
     if np.ndim(alpha) == 0:
         return float(out)
     return out
@@ -59,12 +90,10 @@ def _converged_sum_product_loop(pc, ns, regime, C0, max_iters=2_000_000):
 
 
 def _reference_unlearn_epsilon(eps0, pc, ns, regime, C0=None, K=None):
-    """unlearn_epsilon as it composed before: the decay factor times a second
-    call of the input curve."""
-    meta = unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=K).meta
-    decay = meta["decay_sum"]
-    return RenyiBound(lambda a: np.exp(-decay / a) * eps0(a), decay_sum=decay,
-                      K=meta["K"], C0=meta["C0"], base=eps0)
+    """The function of unlearn_epsilon's curve as it composed before: the decay
+    factor times a second, checked call of the (learned) input curve."""
+    decay = unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=K).decay - eps0.decay
+    return lambda a: np.exp(-decay / a) * eps0(a)
 
 
 class TestLsiCap:
@@ -164,10 +193,46 @@ class TestUnlearnTrace:
         got = [accountant._decay_sum(pc, ns, regime, C0, K) for C0, K in valid]
         assert got == want and isinstance(got[0][0], float)
         # the checking entries reject the chains _decay_sum does not check
-        eps0 = RenyiBound.linear(1.0)
+        eps0 = RenyiBound(1.0)
         for entry in (lambda C0, K: lsi_unlearn_trace(pc, ns, regime, C0, K),
                       lambda C0, K: unlearn_epsilon(eps0, pc, ns, regime, C0=C0, K=K)):
             assert [error(lambda: entry(C0, K)) for C0, K in invalid] == want_errors
+
+
+class TestFloat64Edges:
+    """Constants whose squares leave float64 give a certificate or a typed
+    error, where they raised OverflowError."""
+
+    def test_nonconvex_growth_past_float64_saturates_at_the_cap(self):
+        # (1 + eta*L)^2 overflows at L = 1e155; the cap absorbs the inf growth
+        pc = ProblemConstants(L=1e155, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
+        ns = NoiseSchedule(eta=1.0, sigma=1.0, T=INFINITE, K=5)
+        nc = Regime.NONCONVEX
+        trace = lsi_unlearn_trace(pc, ns, nc, 1.0, 5)
+        assert math.isfinite(trace.cap) and trace.values.tolist() == [1.0] + [trace.cap] * 5
+        assert unlearn_rate(pc, ns, nc, 1.0) == 0.0
+        assert math.isfinite(converted_epsilon(pc, ns, nc, 1, 5, 1e-4))
+        # every learning step's half-step constant sits at the cap
+        half = ns.eta * ns.sigma ** 2
+        cap = lsi_cap(pc.R, pc.M, ns.eta, half)
+        r = 1.0 / (1.0 + half / cap)
+        q = sum(r ** t for t in range(1, 6))
+        assert learn_epsilon0(pc, ns, nc, T=5).slope == pytest.approx(
+            2.0 * ns.eta * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q, rel=1e-12)
+
+    @pytest.mark.parametrize("M,sigma", [(1e200, 0.03), (1e308, 0.03), (1e154, 1e-3)])
+    def test_learning_slope_past_float64_is_vacuous(self, mnist, M, sigma):
+        # M^2 overflows (1e200, 1e308), or the slope does (1e154 at sigma 1e-3)
+        pc, regime, delta = mnist.pc.with_(M=M), mnist.regime, mnist.delta
+        ns = NoiseSchedule(eta=mnist.eta, sigma=sigma, T=INFINITE, K=1)
+        for entry in (lambda: learn_epsilon0(pc, ns, regime),
+                      lambda: converted_epsilon(pc, ns, regime, 1, 1, delta),
+                      lambda: find_min_k(1.0, delta, pc, ns, regime),
+                      lambda: binary_search_sigma(1.0, delta, 1, pc, regime, eta=mnist.eta),
+                      lambda: calibrate.sequential_epsilon(2.0, sigma, 1, 1, [1], pc, regime,
+                                                           eta=mnist.eta)):
+            with pytest.raises(VacuousBound):
+                entry()
 
 
 class TestUnlearnRate:
@@ -192,7 +257,7 @@ class TestUnlearnRate:
 class TestUnlearnEpsilon:
     def test_k0_is_identity(self, small_ball_pc):
         ns = NoiseSchedule(eta=0.1, sigma=1.0)
-        eps0 = RenyiBound.linear(0.37)
+        eps0 = RenyiBound(0.37)
         for regime in (Regime.CONVEX, Regime.NONCONVEX):
             bound = unlearn_epsilon(eps0, small_ball_pc, ns, regime, C0=1.0, K=0)
             for a in (1.5, 2.0, 50.0):
@@ -253,9 +318,8 @@ class TestUnlearnEpsilon:
                 return type(exc), str(exc)
 
         def public(pc, regime, ns, S, K):
-            meta = unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime,
-                                   K=K).meta
-            return meta["base"].meta["slope"], meta["decay_sum"]
+            bound = unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
+            return bound.slope, bound.decay
         got = [outcome(lambda: calibrate._Stream(pc, ns, regime).admit(S, K))
                for pc, regime, ns, S, K in cases]
         assert got == [outcome(lambda: public(*case)) for case in cases]
@@ -269,7 +333,7 @@ class TestLearnEpsilon0:
         pc, ns, regime = sc_setup
         bound = learn_epsilon0(pc, ns, regime, S=1, T=INFINITE)
         slope = 4.0 * pc.M ** 2 / (pc.m * ns.sigma ** 2 * pc.n ** 2)
-        assert bound.meta["slope"] == pytest.approx(slope, rel=1e-14)
+        assert bound.slope == pytest.approx(slope, rel=1e-14)
         assert bound(2.0) == pytest.approx(2.0 * slope, rel=1e-14)
 
     def test_t_zero_is_zero(self, sc_setup):
@@ -286,14 +350,14 @@ class TestLearnEpsilon0:
         # non-integer T is accountant-legal through the closed form only if
         # integral; probe with the nearest integer and its exact value
         t = round(t_half)
-        full = learn_epsilon0(pc, ns, regime, T=INFINITE).meta["slope"]
-        part = learn_epsilon0(pc, ns, regime, T=t).meta["slope"]
+        full = learn_epsilon0(pc, ns, regime, T=INFINITE).slope
+        part = learn_epsilon0(pc, ns, regime, T=t).slope
         assert part == pytest.approx(full * -math.expm1(-pc.m * ns.eta * t), rel=1e-12)
 
     def test_group_size_scales_quadratically(self, sc_setup):
         pc, ns, regime = sc_setup
-        s1 = learn_epsilon0(pc, ns, regime, S=1).meta["slope"]
-        s3 = learn_epsilon0(pc, ns, regime, S=3).meta["slope"]
+        s1 = learn_epsilon0(pc, ns, regime, S=1).slope
+        s3 = learn_epsilon0(pc, ns, regime, S=3).slope
         assert s3 == pytest.approx(9.0 * s1, rel=1e-14)
 
     @pytest.mark.parametrize("S", [1.5, 2.0, "2"])
@@ -311,18 +375,18 @@ class TestLearnEpsilon0:
 
     def test_numpy_integer_group_size_passes(self, sc_setup):
         pc, ns, regime = sc_setup
-        assert (learn_epsilon0(pc, ns, regime, S=np.int64(3)).meta["slope"]
-                == learn_epsilon0(pc, ns, regime, S=3).meta["slope"])
+        assert (learn_epsilon0(pc, ns, regime, S=np.int64(3)).slope
+                == learn_epsilon0(pc, ns, regime, S=3).slope)
 
     def test_monotone_in_n_sigma_t(self, sc_setup):
         pc, ns, regime = sc_setup
-        base = learn_epsilon0(pc, ns, regime).meta["slope"]
-        assert learn_epsilon0(pc.with_(n=2 * pc.n), ns, regime).meta["slope"] < base
+        base = learn_epsilon0(pc, ns, regime).slope
+        assert learn_epsilon0(pc.with_(n=2 * pc.n), ns, regime).slope < base
         assert learn_epsilon0(pc, ns.with_(sigma=2 * ns.sigma), regime,
-                              C0=8.0 * ns.sigma ** 2 / pc.m).meta["slope"] < base
+                              C0=8.0 * ns.sigma ** 2 / pc.m).slope < base
         prev = 0.0
         for t in (1, 5, 50, 500):
-            cur = learn_epsilon0(pc, ns, regime, T=t).meta["slope"]
+            cur = learn_epsilon0(pc, ns, regime, T=t).slope
             assert cur > prev
             prev = cur
         assert prev < base * (1 + 1e-12)
@@ -344,7 +408,7 @@ class TestLearnEpsilon0:
             expect = 2.0 * ns.eta * small_ball_pc.M ** 2 * q / (
                 ns.sigma ** 2 * small_ball_pc.n ** 2)
             got = learn_epsilon0(small_ball_pc.with_(m=0.0), ns, regime, T=T,
-                                 C0=0.7).meta["slope"]
+                                 C0=0.7).slope
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_infinite_t_is_limit_of_finite(self):
@@ -352,8 +416,8 @@ class TestLearnEpsilon0:
         # the converged bound is reachable by a finite run
         pc = ProblemConstants(L=1.0, m=0.0, M=0.1, R=0.05, n=100, d=5)
         ns = NoiseSchedule(eta=0.1, sigma=1.0)
-        lim = learn_epsilon0(pc, ns, Regime.CONVEX, T=INFINITE, C0=0.7).meta["slope"]
-        fin = learn_epsilon0(pc, ns, Regime.CONVEX, T=4000, C0=0.7).meta["slope"]
+        lim = learn_epsilon0(pc, ns, Regime.CONVEX, T=INFINITE, C0=0.7).slope
+        fin = learn_epsilon0(pc, ns, Regime.CONVEX, T=4000, C0=0.7).slope
         assert lim == pytest.approx(fin, rel=1e-9)
         cap = lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
         assert lim == pytest.approx(
@@ -378,7 +442,7 @@ class TestLearnEpsilon0:
         ns = NoiseSchedule(eta=eta_L * (3.0 if nonconvex else 2.0) / L,
                            sigma=10.0 ** log_sigma)
         try:
-            got = learn_epsilon0(pc, ns, regime, T=INFINITE).meta["slope"]
+            got = learn_epsilon0(pc, ns, regime, T=INFINITE).slope
         except CapOverflow:
             with pytest.raises(CapOverflow):
                 lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
@@ -412,7 +476,7 @@ class TestLearnEpsilon0:
             with pytest.raises(ValueError, match="C0 must be positive"):
                 learn_epsilon0(pc, ns, regime, C0=C0)
             with pytest.raises(ValueError, match="C0 must be positive"):
-                unlearn_epsilon(RenyiBound.linear(1.0), pc, ns, regime, C0=C0, K=5)
+                unlearn_epsilon(RenyiBound(1.0), pc, ns, regime, C0=C0, K=5)
 
     def test_zero_noise_reports_the_sigma_range(self, small_ball_pc):
         # sigma = 0 also makes the default C0 zero; the schedule speaks first
@@ -423,7 +487,7 @@ class TestLearnEpsilon0:
 
 class TestRdpToDp:
     def test_zero_curve_hits_grid_edge(self):
-        eps, alpha = rdp_to_dp(RenyiBound.linear(0.0), delta=1e-5)
+        eps, alpha = rdp_to_dp(RenyiBound(0.0), delta=1e-5)
         assert alpha > 9e5
         assert eps <= math.log(1e5) / (9e5 - 1.0)
 
@@ -451,7 +515,7 @@ class TestRdpToDp:
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            rdp_to_dp(RenyiBound.linear(0.0), 0.0)
+            rdp_to_dp(RenyiBound(0.0), 0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(log10_slope=st.floats(-8.0, 2.0), log10_delta=st.floats(-12.0, -1.0))
@@ -460,18 +524,37 @@ class TestRdpToDp:
         # where it equals s + 2*sqrt(s*log(1/delta)); alpha* stays inside the grid here
         s, delta = 10.0 ** log10_slope, 10.0 ** log10_delta
         log_inv_delta = math.log(1.0 / delta)
-        eps, alpha = rdp_to_dp(RenyiBound.linear(s), delta)
+        eps, alpha = rdp_to_dp(RenyiBound(s), delta)
         assert eps == pytest.approx(s + 2.0 * math.sqrt(s * log_inv_delta), rel=1e-9)
         # the objective is flat to rounding within ~sqrt(float64 eps) of alpha*
         assert alpha == pytest.approx(1.0 + math.sqrt(log_inv_delta / s), rel=1e-6)
 
     def test_curve_infinite_everywhere_is_vacuous(self):
-        with pytest.raises(VacuousBound):
-            rdp_to_dp(RenyiBound(lambda a: np.full_like(a, np.inf)), 1e-5)
+        # an infinite slope, whatever its decay (exp(-decay/alpha) underflows
+        # to 0 at the low orders from decay 1e6 on, where 0 * inf is nan)
+        for decay in (0.0, 5.0, 1e6, math.inf):
+            with pytest.raises(VacuousBound):
+                rdp_to_dp(RenyiBound(math.inf, decay), 1e-5)
 
     def test_nan_curve_is_rejected_not_certified(self):
-        with pytest.raises(ValueError):
-            rdp_to_dp(RenyiBound(lambda a: np.where(a > 1e3, np.nan, 0.01 * a)), 1e-5)
+        # a curve is built from non-negative scalars; a nan at any one grid
+        # order of the search itself is TestGridScan.test_nan_anywhere_is_rejected
+        for slope, decay in ((math.nan, 0.0), (0.01, math.nan), (-0.01, 0.0), (0.01, -1.0)):
+            with pytest.raises(ValueError, match="slope and decay must be non-negative"):
+                RenyiBound(slope, decay)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(slope=st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
+           decay=st.one_of(st.just(0.0), st.floats(1e-12, 1e7)),
+           log10_delta=st.floats(-300.0, -1e-3))
+    def test_the_one_conversion_is_the_closure_search(self, slope, decay, log10_delta):
+        # rdp_to_dp on the two scalars gives, as floats, the bits the closure
+        # layer's search gave on the function it built for them
+        delta = 10.0 ** log10_delta
+        bound = RenyiBound(slope, decay)
+        got = rdp_to_dp(bound, delta)
+        want = _closure_rdp_to_dp(_closure_of(bound), delta)
+        assert all(_same(g, float(w)) for g, w in zip(got, want))
 
 
 def _probed(curve):
@@ -492,7 +575,7 @@ class TestTargetedOrderSearch:
 
     @pytest.fixture
     def curve(self):
-        return unlearn_epsilon(RenyiBound.linear(0.02), ProblemConstants(
+        return unlearn_epsilon(RenyiBound(0.02), ProblemConstants(
             L=1.0, m=0.25, M=1.0, R=10.0, n=500, d=4, lam=0.25),
             NoiseSchedule(eta=1.0, sigma=0.5, T=INFINITE, K=3), Regime.STRONGLY_CONVEX)
 
@@ -542,7 +625,7 @@ class TestGridScan:
     scans raised."""
 
     delta = 1e-5
-    curve = RenyiBound.linear(0.01)
+    curve = RenyiBound(0.01)
 
     def _objective(self, on_grid):
         return on_grid + math.log(1.0 / self.delta) / (ALPHA_GRID - 1.0)
@@ -597,7 +680,7 @@ class TestGridScan:
             curve = unlearn_epsilon(learn_epsilon0(mnist.pc, ns, mnist.regime),
                                     mnist.pc, ns, mnist.regime)
         checked = curve(np.array(ALPHA_GRID))
-        assert curve._fn(ALPHA_GRID).tobytes() == checked.tobytes()
+        assert _closure_of(curve)(ALPHA_GRID).tobytes() == checked.tobytes()
         assert rdp_to_dp(curve, self.delta) == accountant._optimize_order(
             checked, curve, self.delta)
 
@@ -663,7 +746,7 @@ class TestSmallOps:
 
 class TestRenyiBoundProperties:
     def test_rejects_alpha_at_most_one(self):
-        bound = RenyiBound.linear(1.0)
+        bound = RenyiBound(1.0)
         with pytest.raises(ValueError):
             bound(1.0)
         with pytest.raises(ValueError):
@@ -698,13 +781,6 @@ _CURVE_SETUPS = (
      NoiseSchedule(eta=0.1, sigma=1.0, T=40, K=7), Regime.NONCONVEX),
 )
 
-# curves written with ndarrays in mind, as a user would pass them
-_USER_CURVES = (
-    RenyiBound(lambda a: np.full_like(a, 0.3)),
-    RenyiBound(lambda a: np.where(a < 20.0, 0.01 * a, 0.2 + np.log(a / 20.0))),
-    RenyiBound(lambda a: np.minimum(a, 50.0) * 1e-3 + np.log1p(a) * 1e-4),
-)
-
 
 def _same(x, y):
     """Bit equality of two float results, type included."""
@@ -718,10 +794,11 @@ class TestScalarFastPath:
     @given(alpha=st.floats(1.0, 1e7, exclude_min=True),
            log10_slope=st.floats(-9.0, 2.0))
     def test_scalar_curves_equal_reference(self, alpha, log10_slope):
-        eps0 = RenyiBound.linear(10.0 ** log10_slope)
-        curves = [eps0, *_USER_CURVES]
+        eps0 = RenyiBound(10.0 ** log10_slope)
+        curves = [eps0]
         for pc, ns, regime in _CURVE_SETUPS:
             learned = learn_epsilon0(pc, ns, regime)
+            curves.append(learned)
             for base in (eps0, learned):
                 curves.append(unlearn_epsilon(base, pc, ns, regime))
                 reference = _reference_unlearn_epsilon(base, pc, ns, regime)
@@ -731,7 +808,7 @@ class TestScalarFastPath:
                     assert _same(got, _reference_call(reference, order))
         for curve in curves:
             for order in (alpha, np.float64(alpha)):
-                assert _same(curve(order), _reference_call(curve, order))
+                assert _same(curve(order), _reference_call(_closure_of(curve), order))
 
     def test_array_orders_keep_the_array_path(self, mnist):
         ns = NoiseSchedule(eta=mnist.eta, sigma=0.01, T=INFINITE, K=3)
@@ -742,17 +819,6 @@ class TestScalarFastPath:
         assert np.array_equal(bound(alphas), _reference_call(reference, alphas))
         for order in (2, np.array(2.5), np.float32(3.0)):  # not floats: array path
             assert _same(bound(order), _reference_call(reference, order))
-
-    def test_ndarray_curve_accepts_a_float(self):
-        # rdp_to_dp's golden-section probes hand the curve's function bare
-        # floats; each must give what a 1-element array gives
-        for curve in _USER_CURVES:
-            for order in (1.5, 30.0, 1e5):
-                assert isinstance(curve(order), float)
-            delta = 1e-5
-            got = rdp_to_dp(curve, delta)
-            want = rdp_to_dp(RenyiBound(lambda a: _reference_call(curve, a)), delta)
-            assert all(_same(g, w) for g, w in zip(got, want))
 
     def test_calibration_bit_equal_to_reference(self):
         # the 18 published cells (K=1, S=1), plus K in {2, 5} at S=5 on mnist38
@@ -772,16 +838,15 @@ class TestScalarFastPath:
             return out
 
         def reference_converted(slope, decay, delta, exps, target=None):
-            # the searches' curve as unlearn_epsilon composed it before, under
-            # rdp_to_dp with no target; the searches return a float
-            eps0 = RenyiBound.linear(slope)
-            bound = RenyiBound(lambda a: np.exp(-decay / a) * eps0(a))
-            return float(rdp_to_dp(bound, delta)[0])
+            # the searches' curve as the closure layer composed it before:
+            # unlearn_epsilon's decay factor times a checked call of
+            # RenyiBound.linear's curve, under rdp_to_dp with no target
+            eps0 = _Closure(lambda a: slope * a)
+            eps, alpha = _closure_rdp_to_dp(lambda a: np.exp(-decay / a) * eps0(a), delta)
+            return float(eps), float(alpha)
 
         with pytest.MonkeyPatch.context() as mp:
-            # every curve evaluation and every unlearned curve of the searches
-            # on the reference path
-            mp.setattr(RenyiBound, "__call__", _reference_call)
+            # every conversion of the searches on the reference path
             mp.setattr(calibrate, "_converted", reference_converted)
             want = certify()
         got = certify()

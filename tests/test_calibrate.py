@@ -69,7 +69,7 @@ def _recursive_sequential_epsilon(alpha, sigma, b, i, K_list, pc, regime, eta=No
             c_start = float(trace.values[-1])
 
     def slope_for(size):
-        return learn_epsilon0(pc, ns0, regime, S=size, C0=C0).meta["slope"]
+        return learn_epsilon0(pc, ns0, regime, S=size, C0=C0).slope
 
     def evaluate(a, j):
         decay = np.exp(-decays[j - 1] / a)
@@ -207,10 +207,12 @@ class TestFindMinK:
 
 
 def _record_optimize(monkeypatch, points=()):
-    """Record every _optimize_order call of the calibration searches: its
-    curve, delta, target, result and its golden-section curve evaluations,
-    and the last of `points` recorded before it, if any."""
-    optimize = calibrate._optimize_order
+    """Record every _optimize_order call of the calibration searches (the
+    sigma and K probes convert through the accountant's, the schedule's K
+    probes call it from calibrate): its curve, delta, target, result and its
+    golden-section curve evaluations, and the last of `points` recorded
+    before it, if any."""
+    optimize = accountant._optimize_order
     calls = []
 
     def recording(on_grid, curve, delta, target=None, floor=None):
@@ -225,8 +227,15 @@ def _record_optimize(monkeypatch, points=()):
                       "at": points[-1] if points else None})
         return out
 
+    monkeypatch.setattr(accountant, "_optimize_order", recording)
     monkeypatch.setattr(calibrate, "_optimize_order", recording)
     return calls
+
+
+def _rdp_to_dp_on(curve, delta):
+    """rdp_to_dp on a curve that is any function of the orders, as it ran on a
+    closure's function: the oracle for the sequential curves."""
+    return accountant._optimize_order(curve(ALPHA_GRID), curve, delta)
 
 
 def _rdp_to_dp_pairs(bound, delta):
@@ -303,7 +312,8 @@ def _unlearned_case(preset, sigma, S, K):
                             ns, preset.regime, K=K)
     slope, decay = calibrate._Stream(preset.pc, ns, preset.regime).admit(S, K)
     return (bound,
-            lambda target: calibrate._converted(slope, decay, preset.delta, {}, target) <= target,
+            lambda target: accountant._converted(slope, decay, preset.delta, {}, target)[0]
+            <= target,
             lambda a, b: bound(a), preset.delta)
 
 
@@ -315,9 +325,9 @@ def _stream_case(preset, sigma, ks, sizes):
         stream.admit(size, k)
     on_grid = stream.curve(ALPHA_GRID)
     at = calibrate._scalar_curve(stream.slopes, stream.decays)
-    bound = RenyiBound(lambda a: sequential_epsilon(
-        a, sigma, 1, len(ks), ks, preset.pc, preset.regime, eta=preset.eta,
-        batch_sizes=sizes))
+    def bound(a):
+        return sequential_epsilon(a, sigma, 1, len(ks), ks, preset.pc, preset.regime,
+                                  eta=preset.eta, batch_sizes=sizes)
 
     def verdict(target):
         return calibrate._optimize_order(on_grid, at, preset.delta, target, at)[0] <= target
@@ -346,7 +356,7 @@ def _verdict_mismatches(cases):
     bad = []
     for n, (bound, verdict, _, delta) in enumerate(cases):
         log_inv_delta = math.log(1.0 / delta)
-        exact = rdp_to_dp(bound, delta)[0]
+        exact = (rdp_to_dp if isinstance(bound, RenyiBound) else _rdp_to_dp_on)(bound, delta)[0]
         grid = float(np.min(bound(ALPHA_GRID) + log_inv_delta / (ALPHA_GRID - 1.0)))
         targets = [exact * (1.0 + r) for r in (1e-12, -1e-12, 1e-6, -1e-6)] + [grid]
         bad += [(n, t) for t in targets if verdict(t) != (exact <= t)]
@@ -366,11 +376,12 @@ class TestEarlyExits:
 
     def test_swapped_floor_endpoints_are_caught(self, cases, monkeypatch):
         # a floor taken at the wrong ends of its bracket bounds from above
-        optimize = calibrate._optimize_order
+        optimize = accountant._optimize_order
 
         def swapped(on_grid, curve, delta, target=None, floor=None):
             return optimize(on_grid, curve, delta, target,
                             None if floor is None else lambda a, b: floor(b, a))
+        monkeypatch.setattr(accountant, "_optimize_order", swapped)
         monkeypatch.setattr(calibrate, "_optimize_order", swapped)
         bad = {n for n, _ in _verdict_mismatches(cases)}
         # caught on both an unlearned curve and a stream
@@ -562,7 +573,7 @@ class TestBinarySearchSigma:
             return wrapped
         for module, name, tag in ((accountant, "validate_schedule", "v"),
                                   (accountant, "default_c0", "c"),
-                                  (calibrate, "_optimize_order", "p")):
+                                  (accountant, "_optimize_order", "p")):
             monkeypatch.setattr(module, name, counting(tag, getattr(module, name)))
         binary_search_sigma(1.0, mnist.delta, 1, mnist.pc, mnist.regime, S=1, eta=mnist.eta)
         trace = "".join(events)
@@ -584,7 +595,7 @@ class TestSequential:
     def test_second_request_with_no_steps_has_no_decay(self, mnist):
         sigma, b = 0.03, 5
         slope = learn_epsilon0(mnist.pc, _ns(mnist, sigma), mnist.regime,
-                               S=b).meta["slope"]
+                               S=b).slope
 
         def eps1(a):
             return math.exp(-mnist.eta * mnist.pc.m * 4 / a) * slope * a
@@ -669,9 +680,8 @@ class TestSequential:
     def test_k_max_caps_every_request(self, mnist):
         # a target one step meets is out of reach when no step is allowed
         sigma = 0.03
-        one_step = RenyiBound(lambda a: sequential_epsilon(a, sigma, 5, 1, [1], mnist.pc,
-                                                           mnist.regime, eta=mnist.eta))
-        eps_hat, _ = rdp_to_dp(one_step, mnist.delta)
+        eps_hat, _ = _rdp_to_dp_on(lambda a: sequential_epsilon(
+            a, sigma, 5, 1, [1], mnist.pc, mnist.regime, eta=mnist.eta), mnist.delta)
         args = (eps_hat, mnist.delta, sigma, 5, 5, mnist.pc, mnist.regime)
         assert sequential_k_schedule(*args, eta=mnist.eta) == [1]
         with pytest.raises(BudgetUnreachable):
@@ -747,9 +757,9 @@ class TestSequential:
         for probe in probes:
             req, k = probe["req"], probe["k"]
             schedule = ks[:req] + [k]
-            bound = RenyiBound(lambda a: sequential_epsilon(
-                a, sigma, b, req + 1, schedule, mnist.pc, mnist.regime, eta=mnist.eta,
-                batch_sizes=sizes))
+            def bound(a):
+                return sequential_epsilon(a, sigma, b, req + 1, schedule, mnist.pc,
+                                          mnist.regime, eta=mnist.eta, batch_sizes=sizes)
             _assert_probe_matches_rdp_to_dp(probe, bound, mnist.delta, 1.0)
         refined = [p["refined"] for p in probes]
         assert any(refined) and not all(refined)
@@ -764,12 +774,13 @@ class TestSequential:
             curve = sequential_epsilon(ALPHA_GRID, *args, eta=mnist.eta)
             assert not np.isnan(curve).any() and np.isinf(curve).any()
             assert sequential_epsilon(1e6, *args, eta=mnist.eta) == math.inf
-            bound = RenyiBound(lambda a: sequential_epsilon(a, *args, eta=mnist.eta))
+            def bound(a):
+                return sequential_epsilon(a, *args, eta=mnist.eta)
             if vacuous:
                 with pytest.raises(VacuousBound):
-                    rdp_to_dp(bound, mnist.delta)
+                    _rdp_to_dp_on(bound, mnist.delta)
             else:
-                eps, alpha = rdp_to_dp(bound, mnist.delta)
+                eps, alpha = _rdp_to_dp_on(bound, mnist.delta)
                 assert math.isfinite(eps) and math.isfinite(alpha)
 
     @pytest.mark.parametrize("eps_hat", [-1.0, 0.0, math.nan])

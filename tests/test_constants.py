@@ -4,7 +4,8 @@ import pytest
 
 from certunlearn import (INFINITE, ConfigError, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, binary_search_sigma, converted_epsilon,
-                         default_c0, find_min_k, get_preset, learn_epsilon0, regime_for,
+                         default_c0, find_min_k, get_preset, learn_epsilon0,
+                         lsi_unlearn_trace, regime_for,
                          sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
                          validate_schedule)
 from certunlearn.constants import SIGMA_RANGE
@@ -25,6 +26,20 @@ class TestProblemConstants:
         kw[field] = value
         with pytest.raises(ValueError):
             ProblemConstants(**kw)
+
+    @pytest.mark.parametrize("field,message", [
+        ("m", "m must be non-negative and finite"),
+        ("M", "M must be positive and finite"),
+        ("R", "R must be positive and finite"),
+        ("n", "n must be >= 1 and finite"),
+    ])
+    def test_rejects_non_finite(self, field, message):
+        # m = nan and M, R, n = inf were accepted
+        for value in (math.nan, math.inf):
+            kw = dict(L=1.0, m=0.1, M=1.0, R=1.0, n=10, d=2, lam=0.1)
+            kw[field] = value
+            with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+                ProblemConstants(**kw)
 
     def test_logistic_presets_certify_table_constants(self):
         mnist = get_preset("mnist38")
@@ -73,7 +88,7 @@ class TestRegimeValidation:
         entries = [
             lambda: default_c0(pc, ns, sc),
             lambda: learn_epsilon0(pc, ns, sc),
-            lambda: unlearn_epsilon(RenyiBound.linear(1.0), pc, ns, sc, K=1),
+            lambda: unlearn_epsilon(RenyiBound(1.0), pc, ns, sc, K=1),
             lambda: converted_epsilon(pc, ns, sc, 1, 1, 1e-4),
             lambda: find_min_k(1.0, 1e-4, pc, ns, sc),
             lambda: binary_search_sigma(1.0, 1e-4, 1, pc, sc),
@@ -82,6 +97,26 @@ class TestRegimeValidation:
         ]
         for entry in entries:
             with pytest.raises(ValueError, match="^strongly convex regime requires m > 0$"):
+                entry()
+
+    @pytest.mark.parametrize("regime", [None, "convex", 0.5])
+    def test_a_regime_that_is_not_a_regime_is_rejected(self, regime):
+        # these skipped every regime branch: no step-size check and the convex
+        # recursion, so eta = 10 > 2/L certified 0.0624882 at sigma = 3, K = 5
+        pc = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
+        ns = NoiseSchedule(eta=10.0, sigma=3.0, T=INFINITE, K=5)
+        entries = [
+            lambda: learn_epsilon0(pc, ns, regime),
+            lambda: unlearn_epsilon(RenyiBound(1.0), pc, ns, regime, K=5),
+            lambda: lsi_unlearn_trace(pc, ns, regime, 1.0, 5),
+            lambda: converted_epsilon(pc, ns, regime, 1, 5, 1e-4),
+            lambda: find_min_k(1.0, 1e-4, pc, ns, regime),
+            lambda: binary_search_sigma(1.0, 1e-4, 5, pc, regime, sigma_hi=4.0, eta=10.0),
+            lambda: sequential_epsilon(2.0, 3.0, 1, 1, [5], pc, regime, eta=10.0),
+            lambda: sequential_k_schedule(1.0, 1e-4, 3.0, 3, 1, pc, regime, eta=10.0),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match=f"^regime must be a Regime, got {regime!r}$"):
                 entry()
 
     def test_step_size_limits(self):
@@ -115,7 +150,7 @@ class TestRegimeValidation:
                    (p.pc.with_(m=0.0), Regime.NONCONVEX)]
         checks = [lambda: validate_schedule(p.pc, ns, p.regime),
                   lambda: converted_epsilon(p.pc, ns, p.regime, 1, 1, p.delta),
-                  lambda: unlearn_epsilon(RenyiBound.linear(1.0), p.pc, ns, p.regime, K=1),
+                  lambda: unlearn_epsilon(RenyiBound(1.0), p.pc, ns, p.regime, K=1),
                   lambda: find_min_k(1.0, p.delta, p.pc, ns, p.regime),
                   lambda: sequential_epsilon(2.0, sigma, 2, 1, [1], p.pc, p.regime, eta=p.eta),
                   lambda: sequential_k_schedule(1.0, p.delta, sigma, 4, 2, p.pc, p.regime,
