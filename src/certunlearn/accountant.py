@@ -51,6 +51,8 @@ ALPHA_GRID = 1.0 + np.logspace(math.log10(_ALPHA_MIN_OFFSET),
                                math.log10(_ALPHA_MAX - 1.0), _ALPHA_GRID_POINTS)
 ALPHA_GRID.flags.writeable = False
 assert (ALPHA_GRID > 1.0).all(), "curves are evaluated on ALPHA_GRID unchecked"
+# slope * ALPHA_GRID stays below 2**1023, so finite, for a slope below this
+_GRID_FINITE_BELOW = math.ldexp(1.0, 1023 - math.frexp(ALPHA_GRID[-1])[1])
 
 
 def _at_orders(curve: Callable[[np.ndarray], np.ndarray], alpha: ArrayLike) -> ArrayLike:
@@ -310,8 +312,13 @@ def _converted(slope: float, decay: float, delta: float, exps: dict,
         raise VacuousBound()
     if decay not in exps:
         exps[decay] = np.exp(-decay / ALPHA_GRID)
+    if slope < _GRID_FINITE_BELOW:
+        scaled = slope * ALPHA_GRID
+    else:
+        with np.errstate(over="ignore"):  # +inf marks the vacuous orders
+            scaled = slope * ALPHA_GRID
     curve = functools.partial(_loss, slope, decay)
-    eps, alpha = _optimize_order(exps[decay] * (slope * ALPHA_GRID), curve, delta, target,
+    eps, alpha = _optimize_order(exps[decay] * scaled, curve, delta, target,
                                  None if target is None else lambda a, b: curve(a))
     return float(eps), float(alpha)
 

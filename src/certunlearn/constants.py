@@ -31,7 +31,7 @@ class ProblemConstants:
         m: strong-convexity modulus, >= 0 (0 encodes merely convex).
         M: per-sample gradient norm bound (clip radius), > 0.
         R: projection-ball radius for the iterates, > 0.
-        n: number of training samples.
+        n: number of training samples, >= 1, with n**2 finite in float64.
         d: parameter dimension (d*c for a d-by-c weight matrix).
         lam: l2 regularization weight, >= 0.
     """
@@ -55,7 +55,11 @@ class ProblemConstants:
             raise ValueError(f"m must be non-negative and finite, got {self.m}")
         if self.m > self.L * (1 + 1e-12):
             raise ValueError(f"m={self.m} exceeds L={self.L}")
-        if not (self.n >= 1 and math.isfinite(self.n)):
+        try:  # the bounds divide by n**2, so it must stay within float64
+            n_ok = self.n >= 1 and float(self.n) ** 2 < math.inf
+        except OverflowError:  # a float n**2 or an int n past float64
+            n_ok = False
+        if not n_ok:
             raise ValueError(f"n must be >= 1 and finite, got {self.n}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")

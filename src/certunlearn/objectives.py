@@ -1,10 +1,11 @@
 """Objective functions with certified constants, plus dataset plumbing.
 
-An "objective bundle" couples a dataset with loss/gradient callables and the
-(L, m, M, ...) constants the accountant consumes. Gradients follow the
-DP-SGD convention: the per-sample data gradient is clipped to norm M, the
-clipped gradients are averaged, and the l2 regularizer lam*w is added after
-clipping, so M certifies the data term alone.
+An `Objective` is what a chain reads: a gradient callable, the (L, m, M,
+...) constants the accountant consumes, and the dataset; `evaluate` gives a
+model's loss and accuracy. Gradients follow the DP-SGD convention: the
+per-sample data gradient is clipped to norm M, the clipped gradients are
+averaged, and the l2 regularizer lam*w is added after clipping, so M
+certifies the data term alone.
 """
 from __future__ import annotations
 
@@ -186,16 +187,13 @@ def _replace_rows(X: np.ndarray, y: np.ndarray, req: UnlearningRequest) -> None:
 
 @dataclass(frozen=True)
 class Objective:
-    """Loss/gradient callables bound to a dataset, with certified constants.
+    """A gradient bound to a dataset, with certified constants.
 
     grad(w) returns the full-batch update direction: mean of per-sample
-    clipped data gradients plus the regularizer. per_sample_grad(w) exposes
-    the raw (pre-clip) per-sample data gradients for verification.
+    clipped data gradients plus the regularizer. The loss is `evaluate`'s.
     """
 
-    loss: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    per_sample_grad: Callable[[np.ndarray], np.ndarray]
     constants: ProblemConstants
     data: Dataset | None = None
 
@@ -254,13 +252,6 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     long_rows = np.flatnonzero(row_norms > M)
     long_norms = row_norms[long_rows]
 
-    def loss(w: np.ndarray) -> float:
-        return _logistic_loss(X @ w, y, w, lam)
-
-    def per_sample_grad(w: np.ndarray) -> np.ndarray:
-        coef = (_sigmoid(y * (X @ w)) - 1.0) * y
-        return coef[:, None] * X
-
     def grad(w: np.ndarray) -> np.ndarray:
         margins = X @ w
         margins *= y
@@ -276,8 +267,7 @@ def logistic_objective(data: Dataset, lam: float | None = None,
         g += lam * w
         return g
 
-    return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=data)
+    return Objective(grad=grad, constants=pc, data=data)
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -304,15 +294,6 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
     M = pc.M
     row_norms = data._norms
 
-    def loss(W: np.ndarray) -> float:
-        _check_weight_shape(W, d, c)
-        return _softmax_loss(X @ W, Y, W, lam)
-
-    def per_sample_grad(W: np.ndarray) -> np.ndarray:
-        _check_weight_shape(W, d, c)
-        resid = _softmax(X @ W) - Y
-        return X[:, :, None] * resid[:, None, :]
-
     def grad(W: np.ndarray) -> np.ndarray:
         _check_weight_shape(W, d, c)
         resid = _softmax(X @ W) - Y
@@ -320,8 +301,7 @@ def multiclass_objective(data: Dataset, lam: float | None = None,
         scale = np.where(norms > M, M / np.where(norms > 0, norms, 1.0), 1.0)
         return X.T @ (resid * scale[:, None]) / n + lam * W
 
-    return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=data)
+    return Objective(grad=grad, constants=pc, data=data)
 
 
 def objective_for(data: Dataset, **kw) -> Objective:
@@ -349,18 +329,10 @@ def quadratic_objective(center: np.ndarray, m_curv: float,
     M = m_curv * (float(np.linalg.norm(center)) + radius)
     pc = ProblemConstants(L=m_curv, m=m_curv, M=max(M, 1e-12), R=radius, n=1, d=d)
 
-    def loss(x: np.ndarray) -> float:
-        diff = x - center
-        return float(0.5 * m_curv * (diff @ diff))
-
     def grad(x: np.ndarray) -> np.ndarray:
         return m_curv * (x - center)
 
-    def per_sample_grad(x: np.ndarray) -> np.ndarray:
-        return (m_curv * (x - center))[None, :]
-
-    return Objective(loss=loss, grad=grad, per_sample_grad=per_sample_grad,
-                     constants=pc, data=None)
+    return Objective(grad=grad, constants=pc)
 
 
 def _logistic_loss(scores: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:

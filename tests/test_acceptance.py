@@ -16,7 +16,7 @@ import pytest
 
 from certunlearn import (INFINITE, InitSpec, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, SyntheticSpec, binary_search_sigma,
-                         converted_epsilon, d2d_sigma_thm9, d2d_sigma_thm28,
+                         converted_epsilon, d2d_sigma_thm9, d2d_sigma_thm28, evaluate,
                          find_min_k, learn_epsilon0, logistic_objective, lsi_cap,
                          make_rng, make_synthetic, multiclass_objective, pngd_step,
                          quadratic_objective, rdp_to_dp, sequential_k_schedule,
@@ -319,14 +319,21 @@ def test_criterion_5_pngd_correctness():
     onehot[np.arange(30), labels] = 1
     multi_data = Dataset(features=X, labels=onehot, normalized=True)
     mobj = multiclass_objective(multi_data, lam=0.03)
+
+    def bloss(w):
+        return evaluate(w, bin_data, 0.03)[0]
+
+    def mloss(w):
+        return evaluate(w, multi_data, 0.03)[0]
+
     grad_ok = True
     for _ in range(50):
         wb = rng.standard_normal(5)
-        if not np.allclose(bobj.grad(wb), central(bobj.loss, wb), rtol=1e-5,
+        if not np.allclose(bobj.grad(wb), central(bloss, wb), rtol=1e-5,
                            atol=1e-10):
             grad_ok = False
         wm = rng.standard_normal((5, 3))
-        if not np.allclose(mobj.grad(wm), central(mobj.loss, wm), rtol=1e-5,
+        if not np.allclose(mobj.grad(wm), central(mloss, wm), rtol=1e-5,
                            atol=1e-10):
             grad_ok = False
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -234,6 +235,22 @@ class TestFloat64Edges:
             with pytest.raises(VacuousBound):
                 entry()
 
+    def test_finite_slope_past_the_grid_certifies_without_a_warning(self, mnist):
+        # slope 5.9e303: slope * alpha leaves float64 on the top of ALPHA_GRID,
+        # which marks those orders +inf without numpy's overflow warning (an
+        # error under this suite's filterwarnings)
+        pc, regime, delta = mnist.pc.with_(M=1.5e153), mnist.regime, mnist.delta
+        ns = NoiseSchedule(eta=mnist.eta, sigma=0.03, T=INFINITE, K=1)
+        assert learn_epsilon0(pc, ns, regime).slope > sys.float_info.max / ALPHA_GRID[-1]
+        assert converted_epsilon(pc, ns, regime, 1, 10 ** 6, delta) == 0.1497279139701865
+        assert find_min_k(1.0, delta, pc, ns, regime) == 162202
+
+    def test_largest_n_certifies(self, mnist):
+        # n**2 = 1.69e308 is finite; ProblemConstants rejects n = 1.35e154
+        pc, regime, delta = mnist.pc.with_(n=1.3e154), mnist.regime, mnist.delta
+        ns = NoiseSchedule(eta=mnist.eta, sigma=0.03, T=INFINITE, K=1)
+        assert 0.0 < converted_epsilon(pc, ns, regime, 1, 1, delta) < 1e-3
+
 
 class TestUnlearnRate:
     def test_strongly_convex_rate_is_eta_m(self, sc_setup):
@@ -446,6 +463,11 @@ class TestLearnEpsilon0:
         except CapOverflow:
             with pytest.raises(CapOverflow):
                 lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
+            return
+        except VacuousBound:  # only where the closed form leaves float64
+            cap = lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
+            assert not math.isfinite(2.0 * ns.eta * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2)
+                                     * (cap / (ns.eta * ns.sigma ** 2)))
             return
         q, ended = _converged_sum_product_loop(pc, ns, regime, default_c0(pc, ns, regime),
                                                max_iters=50_000)

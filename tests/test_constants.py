@@ -20,6 +20,9 @@ class TestProblemConstants:
     @pytest.mark.parametrize("field,value", [
         ("L", 0.0), ("m", -0.1), ("M", 0.0), ("R", 0.0), ("n", 0), ("d", 0),
         ("lam", -1.0),
+        # n**2 leaves float64, and the bounds divide by it
+        ("n", 1.35e154), ("n", 1e200), pytest.param("n", 10 ** 200, id="n-10**200"),
+        pytest.param("n", 10 ** 400, id="n-10**400"),
     ])
     def test_rejects_out_of_range(self, field, value):
         kw = dict(L=1.0, m=0.1, M=1.0, R=1.0, n=10, d=2, lam=0.1)

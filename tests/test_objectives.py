@@ -33,6 +33,20 @@ def onehot_data(n=40, d=6, c=4, seed=0):
     return Dataset(features=X, labels=Y, normalized=True)
 
 
+def logistic_per_sample(data, w):
+    """Raw (pre-clip) per-sample data gradients of the logistic loss."""
+    coef, _ = ref_coef_scale(data, w)
+    return coef[:, None] * data.features
+
+
+def softmax_per_sample(data, W):
+    """Raw (pre-clip) per-sample data gradients x (p - y)^T of the softmax loss."""
+    X = data.features
+    Z = X @ W
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return X[:, :, None] * (E / E.sum(axis=1, keepdims=True) - data.labels)[:, None, :]
+
+
 def central_diff(loss, w, eps=1e-6):
     g = np.zeros_like(w, dtype=float)
     it = np.nditer(w, flags=["multi_index"])
@@ -69,9 +83,10 @@ class TestLogistic:
         data = binary_data()
         obj = logistic_objective(data, lam=0.01)
         w = np.zeros(data.d)
-        assert obj.loss(w) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert evaluate(w, data, 0.01)[0] == pytest.approx(math.log(2.0), rel=1e-12)
         expect = -0.5 * data.labels[:, None] * data.features
-        assert obj.per_sample_grad(w) == pytest.approx(expect, rel=1e-12)
+        assert logistic_per_sample(data, w) == pytest.approx(expect, rel=1e-12)
+        assert obj.grad(w) == pytest.approx(expect.mean(axis=0), rel=1e-12, abs=1e-15)
 
     def test_unit_norm_inputs_never_clip(self):
         data = binary_data(seed=3)
@@ -79,10 +94,11 @@ class TestLogistic:
         rng = make_rng(1)
         for _ in range(50):
             w = 10.0 * rng.standard_normal(data.d)
-            norms = np.linalg.norm(obj.per_sample_grad(w), axis=1)
+            per_sample = logistic_per_sample(data, w)
+            norms = np.linalg.norm(per_sample, axis=1)
             assert np.all(norms <= 1.0 + 1e-12)
             # mean of per-sample grads + reg equals the clipped update
-            expect = obj.per_sample_grad(w).mean(axis=0)
+            expect = per_sample.mean(axis=0)
             assert obj.grad(w) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     def test_mnist_constants(self):
@@ -109,10 +125,14 @@ class TestLogistic:
     def test_gradient_matches_finite_differences(self):
         data = binary_data(n=25, d=5, seed=9)
         obj = logistic_objective(data, lam=0.037)
+
+        def loss(v):
+            return evaluate(v, data, 0.037)[0]
+
         rng = make_rng(4)
         for _ in range(20):
             w = rng.standard_normal(5)
-            assert obj.grad(w) == pytest.approx(central_diff(obj.loss, w), rel=1e-5)
+            assert obj.grad(w) == pytest.approx(central_diff(loss, w), rel=1e-5)
 
     def test_strong_monotonicity_modulus(self):
         data = binary_data(n=30, d=4, seed=5)
@@ -130,10 +150,11 @@ class TestMulticlass:
         data = onehot_data(c=5)
         obj = multiclass_objective(data, lam=0.02)
         W = np.zeros((data.d, 5))
-        assert obj.loss(W) == pytest.approx(math.log(5.0), rel=1e-12)
-        grads = obj.per_sample_grad(W)
+        assert evaluate(W, data, 0.02)[0] == pytest.approx(math.log(5.0), rel=1e-12)
+        grads = softmax_per_sample(data, W)
         expect = data.features[:, :, None] * (0.2 - data.labels)[:, None, :]
         assert grads == pytest.approx(expect, rel=1e-12)
+        assert obj.grad(W) == pytest.approx(expect.mean(axis=0), rel=1e-12, abs=1e-15)
 
     def test_constants(self):
         data = onehot_data()
@@ -148,22 +169,31 @@ class TestMulticlass:
         rng = make_rng(6)
         for _ in range(30):
             W = 5.0 * rng.standard_normal((data.d, data.n_classes))
-            norms = np.linalg.norm(obj.per_sample_grad(W).reshape(data.n, -1), axis=1)
+            per_sample = softmax_per_sample(data, W)
+            norms = np.linalg.norm(per_sample.reshape(data.n, -1), axis=1)
             assert np.all(norms <= 2.0 + 1e-12)
+            # the clip never fires, so the update is the plain mean
+            assert obj.grad(W) == pytest.approx(per_sample.mean(axis=0), rel=1e-12, abs=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         data = onehot_data(n=15, d=4, c=3, seed=7)
         obj = multiclass_objective(data, lam=0.021)
+
+        def loss(V):
+            return evaluate(V, data, 0.021)[0]
+
         rng = make_rng(10)
         for _ in range(10):
             W = rng.standard_normal((4, 3))
-            assert obj.grad(W) == pytest.approx(central_diff(obj.loss, W), rel=1e-5)
+            assert obj.grad(W) == pytest.approx(central_diff(loss, W), rel=1e-5)
 
     def test_shape_mismatch_rejected(self):
         data = onehot_data(c=3)
         obj = multiclass_objective(data, lam=0.1)
         with pytest.raises(ValueError, match="shape"):
-            obj.loss(np.zeros((data.d, 4)))
+            obj.grad(np.zeros((data.d, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(np.zeros((data.d, 4)), data, 0.1)
 
 
 class TestQuadratic:
@@ -351,15 +381,6 @@ class TestExactGradient:
             warnings.simplefilter("error")
             got = obj.grad(w)
         assert np.array_equal(got, ref_grad(data, 0.01, w))
-
-    def test_per_sample_grad(self):
-        data = long_row_data(seed=6)
-        obj = logistic_objective(data, lam=0.0)
-        rng = make_rng(7)
-        for _ in range(20):
-            w = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(data.d)
-            coef, _ = ref_coef_scale(data, w)
-            assert np.array_equal(obj.per_sample_grad(w), coef[:, None] * data.features)
 
     def test_project_ball(self):
         rng = make_rng(8)
