@@ -310,17 +310,26 @@ def _converted(slope: float, decay: float, delta: float, exps: dict,
     the lower end). `exps` holds exp(-decay/ALPHA_GRID) per decay for one search."""
     if slope == math.inf:
         raise VacuousBound()
-    if decay not in exps:
-        exps[decay] = np.exp(-decay / ALPHA_GRID)
     if slope < _GRID_FINITE_BELOW:
-        scaled = slope * ALPHA_GRID
+        if decay not in exps:
+            exps[decay] = np.exp(-decay / ALPHA_GRID)
+        curve = functools.partial(_loss, slope, decay)
+        on_grid = exps[decay] * (slope * ALPHA_GRID)
     else:
-        with np.errstate(over="ignore"):  # +inf marks the vacuous orders
-            scaled = slope * ALPHA_GRID
-    curve = functools.partial(_loss, slope, decay)
-    eps, alpha = _optimize_order(exps[decay] * scaled, curve, delta, target,
+        curve = functools.partial(_loss_past_grid, slope, decay)
+        on_grid = curve(ALPHA_GRID)
+    eps, alpha = _optimize_order(on_grid, curve, delta, target,
                                  None if target is None else lambda a, b: curve(a))
     return float(eps), float(alpha)
+
+
+def _loss_past_grid(slope: float, decay: float, alpha: ArrayLike) -> ArrayLike:
+    """_loss at a slope of at least _GRID_FINITE_BELOW: +inf where slope * alpha
+    overflows, but in logs where exp(-decay/alpha) underflows too (0 * inf is nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _loss(slope, decay, alpha)
+        in_logs = np.exp(math.log(slope) + np.log(alpha) - decay / alpha)
+    return np.where(np.isnan(out), in_logs, out)
 
 
 @functools.lru_cache(maxsize=8)

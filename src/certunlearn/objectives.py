@@ -5,7 +5,8 @@ An `Objective` is what a chain reads: a gradient callable, the (L, m, M,
 model's loss and accuracy. Gradients follow the DP-SGD convention: the
 per-sample data gradient is clipped to norm M, the clipped gradients are
 averaged, and the l2 regularizer lam*w is added after clipping, so M
-certifies the data term alone.
+certifies the data term alone. The logistic coefficient -y/(1 + exp(y x.w))
+is accurate to a few ulps and at most 1, so only rows longer than M clip.
 """
 from __future__ import annotations
 
@@ -204,18 +205,6 @@ class Objective:
         return (self.data.d, self.data.n_classes) if onehot else (self.constants.d,)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # exp(-|t|) is exp(-t) where t >= 0 and exp(t) elsewhere, so one exp gives
-    # both branches 1/(1 + exp(-t)) and exp(t)/(1 + exp(t)) bit for bit.
-    e = np.abs(t)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(t >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
-
-
 def _checked_lam(data: Dataset, lam: float | None) -> float:
     """lam, by default 1e-6 * n, once the data pass the norm check
     (`model_constants` checks lam >= 0)."""
@@ -234,18 +223,18 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     raw per-sample gradient norm at most 1, so the clip is inactive on
     normalized data; unnormalized data is rejected.
 
-    The per-sample gradient norm is |coef| * ||x_i|| with |coef| <= 1 exactly
-    in floating point, so only rows with ||x_i|| > M can ever clip. Their
-    indices are found once here; grad checks only those rows and rescales
-    them only when one exceeds M. Every other row keeps scale 1.0 exactly,
-    so the result is bit-identical to clipping all n rows with the
-    two-branch sigmoid.
+    The data gradient of row i is coef_i x_i, coef_i = -y_i / (1 + exp(t_i))
+    at margin t_i = y_i x_i.w: one exp and one divide, no cancellation; within
+    a few ulps of exact while exp(t_i) is finite, a signed 0 past it (t_i >
+    709.78, where the exact value is subnormal). |coef_i| <= 1 exactly, as
+    1/(1 + e) <= 1 for e >= 0, so only rows with ||x_i|| > M can clip; grad
+    rescales those only when one exceeds M, bit-identical to clipping all n.
     """
     if data.is_multiclass:
         raise ValueError("logistic_objective expects binary labels; use multiclass_objective")
     lam = _checked_lam(data, lam)
-    X, y = data.features, data.labels.astype(float)
-    n = data.n
+    X, y, n = data.features, data.labels.astype(float), data.n
+    neg_y = -y
     pc = model_constants(n, (data.d,), lam, radius)
     M = pc.M
     row_norms = data._norms
@@ -253,15 +242,15 @@ def logistic_objective(data: Dataset, lam: float | None = None,
     long_norms = row_norms[long_rows]
 
     def grad(w: np.ndarray) -> np.ndarray:
-        margins = X @ w
-        margins *= y
-        coef = _sigmoid(margins)
-        coef -= 1.0
+        coef = X @ w
         coef *= y
+        with np.errstate(over="ignore"):  # exp(t) = inf gives coef = -y/inf, a signed 0
+            np.exp(coef, out=coef)
+        coef += 1.0
+        np.divide(neg_y, coef, out=coef)
         norms = np.abs(coef[long_rows]) * long_norms
-        over = norms > M
-        if over.any():
-            coef[long_rows] *= np.where(over, M / np.where(norms > 0, norms, 1.0), 1.0)
+        if np.fmax.reduce(norms, initial=0.0) > M:  # any(norms > M): fmax skips nan too
+            coef[long_rows] *= np.where(norms > M, M / np.where(norms > 0, norms, 1.0), 1.0)
         g = X.T @ coef
         g /= n
         g += lam * w

@@ -32,12 +32,12 @@ def project_ball(v: np.ndarray, R: float) -> np.ndarray:
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
     v = np.asarray(v, dtype=float)
-    norm = math.sqrt((v * v).sum())
+    norm = math.sqrt(np.add.reduce(v * v, axis=None))
     if norm <= R:
         return v
     if norm == math.inf:  # the squared norm overflowed: project v scaled by its largest entry
         v = v / np.abs(v).max()
-        norm = math.sqrt((v * v).sum())
+        norm = math.sqrt(np.add.reduce(v * v, axis=None))
     return v * (R / norm)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ class TestFloat64Edges:
         assert learn_epsilon0(pc, ns, regime).slope > sys.float_info.max / ALPHA_GRID[-1]
         assert converted_epsilon(pc, ns, regime, 1, 10 ** 6, delta) == 0.1497279139701865
         assert find_min_k(1.0, delta, pc, ns, regime) == 162202
+
+    def test_finite_slope_past_the_grid_at_long_fine_tuning(self, mnist):
+        # at K = 1e9 and 1e11, exp(-decay/alpha) underflows to 0 on the orders
+        # where slope * alpha overflows, and 0 * inf would be nan there
+        pc, regime, delta = mnist.pc.with_(M=1.5e153), mnist.regime, mnist.delta
+        ns = NoiseSchedule(eta=mnist.eta, sigma=0.03, T=INFINITE, K=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = [converted_epsilon(pc, ns, regime, 1, K, delta)
+                   for K in (10 ** 6, 10 ** 7, 10 ** 9, 10 ** 11)]
+        assert all(math.isfinite(e) for e in eps)
+        assert all(a >= b for a, b in zip(eps, eps[1:]))
 
     def test_largest_n_certifies(self, mnist):
         # n**2 = 1.69e308 is finite; ProblemConstants rejects n = 1.35e154

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -306,20 +307,12 @@ class TestEvaluate:
         assert acc > 0.95
 
 
-# Reference: the two-branch sigmoid and the all-rows clip that the lean
-# logistic gradient must reproduce bit for bit.
-def ref_sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
+# Reference: the coefficient -y/(1 + exp(y x.w)) and the all-rows clip that
+# the lean logistic gradient must reproduce bit for bit.
 def ref_coef_scale(data, w, M=1.0):
     X, y = data.features, data.labels.astype(float)
-    coef = (ref_sigmoid(y * (X @ w)) - 1.0) * y
+    with np.errstate(over="ignore"):
+        coef = -y / (1.0 + np.exp(y * (X @ w)))
     norms = np.abs(coef) * np.linalg.norm(X, axis=1)
     scale = np.where(norms > M, M / np.where(norms > 0, norms, 1.0), 1.0)
     return coef, scale
@@ -389,6 +382,72 @@ class TestExactGradient:
                 v = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(shape)
                 R = 10.0 ** rng.uniform(-2, 3)
                 assert np.array_equal(project_ball(v, R), ref_project_ball(v, R))
+
+
+def unit_row_coef(t, label):
+    """The logistic coefficient at margin t for a row labelled `label`, read
+    off grad on the one-row dataset X = [[1]] with lam = 0: X @ w is w, and
+    grad(w) is the coefficient itself (a -0 reads back as +0)."""
+    obj = logistic_objective(Dataset(features=np.ones((1, 1)), labels=np.array([label])),
+                             lam=0.0)
+    return np.array([obj.grad(np.array([label * ti]))[0] for ti in t])
+
+
+def sigmoid_chain_coef(t, label):
+    """The earlier (sigmoid(t) - 1) * y, with the two-branch sigmoid, which
+    cancels as sigmoid(t) nears 1."""
+    e = np.exp(-np.abs(t))
+    return (np.where(t >= 0, 1.0, e) / (1.0 + e) - 1.0) * label
+
+
+class TestCoefficientPrecision:
+    """The logistic coefficient -y/(1 + exp(t)) against mpmath at 50 digits:
+    a relative error within four unit roundoffs (2**-53) wherever exp(t) is
+    finite, |coef| <= 1 exactly, and a signed 0 with no warning where exp(t)
+    overflows."""
+
+    T = np.concatenate([np.linspace(-745.0, 708.0, 20001), [0.0, -0.0, 20.0, 36.0, 40.0]])
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        with mp.workdps(50):
+            return [1 / (1 + mp.exp(mp.mpf(float(t)))) for t in self.T]
+
+    def rel_errors(self, coef, exact):
+        """Relative errors of coef(T, label) against the exact coefficient,
+        per label, once |coef| <= 1 holds exactly."""
+        errs = {}
+        with mp.workdps(50):
+            for label in (1, -1):
+                got = coef(self.T, label)
+                assert np.all(np.abs(got) <= 1.0)
+                errs[label] = np.array([float(abs(mp.mpf(float(g)) + label * x) / x)
+                                        for g, x in zip(got, exact)])
+        return errs
+
+    def assert_precise(self, coef, exact):
+        for errs in self.rel_errors(coef, exact).values():
+            assert errs.max() <= 4 * 2.0 ** -53
+
+    def test_within_four_ulps_and_at_most_one(self, exact):
+        self.assert_precise(unit_row_coef, exact)
+
+    def test_signed_zero_past_exp_overflow(self):
+        t = np.linspace(709.8, 1e4, 1001)[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for label in (1, -1):
+                assert np.all(unit_row_coef(t, label) == 0.0)
+
+    def test_the_sigmoid_chain_fails(self, exact):
+        # the earlier formula loses the coefficient to cancellation
+        with pytest.raises(AssertionError):
+            self.assert_precise(sigmoid_chain_coef, exact)
+        errs = self.rel_errors(sigmoid_chain_coef, exact)
+        at = {t: int(np.flatnonzero(self.T == t)[0]) for t in (20.0, 40.0)}
+        for label in (1, -1):
+            assert errs[label][at[20.0]] == pytest.approx(3.6e-8, rel=0.05)
+            assert errs[label][at[40.0]] == 1.0
 
 
 def same_state(a, b):
