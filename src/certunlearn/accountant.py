@@ -69,6 +69,13 @@ def _loss(slope: float, decay: float, alpha: ArrayLike) -> ArrayLike:
     return np.exp(-decay / alpha) * (slope * alpha)
 
 
+def _curve(slope: float, decay: float) -> Callable[[ArrayLike], ArrayLike]:
+    """RenyiBound(slope, decay)'s loss at the orders, unchecked: _loss, or
+    _loss_past_grid from a slope of _GRID_FINITE_BELOW on."""
+    return functools.partial(_loss if slope < _GRID_FINITE_BELOW else _loss_past_grid,
+                             slope, decay)
+
+
 @dataclass(frozen=True)
 class RenyiBound:
     """The privacy-loss curve eps(alpha) = exp(-decay/alpha) * slope * alpha
@@ -83,7 +90,7 @@ class RenyiBound:
             raise ValueError(f"slope and decay must be non-negative, got {self!r}")
 
     def __call__(self, alpha: ArrayLike) -> ArrayLike:
-        return _at_orders(functools.partial(_loss, self.slope, self.decay), alpha)
+        return _at_orders(_curve(self.slope, self.decay), alpha)
 
 
 @dataclass(frozen=True)
@@ -196,9 +203,8 @@ def _decay_sum(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     constant trace is not built). The chain must pass _check_chain."""
     if regime is Regime.STRONGLY_CONVEX:
         return K * unlearn_rate(pc, ns, regime, C0), C0
-    trace = _trace(pc, ns, regime, C0, K)
-    return (math.fsum(unlearn_rate(pc, ns, regime, c) for c in trace.values[:K]),
-            float(trace.values[-1]))
+    values = _trace(pc, ns, regime, C0, K).values.tolist()  # floats: inf past float64, no warning
+    return math.fsum(unlearn_rate(pc, ns, regime, c) for c in values[:K]), values[-1]
 
 
 def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
@@ -278,7 +284,8 @@ def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
         raise VacuousBound() from None
     if regime is Regime.STRONGLY_CONVEX:
         factor = 1.0 if math.isinf(T) else -math.expm1(-pc.m * ns.eta * T)
-        slope = 4.0 * S * S * M2 / (pc.m * ns.sigma ** 2 * pc.n ** 2) * factor
+        denominator = pc.m * ns.sigma ** 2 * pc.n ** 2  # 0 once it underflows: slope past float64
+        slope = 4.0 * S * S * M2 / denominator * factor if denominator else math.inf
     else:
         # at T = INFINITE the LSI constants saturate at the cap, where
         # Q <- r(Q + 1) has the fixed point r/(1 - r) = cap/(eta sigma^2)
@@ -310,13 +317,12 @@ def _converted(slope: float, decay: float, delta: float, exps: dict,
     the lower end). `exps` holds exp(-decay/ALPHA_GRID) per decay for one search."""
     if slope == math.inf:
         raise VacuousBound()
-    if slope < _GRID_FINITE_BELOW:
+    curve = _curve(slope, decay)
+    if curve.func is _loss:  # slope * ALPHA_GRID is finite; the decay factor is cached
         if decay not in exps:
             exps[decay] = np.exp(-decay / ALPHA_GRID)
-        curve = functools.partial(_loss, slope, decay)
         on_grid = exps[decay] * (slope * ALPHA_GRID)
     else:
-        curve = functools.partial(_loss_past_grid, slope, decay)
         on_grid = curve(ALPHA_GRID)
     eps, alpha = _optimize_order(on_grid, curve, delta, target,
                                  None if target is None else lambda a, b: curve(a))
@@ -335,6 +341,8 @@ def _loss_past_grid(slope: float, decay: float, alpha: ArrayLike) -> ArrayLike:
 @functools.lru_cache(maxsize=8)
 def _order_term(delta: float) -> np.ndarray:
     """log(1/delta)/(alpha - 1) on ALPHA_GRID; cached per delta, so read-only."""
+    if not sys.float_info.min <= delta < 1.0:  # every search's first 1/delta; raised uncached
+        raise ValueError(f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}")
     term = math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
     term.flags.writeable = False
     return term
@@ -386,12 +394,9 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
     minimum over a prefix of rdp_to_dp's probes, so `eps <= target` answers
     the question as rdp_to_dp's eps would.
     """
-    if not sys.float_info.min <= delta < 1.0:  # 1/delta overflows from subnormal deltas
-        raise ValueError(f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}")
-    log_inv_delta = math.log(1.0 / delta)
-
     grid = ALPHA_GRID
     obj = on_grid + _order_term(delta)
+    log_inv_delta = math.log(1.0 / delta)
     i = int(np.argmin(obj))  # the first nan, if there is one
     best = (float(obj[i]), float(grid[i]))
     if math.isnan(best[0]):

@@ -7,7 +7,6 @@ fits a step budget, and how do sequential removal requests compose.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,18 +145,6 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     return hi
 
 
-def _level_on(alpha: np.ndarray, slope: float, decay: float, prev) -> np.ndarray:
-    """One request's Renyi loss at every order in alpha (an ndarray): its decay
-    exp(-decay/alpha) times slope*alpha for the first request (prev None),
-    else times the weak triangle inequality's chain of its learning loss at
-    2*alpha with `prev`, the previous request's loss there. An order whose
-    unrolled orders overflow float64 (inf/inf weights, 0*inf) gives nan or
-    +inf, with numpy's warnings; the caller silences them and maps nan to +inf."""
-    factor = np.exp(-decay / alpha)
-    return (factor * slope * alpha if prev is None
-            else factor * ((alpha - 0.5) / (alpha - 1.0)) * (slope * 2.0 * alpha + prev))
-
-
 # the weak triangle inequality's weight on ALPHA_GRID; shared, so read-only
 _GRID_WEIGHT = (ALPHA_GRID - 0.5) / (ALPHA_GRID - 1.0)
 _GRID_WEIGHT.flags.writeable = False
@@ -207,14 +194,19 @@ class _Stream:
         ndarray of any shape (0-d included); +inf where an unrolled order
         overflows float64.
 
-        The levels run under one errstate, and nan becomes +inf once, at the
-        end: a nan level stays nan through every later level, and an inf
-        level stays inf or turns nan, so the result is the one a per-level
-        map would give."""
+        Request j's level at order a = alpha*2^(n-1-j) is exp(-decay/a) times
+        slope*a (first request), else times the weak triangle chain of slope*2a
+        with the previous level. The levels run under one errstate, and nan
+        becomes +inf once, at the end: a nan level stays nan through every
+        later level, and an inf level stays inf or turns nan, so the result is
+        the one a per-level map would give."""
         flat, n, out = alpha.reshape(-1), len(self.decays), None
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (slope, decay) in enumerate(zip(self.slopes, self.decays)):
-                out = _level_on(np.ldexp(flat, n - 1 - j), slope, decay, out)
+                a = np.ldexp(flat, n - 1 - j)
+                factor = np.exp(-decay / a)
+                out = (factor * slope * a if out is None
+                       else factor * ((a - 0.5) / (a - 1.0)) * (slope * 2.0 * a + out))
         out[np.isnan(out)] = np.inf
         return out.reshape(alpha.shape)
 
@@ -258,7 +250,7 @@ def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., flo
             weights = scaled(hi).tolist()
         out = None
         for factor, a, w, s in zip(np.exp(neg_decays / orders).tolist(), levels, weights,
-                                   slopes):  # _level_on, with the weight at order w
+                                   slopes):  # _Stream.curve's level, weight at order w
             out = (factor * s * a if out is None
                    else factor * ((w - 0.5) / (w - 1.0)) * (s * 2.0 * a + out))
         return out if hi is not None or not math.isnan(out) else math.inf
@@ -323,14 +315,12 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
     if s_total < 1 or b < 1:
         raise ValueError("s_total and b must be >= 1")
-    if not sys.float_info.min <= delta < 1.0:  # every probe's check, before `room` needs 1/delta
-        raise ValueError(f"delta must be in [{sys.float_info.min!r}, 1), got {delta!r}")
     full, rem = divmod(s_total, b)
     sizes = [b] * full + ([rem] if rem else [])
 
+    room = eps_hat - _order_term(delta)  # what the loss may take at each grid order
     stream = _Stream(pc, NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma),
                      regime)
-    room = eps_hat - _order_term(delta)  # what the loss may take at each grid order
     schedule: list[int] = []
     for size in sizes:
         slope = stream.slope(size)
@@ -343,7 +333,7 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
         def ok(k: int) -> bool:
             decay, _ = stream.decay(k)
             at = _scalar_curve(stream.slopes + [slope], stream.decays + [decay])
-            with np.errstate(over="ignore", invalid="ignore"):  # _level_on, hoisted
+            with np.errstate(over="ignore", invalid="ignore"):  # _Stream.curve's level, hoisted
                 factor = np.exp(-decay / ALPHA_GRID)
                 on_grid = (factor * slope * ALPHA_GRID if lift is None
                            else factor * _GRID_WEIGHT * lift)

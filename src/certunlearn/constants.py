@@ -137,7 +137,7 @@ def validate_schedule(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                          f"[{', '.join(SIGMA_RANGE_TEXT)}], got {ns.sigma!r}")
     tol = 1.0 + 1e-12
     if regime is Regime.STRONGLY_CONVEX:
-        c = default_c0(pc, ns, regime) if c_lsi is None else c_lsi
+        c = 2.0 * ns.sigma ** 2 / pc.m if c_lsi is None else c_lsi
         if not c > ns.sigma ** 2 / pc.m:
             raise ValueError(
                 f"strongly convex regime needs C_LSI > sigma^2/m; got C={c:.6g}, "
@@ -154,16 +154,10 @@ def default_c0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime) -> float
     """Default initialization LSI constant: 2 sigma^2/m when strongly convex,
     else eta sigma^2. A sigma outside SIGMA_RANGE, or m = 0 when strongly
     convex, raises validate_schedule's ValueError."""
-    sigma = ns.sigma
-    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
-        validate_schedule(pc, ns, regime)  # raises: sigma is out of range
-    try:
-        if regime is Regime.STRONGLY_CONVEX:
-            return 2.0 * sigma ** 2 / pc.m
-        return ns.eta * sigma ** 2
-    except ZeroDivisionError:  # m = 0
-        validate_schedule(pc, ns, regime)  # names the cause
-        raise
+    sigma, strongly_convex = ns.sigma, regime is Regime.STRONGLY_CONVEX
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1] or (strongly_convex and pc.m <= 0):
+        validate_schedule(pc, ns, regime)  # raises, naming the cause
+    return 2.0 * sigma ** 2 / pc.m if strongly_convex else ns.eta * sigma ** 2
 
 
 def model_constants(n: int, shape: tuple[int, ...], lam: float,

@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
+from certunlearn import (CapOverflow, CertUnlearnError, INFINITE, NoiseSchedule, ProblemConstants,
                          Regime, RenyiBound, adjacency_bound_unbiased,
                          binary_search_sigma, calibrate, converted_epsilon, default_c0,
                          find_min_k, get_preset, learn_epsilon0, lsi_cap, lsi_unlearn_trace,
@@ -17,12 +17,13 @@ from certunlearn import (CapOverflow, INFINITE, NoiseSchedule, ProblemConstants,
                          VacuousBound)
 from certunlearn import accountant
 from certunlearn.accountant import ALPHA_GRID
-from certunlearn.calibrate import _level_on
+from certunlearn.calibrate import _scalar_curve
 
 
 def _weak_triangle(alpha, d1_at_2alpha, d2_at_2alpha):
     """Two Renyi differences at order 2*alpha chained into one at alpha: the
-    oracle of calibrate._level_on, which groups the product differently."""
+    oracle of a stream level (calibrate._Stream.curve, _scalar_curve), which
+    groups the product differently."""
     return (alpha - 0.5) / (alpha - 1.0) * (d1_at_2alpha + d2_at_2alpha)
 
 
@@ -257,6 +258,18 @@ class TestFloat64Edges:
                    for K in (10 ** 6, 10 ** 7, 10 ** 9, 10 ** 11)]
         assert all(math.isfinite(e) for e in eps)
         assert all(a >= b for a, b in zip(eps, eps[1:]))
+
+    def test_bound_past_the_grid_evaluates_as_it_certifies(self):
+        # at alpha = 3.5e4 exp(-decay/alpha) underflows to 0 and slope * alpha
+        # overflows: the public curve takes that order in logs, as rdp_to_dp
+        # does, where the plain product gave nan (0 * inf)
+        bound = RenyiBound(5.9e303, 3e7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bound(3.5e4) == pytest.approx(1.1548005872554489e-64, rel=1e-13)  # mpmath
+            on_orders = bound(np.array([1.5, 3.5e4, 1e6]))
+            assert rdp_to_dp(bound, 1e-5)[0] == 2.8596254310776374e-4
+        assert not np.isnan(on_orders).any() and on_orders[1] == bound(3.5e4)
 
     def test_largest_n_certifies(self, mnist):
         # n**2 = 1.69e308 is finite; ProblemConstants rejects n = 1.35e154
@@ -728,14 +741,14 @@ class TestSmallOps:
     ])
     def test_weak_triangle(self, alpha, d1, d2, expect):
         assert _weak_triangle(alpha, d1, d2) == pytest.approx(expect, rel=1e-8)
-        # _level_on chains a request's learning loss at 2a (slope * 2a) with
-        # the previous request's loss at 2a by the same inequality, then decays
+        # a stream level chains a request's learning loss at 2a (slope * 2a)
+        # with the previous request's loss at 2a by the same inequality, then
+        # decays: a first request of slope d2/(2a) and no decay is d2 at 2a
         slope, decay = d1 / (2.0 * alpha), alpha * math.log(4.0)
         factor = math.exp(-decay / alpha)  # 1/4
-        orders = np.array([alpha])
-        assert _level_on(orders, slope, decay, np.array([d2]))[0] == pytest.approx(
-            factor * _weak_triangle(alpha, d1, d2), rel=1e-14)
-        assert _level_on(orders, slope, decay, None)[0] == pytest.approx(
+        assert _scalar_curve([d2 / (2.0 * alpha), slope], [0.0, decay])(alpha) == \
+            pytest.approx(factor * _weak_triangle(alpha, d1, d2), rel=1e-14)
+        assert _scalar_curve([slope], [decay])(alpha) == pytest.approx(
             factor * slope * alpha, rel=1e-15)
 
     def test_adjacency_bound(self):
@@ -888,3 +901,63 @@ class TestScalarFastPath:
         for cell, (sigma, cert), (ref_sigma, ref_cert) in zip(cells, got, want):
             assert _same(sigma, ref_sigma), cell
             assert _same(cert, ref_cert), cell
+
+
+# float64's edges and the accountant's own (SIGMA_RANGE's ends), mixed below
+# with ordinary values
+_EXTREMES = (0.0, 5e-324, 1e-300, 1e-150, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e150, 1e155, 1e200,
+             1e308, math.inf, math.nan, -1.0)
+_value = st.one_of(st.sampled_from(_EXTREMES), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
+_count = st.one_of(st.sampled_from((-1, 0, 1, 2, 3, 300)), st.integers(0, 300))
+
+
+class TestPublicEntriesFuzz:
+    """Every input to a public accountant entry ends in a result or a typed
+    error: a ValueError for a bad argument or a CertUnlearnError, never
+    another exception or a numpy warning."""
+
+    # T stays small: a finite T costs a T-step loop, like K past k_max
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(entry=st.sampled_from(("converted_epsilon", "find_min_k", "learn_epsilon0",
+                                  "sequential_epsilon", "sequential_k_schedule",
+                                  "retrain_saving_lower_bound", "binary_search_sigma")),
+           L=_value, m=_value, M=_value, R=_value, n=st.one_of(st.integers(1, 10 ** 6), _value),
+           eta=_value, sigma=_value, T=st.sampled_from((INFINITE, 0, 1, 3, 300)),
+           regime=st.sampled_from(Regime), delta=_value, eps=_value, alpha=_value,
+           S=_count, K=_count)
+    # the non-convex rate's growth * C_k overflowed a numpy scalar
+    @example(entry="sequential_epsilon", L=1e150, m=0.0, M=0.0078, R=0.09, n=1000, eta=3.0,
+             sigma=1e150, T=INFINITE, regime=Regime.NONCONVEX, delta=1e-5, eps=1.0,
+             alpha=2.0, S=2, K=2)
+    # the strongly convex slope's denominator underflowed to 0
+    @example(entry="learn_epsilon0", L=1e-8, m=5e-324, M=0.036, R=1e8, n=1, eta=0.03,
+             sigma=1e-8, T=INFINITE, regime=Regime.STRONGLY_CONVEX, delta=1e-5, eps=1.0,
+             alpha=2.0, S=1, K=1)
+    def test_ends_in_a_result_or_a_typed_error(self, entry, L, m, M, R, n, eta, sigma, T,
+                                               regime, delta, eps, alpha, S, K):
+        if m > L:  # ordered as ProblemConstants needs, so that more draws reach a call
+            L, m = m, L
+        try:
+            pc = ProblemConstants(L=L, m=m, M=M, R=R, n=n, d=1)
+            ns = NoiseSchedule(eta=eta, sigma=sigma, T=T)
+        except ValueError:
+            return  # the constructors reject the draw
+        call = {
+            "converted_epsilon": lambda: converted_epsilon(pc, ns, regime, S, K, delta),
+            "find_min_k": lambda: find_min_k(eps, delta, pc, ns, regime, S=S, k_max=300),
+            "learn_epsilon0": lambda: rdp_to_dp(learn_epsilon0(pc, ns, regime, S=S), delta),
+            "sequential_epsilon": lambda: calibrate.sequential_epsilon(
+                alpha, sigma, S, 3, [0, 1, K], pc, regime, eta=eta),
+            "sequential_k_schedule": lambda: calibrate.sequential_k_schedule(
+                eps, delta, sigma, 3, S, pc, regime, k_max=300, eta=eta),
+            "retrain_saving_lower_bound": lambda: retrain_saving_lower_bound(pc, ns, alpha),
+            # a convex search's NoFeasibleSigma runs the O(K) trace to K = 10**6
+            "binary_search_sigma": lambda: binary_search_sigma(
+                eps, delta, K, pc, Regime.STRONGLY_CONVEX, S=S, eta=eta),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call()
+            except (ValueError, CertUnlearnError):
+                pass

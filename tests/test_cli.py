@@ -548,7 +548,7 @@ class TestFlagsPerSubcommand:
             assert reads - {"constants", "n_classes", "out"} <= declared, command
             assert declared <= reads, command
 
-    @pytest.mark.slow  # 1863 runs, ~10 s
+    @pytest.mark.slow  # 1863 runs, ~5 s
     def test_sigma_by_decades_ends_in_a_result_or_typed_error(self, tmp_path):
         logging.disable(logging.CRITICAL)
         try:
