@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .constants import (NoiseSchedule, ProblemConstants, Regime, default_c0,
-                        validate_schedule)
+from .constants import (INFINITE, NoiseSchedule, ProblemConstants, Regime, _count,
+                        default_c0, validate_schedule)
 from .errors import CapOverflow, VacuousBound
 
 ArrayLike = Union[float, np.ndarray]
@@ -130,18 +129,18 @@ def lsi_cap(R: float, M: float, eta: float, xi: float) -> float:
 
 
 def _check_chain(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
-                 C0: float, K: int) -> None:
+                 C0: float, K: int) -> int:
     """Reject a fine-tuning chain of K steps from LSI constant C0 as
-    lsi_unlearn_trace does."""
-    _check_start(C0, K)
+    lsi_unlearn_trace does; returns K as an int."""
+    K = _check_start(C0, K)
     validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)
+    return K
 
 
-def _check_start(C0: float, K: int) -> None:
+def _check_start(C0: float, K: int) -> int:
     if not C0 > 0:
         raise ValueError(f"C0 must be positive, got {C0}")
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    return _count(K, "K")
 
 
 def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
@@ -154,8 +153,7 @@ def lsi_unlearn_trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     ball-geometry bound, whose overflow is surfaced as CapOverflow as soon
     as a growing recursion actually needs it (K >= 1).
     """
-    _check_chain(pc, ns, regime, C0, K)
-    return _trace(pc, ns, regime, C0, K)
+    return _trace(pc, ns, regime, C0, _check_chain(pc, ns, regime, C0, K))
 
 
 def _trace(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
@@ -188,6 +186,7 @@ def unlearn_rate(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
     """Per-step privacy-recovery rate R_k of the fine-tuning chain."""
     if not C_k > 0:
         raise ValueError(f"C_k must be positive, got {C_k}")
+    C_k = float(C_k)  # a numpy scalar warns where growth * C_k leaves float64
     noise = 2.0 * ns.eta * ns.sigma ** 2
     if regime is Regime.STRONGLY_CONVEX:
         return noise / C_k
@@ -218,7 +217,7 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
         C0 = default_c0(pc, ns, regime)
     if K is None:
         K = ns.K
-    _check_chain(pc, ns, regime, C0, K)
+    K = _check_chain(pc, ns, regime, C0, K)
     decay, _ = _decay_sum(pc, ns, regime, C0, K)
     return RenyiBound(eps0.slope, eps0.decay + decay)
 
@@ -264,15 +263,11 @@ def learn_epsilon0(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
 def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
              T: float | None = None, C0: float | None = None) -> tuple[float, float]:
     """learn_epsilon0's slope, checks included (VacuousBound past float64), and its C0."""
-    # int first: the ABC check alone costs about 0.5 us per calibration probe
-    if not (type(S) is int or isinstance(S, numbers.Integral)) or S < 1:
-        raise ValueError(f"group size S must be an integer >= 1, got {S!r}")
+    S = _count(S, "group size S", least=1)
     if T is None:
         T = ns.T
-    if not math.isinf(T):
-        if T < 0 or not float(T).is_integer():
-            raise ValueError(f"T must be a non-negative integer or INFINITE, got {T}")
-        T = int(T)
+    if T != INFINITE:
+        T = _count(T, "T")
     if C0 is None:
         C0 = default_c0(pc, ns, regime)
     validate_schedule(pc, ns, regime, c_lsi=C0 if regime is Regime.STRONGLY_CONVEX else None)

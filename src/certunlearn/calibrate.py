@@ -14,7 +14,7 @@ import numpy as np
 from .accountant import (ALPHA_GRID, _at_orders, _check_start, _converted, _decay_sum,
                          _learned, _optimize_order, _order_term)
 from .constants import (INFINITE, SIGMA_RANGE, SIGMA_RANGE_TEXT, NoiseSchedule,
-                        ProblemConstants, Regime)
+                        ProblemConstants, Regime, _count)
 from .errors import BudgetUnreachable, CapOverflow, NoFeasibleSigma, VacuousBound
 
 DEFAULT_K_MAX = 10 ** 6
@@ -40,8 +40,7 @@ def find_min_k(eps_hat: float, delta: float, pc: ProblemConstants, ns: NoiseSche
     """
     if not eps_hat > 0:
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _count(k_max, "k_max", least=1)
 
     stream, exps = _Stream(pc, ns, regime), {}
     slope = stream.slope(S)
@@ -111,8 +110,7 @@ def binary_search_sigma(eps_hat: float, delta: float, k_hat: int,
     if not SIGMA_RANGE[0] <= sigma_lo < sigma_hi <= SIGMA_RANGE[1]:
         lo, hi = SIGMA_RANGE_TEXT
         raise ValueError(f"need {lo} <= sigma_lo < sigma_hi <= {hi}, got {sigma_lo}, {sigma_hi}")
-    if k_hat < 0:
-        raise ValueError(f"k_hat must be >= 0, got {k_hat}")
+    k_hat = _count(k_hat, "k_hat")
     if eta is None:
         eta = 1.0 / pc.L
     exps = {}
@@ -183,7 +181,7 @@ class _Stream:
     def admit(self, size: int, k: int) -> tuple[float, float]:
         """Append a request; returns its (slope, decay sum)."""
         slope = self.slope(size)  # first: it checks the schedule the decay relies on
-        _check_start(self.c_start, k)
+        k = _check_start(self.c_start, k)
         decay, self.c_start = self.decay(k)
         self.slopes.append(slope)
         self.decays.append(decay)
@@ -275,8 +273,7 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
     convex traces are constant so this coincides with the single-request
     decay rate.
     """
-    if i < 1:
-        raise ValueError(f"request index i must be >= 1, got {i}")
+    i = _count(i, "request index i", least=1)
     if len(K_list) < i:
         raise ValueError(f"K_list has {len(K_list)} entries, need at least {i}")
     sizes = list(batch_sizes) if batch_sizes is not None else [b] * i
@@ -286,7 +283,7 @@ def sequential_epsilon(alpha, sigma: float, b: int, i: int, K_list: Sequence[int
     stream = _Stream(pc, NoiseSchedule(eta=1.0 / pc.L if eta is None else eta, sigma=sigma),
                      regime)
     for j in range(i):
-        stream.admit(sizes[j], int(K_list[j]))
+        stream.admit(sizes[j], K_list[j])
     return _at_orders(stream.curve, alpha)
 
 
@@ -313,8 +310,8 @@ def sequential_k_schedule(eps_hat: float, delta: float, sigma: float, s_total: i
     """
     if not eps_hat > 0:
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
-    if s_total < 1 or b < 1:
-        raise ValueError("s_total and b must be >= 1")
+    s_total, b = _count(s_total, "s_total", least=1), _count(b, "b", least=1)
+    k_max = _count(k_max, "k_max")
     full, rem = divmod(s_total, b)
     sizes = [b] * full + ([rem] if rem else [])
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -87,11 +88,21 @@ SIGMA_RANGE = (float(SIGMA_RANGE_TEXT[0]), float(SIGMA_RANGE_TEXT[1]))
 keep float64 headroom on every preset."""
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """A step count, request index or group size as an int: an integer,
+    Python's or numpy's, of at least `least`; ValueError naming it otherwise."""
+    if type(value) is int and value >= least:  # the probe loops' case, without the ABC check
+        return value
+    if isinstance(value, numbers.Integral) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Step size, noise level, and iteration counts of the PNGD chain.
 
-    T may be `INFINITE` to select the converged-training bounds.
+    T and K are step counts; T may be `INFINITE` to select the converged-training bounds.
     """
 
     eta: float
@@ -104,13 +115,9 @@ class NoiseSchedule:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if math.isinf(self.T):
-            if self.T < 0:
-                raise ValueError("T must be a positive integer or INFINITE")
-        elif not (float(self.T).is_integer() and self.T >= 0):
-            raise ValueError(f"T must be a non-negative integer or INFINITE, got {self.T}")
-        if not (isinstance(self.K, (int,)) and self.K >= 0):
-            raise ValueError(f"K must be a non-negative integer, got {self.K}")
+        if self.T != INFINITE:
+            _count(self.T, "T")
+        _count(self.K, "K")
 
     def with_(self, **kw) -> "NoiseSchedule":
         return replace(self, **kw)

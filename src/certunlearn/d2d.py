@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ProblemConstants
+from .constants import ProblemConstants, _count
 from .errors import InfeasibleBudget
 from .pngd import project_ball
 
@@ -35,12 +35,11 @@ def _contraction(L: float, m: float) -> float:
 
 def d2d_train(objective, T: int, init: np.ndarray) -> np.ndarray:
     """Deterministic projected GD at step 2/(L + m); bit-identical across runs."""
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    T = _count(T, "T")
     pc = objective.constants
     step = 2.0 / (pc.L + pc.m)
     w = project_ball(np.array(init, dtype=float), pc.R)
-    for _ in range(int(T)):
+    for _ in range(T):
         w = project_ball(w - step * objective.grad(w), pc.R)
     return w
 
@@ -65,6 +64,7 @@ def d2d_sigma_thm9(eps: float, delta: float, I: int, M: float, m: float,
     - sqrt(log(1/delta)))).
     """
     _check_eps_delta(eps, delta)
+    I = _count(I, "I")
     if I < 1:
         raise InfeasibleBudget(f"I must be >= 1, got {I}")
     gI = _contraction(L, m) ** I
@@ -101,8 +101,7 @@ class Thm28Calibration:
     def iterations(self, i: int) -> int:
         """Total deterministic steps for the i-th sequential request;
         InfeasibleBudget once 4*d*i/delta overflows float64."""
-        if i < 1:
-            raise ValueError(f"request index must be >= 1, got {i}")
+        i = _count(i, "request index i", least=1)
         # 4*d*i/delta > 4 for d, i >= 1 and delta < 1, so the inner log is positive
         ratio = 4.0 * self.d * i / self.delta
         if ratio == math.inf:

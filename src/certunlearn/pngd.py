@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import NoiseSchedule
+from .constants import NoiseSchedule, _count
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -116,8 +116,7 @@ def unlearn(params: np.ndarray, objective, K: int, ns: NoiseSchedule,
     `objective` must be built on the post-request dataset; K = 0 returns the
     parameters unchanged.
     """
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    K = _count(K, "K")
     _noise_scale(ns.eta, ns.sigma)  # once per call, also for no steps
     R = objective.constants.R
     w = np.array(params, dtype=float)

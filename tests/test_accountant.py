@@ -223,6 +223,17 @@ class TestFloat64Edges:
         assert learn_epsilon0(pc, ns, nc, T=5).slope == pytest.approx(
             2.0 * ns.eta * pc.M ** 2 / (ns.sigma ** 2 * pc.n ** 2) * q, rel=1e-12)
 
+    def test_numpy_scalar_lsi_constant_past_float64_gives_rate_0(self):
+        # a trace entry is a numpy scalar, whose growth * C_k overflow warned
+        pc = ProblemConstants(L=1e150, m=0.0, M=0.0078, R=0.09, n=1000, d=1)
+        ns = NoiseSchedule(eta=3.0, sigma=1e150)
+        nc = Regime.NONCONVEX
+        c_k = lsi_unlearn_trace(pc, ns, nc, 1.0, 2).values[1]
+        assert isinstance(c_k, np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unlearn_rate(pc, ns, nc, c_k) == 0.0 == unlearn_rate(pc, ns, nc, float(c_k))
+
     @pytest.mark.parametrize("M,sigma", [(1e200, 0.03), (1e308, 0.03), (1e154, 1e-3)])
     def test_learning_slope_past_float64_is_vacuous(self, mnist, M, sigma):
         # M^2 overflows (1e200, 1e308), or the slope does (1e154 at sigma 1e-3)
@@ -908,13 +919,16 @@ class TestScalarFastPath:
 _EXTREMES = (0.0, 5e-324, 1e-300, 1e-150, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e150, 1e155, 1e200,
              1e308, math.inf, math.nan, -1.0)
 _value = st.one_of(st.sampled_from(_EXTREMES), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
-_count = st.one_of(st.sampled_from((-1, 0, 1, 2, 3, 300)), st.integers(0, 300))
+# counts, and values that are not counts (nan, inf, whole and fractional floats)
+_count = st.one_of(st.sampled_from((-1, 0, 1, 2, 3, 300, 0.5, 2.5, 2.0, math.inf, -math.inf,
+                                    math.nan, np.int64(3))), st.integers(0, 300))
 
 
 class TestPublicEntriesFuzz:
     """Every input to a public accountant entry ends in a result or a typed
     error: a ValueError for a bad argument or a CertUnlearnError, never
-    another exception or a numpy warning."""
+    another exception or a numpy warning; and only integer counts S and K
+    end in a result."""
 
     # T stays small: a finite T costs a T-step loop, like K past k_max
     @settings(max_examples=600, deadline=None, derandomize=True)
@@ -933,6 +947,10 @@ class TestPublicEntriesFuzz:
     @example(entry="learn_epsilon0", L=1e-8, m=5e-324, M=0.036, R=1e8, n=1, eta=0.03,
              sigma=1e-8, T=INFINITE, regime=Regime.STRONGLY_CONVEX, delta=1e-5, eps=1.0,
              alpha=2.0, S=1, K=1)
+    # a fractional K certified 0.31491, between K = 2's and K = 3's certificates
+    @example(entry="converted_epsilon", L=0.2619, m=0.0119, M=1.0, R=100.0, n=11982,
+             eta=1 / 0.2619, sigma=0.03, T=INFINITE, regime=Regime.STRONGLY_CONVEX,
+             delta=1 / 11982, eps=1.0, alpha=2.0, S=1, K=2.5)
     def test_ends_in_a_result_or_a_typed_error(self, entry, L, m, M, R, n, eta, sigma, T,
                                                regime, delta, eps, alpha, S, K):
         if m > L:  # ordered as ProblemConstants needs, so that more draws reach a call
@@ -955,9 +973,12 @@ class TestPublicEntriesFuzz:
             "binary_search_sigma": lambda: binary_search_sigma(
                 eps, delta, K, pc, Regime.STRONGLY_CONVEX, S=S, eta=eta),
         }[entry]
+        counts = {"find_min_k": (S,), "learn_epsilon0": (S,), "sequential_k_schedule": (S,),
+                  "retrain_saving_lower_bound": ()}.get(entry, (S, K))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 call()
             except (ValueError, CertUnlearnError):
-                pass
+                return
+        assert all(isinstance(c, (int, np.integer)) for c in counts), f"certified at {counts}"

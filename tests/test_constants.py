@@ -1,13 +1,16 @@
 import math
+import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from certunlearn import (INFINITE, ConfigError, NoiseSchedule, ProblemConstants,
-                         Regime, RenyiBound, binary_search_sigma, converted_epsilon,
-                         default_c0, find_min_k, get_preset, learn_epsilon0,
-                         lsi_unlearn_trace, regime_for,
-                         sequential_epsilon, sequential_k_schedule, unlearn_epsilon,
-                         validate_schedule)
+                         Regime, RenyiBound, binary_search_sigma, calibrate, converted_epsilon,
+                         d2d_sigma_thm9, d2d_sigma_thm28, d2d_train, default_c0, find_min_k,
+                         get_preset, learn_epsilon0, lsi_unlearn_trace, make_rng,
+                         quadratic_objective, regime_for, sequential_epsilon,
+                         sequential_k_schedule, unlearn, unlearn_epsilon, validate_schedule)
 from certunlearn.constants import SIGMA_RANGE
 from certunlearn.harness import ExperimentConfig
 
@@ -186,3 +189,105 @@ class TestRegimeValidation:
         ns = NoiseSchedule(eta=0.25, sigma=2.0)
         assert default_c0(pc, ns, Regime.STRONGLY_CONVEX) == pytest.approx(16.0)
         assert default_c0(pc.with_(m=0.0), ns, Regime.CONVEX) == pytest.approx(1.0)
+
+
+def _count_setup():
+    """mnist38 at sigma = 0.03 with one fine-tuning step, a convex chain, and
+    a quadratic objective for the engines."""
+    pr = get_preset("mnist38")
+    convex = ProblemConstants(L=1.0, m=0.0, M=1.0, R=0.5, n=10 ** 4, d=1)
+    return SimpleNamespace(
+        pc=pr.pc, regime=pr.regime, delta=pr.delta, eta=pr.eta,
+        ns=NoiseSchedule(eta=pr.eta, sigma=0.03, T=INFINITE, K=1),
+        convex=convex, convex_ns=NoiseSchedule(eta=1.0, sigma=1.0, T=INFINITE, K=1),
+        thm28=d2d_sigma_thm28(1.0, pr.delta, pr.pc.M, pr.pc.m, pr.pc.n, pr.pc.L, pr.pc.d),
+        obj=quadratic_objective(np.zeros(2), 1.0))
+
+
+# (argument named in the error, call); the comment says what each did before
+_NOT_COUNTS = {
+    # bisected with mid = (lo + hi) // 2 == 1170.0 == lo forever
+    "find_min_k-k_max-1171.9": ("k_max", lambda c: find_min_k(
+        1.0, c.delta, c.pc, c.ns, c.regime, S=20, k_max=1171.9)),
+    # the schedule [1171.9]; the least integer is 1172
+    "sequential_k_schedule-k_max-1171.9": ("k_max", lambda c: sequential_k_schedule(
+        1.0, c.delta, 0.03, 20, 20, c.pc, c.regime, k_max=1171.9, eta=c.eta)),
+    # OverflowError
+    "find_min_k-k_max-inf": ("k_max", lambda c: find_min_k(
+        1e-9, c.delta, c.pc, c.ns, c.regime, k_max=math.inf)),
+    # 0.3149109536277974, between K = 2's and K = 3's certificates
+    "converted_epsilon-K-2.5": ("K", lambda c: converted_epsilon(
+        c.pc, c.ns, c.regime, 1, 2.5, c.delta)),
+    # 9.39117019381406e-06
+    "converted_epsilon-K-inf": ("K", lambda c: converted_epsilon(
+        c.pc, c.ns, c.regime, 1, math.inf, c.delta)),
+    # decay = inf
+    "unlearn_epsilon-K-inf": ("K", lambda c: unlearn_epsilon(
+        RenyiBound(1.0), c.pc, c.ns, c.regime, K=math.inf)),
+    # the converged slope 0.0026014284768268443
+    "learn_epsilon0-T--inf": ("T", lambda c: learn_epsilon0(
+        c.pc, c.ns, c.regime, T=-math.inf)),
+    # truncated to K = 2's 0.004971744075190378
+    "sequential_epsilon-K_list-2.7": ("K", lambda c: sequential_epsilon(
+        2.0, 0.03, 1, 1, [2.7], c.pc, c.regime, eta=c.eta)),
+    # truncated to 2 steps
+    "d2d_train-T-2.5": ("T", lambda c: d2d_train(c.obj, 2.5, np.ones(2))),
+    # sigma = 1.7069661496178041
+    "d2d_sigma_thm9-I-1.5": ("I", lambda c: d2d_sigma_thm9(
+        1.0, c.delta, 1.5, c.pc.M, c.pc.m, c.pc.n, c.pc.L)),
+    # 124 steps
+    "Thm28Calibration.iterations-1.5": ("request index i", lambda c: c.thm28.iterations(1.5)),
+    # the rest ended in a bare TypeError or OverflowError
+    "convex-converted_epsilon-K-2.5": ("K", lambda c: converted_epsilon(
+        c.convex, c.convex_ns, Regime.CONVEX, 1, 2.5, 1e-4)),
+    "convex-lsi_unlearn_trace-K-2.5": ("K", lambda c: lsi_unlearn_trace(
+        c.convex, c.convex_ns, Regime.CONVEX, 1.0, 2.5)),
+    "sequential_epsilon-i-1.5": ("request index i", lambda c: sequential_epsilon(
+        2.0, 0.03, 1, 1.5, [1, 1], c.pc, c.regime, eta=c.eta)),
+    "sequential_k_schedule-b-2.5": ("b", lambda c: sequential_k_schedule(
+        1.0, c.delta, 0.03, 20, 2.5, c.pc, c.regime, eta=c.eta)),
+    "sequential_k_schedule-s_total-5.5": ("s_total", lambda c: sequential_k_schedule(
+        1.0, c.delta, 0.03, 5.5, 1, c.pc, c.regime, eta=c.eta)),
+    "unlearn-K-2.5": ("K", lambda c: unlearn(
+        np.ones(2), c.obj, 2.5, NoiseSchedule(eta=0.1, sigma=0.1, T=0), make_rng(0))),
+    "d2d_train-T-inf": ("T", lambda c: d2d_train(c.obj, math.inf, np.ones(2))),
+    # a whole float T was accepted, as S = 2.0 was not
+    "NoiseSchedule-T-2.0": ("T", lambda c: NoiseSchedule(eta=c.eta, sigma=0.03, T=2.0)),
+    "learn_epsilon0-T-2.0": ("T", lambda c: learn_epsilon0(c.pc, c.ns, c.regime, T=2.0)),
+}
+
+
+class TestCounts:
+    """Every step count, request index and group size is an integer, Python's
+    or numpy's; anything else raises a ValueError naming the argument."""
+
+    @pytest.fixture(autouse=True)
+    def probe_cap(self, monkeypatch):
+        # a K search that cannot end fails here instead of hanging
+        least_k = calibrate._least_k
+
+        def capped(ok, k_max, guess=0):
+            probes = []
+
+            def counted(k):
+                probes.append(k)
+                assert len(probes) <= 200, f"the search keeps probing {probes[-3:]}"
+                return ok(k)
+            return least_k(counted, k_max, guess)
+        monkeypatch.setattr(calibrate, "_least_k", capped)
+
+    @pytest.mark.parametrize("row", list(_NOT_COUNTS))
+    def test_a_count_that_is_not_an_integer_is_rejected(self, row):
+        name, call = _NOT_COUNTS[row]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer >= "):
+            call(_count_setup())
+
+    def test_numpy_integer_counts_keep_the_int_bits(self):
+        c = _count_setup()
+        ns = NoiseSchedule(eta=c.eta, sigma=0.03, T=INFINITE, K=np.int64(2))
+        assert (converted_epsilon(c.pc, ns, c.regime, 1, np.int64(2), c.delta)
+                == converted_epsilon(c.pc, c.ns, c.regime, 1, 2, c.delta))
+        assert (learn_epsilon0(c.convex, c.convex_ns, Regime.CONVEX, T=np.int64(3))
+                == learn_epsilon0(c.convex, c.convex_ns, Regime.CONVEX, T=3))
+        assert np.array_equal(d2d_train(c.obj, np.int64(2), np.ones(2)),
+                              d2d_train(c.obj, 2, np.ones(2)))
