@@ -1,6 +1,6 @@
 """Renyi privacy accountant for projected noisy gradient descent.
 
-Pure, deterministic formulas. Three ingredients compose:
+Pure, deterministic formulas. Four ingredients compose:
 
   * `learn_epsilon0` - the Renyi privacy loss of the training chain run on
     two datasets differing in at most S samples (a curve eps0(alpha)).
@@ -9,11 +9,13 @@ Pure, deterministic formulas. Three ingredients compose:
     log-Sobolev (LSI) constant recursion.
   * `rdp_to_dp` - conversion of a Renyi curve into a single (eps, delta)
     guarantee by optimizing the Renyi order alpha.
+  * `_Stream` - removal requests composed by the weak triangle inequality,
+    and the K-probe predicate of the next request that calibration searches.
 
 Every single-request curve has the form eps(alpha) = exp(-decay/alpha) *
 slope * alpha, so a curve is a `RenyiBound` value holding its two scalars,
-and `rdp_to_dp` converts it from them. Everything here is a pure function
-of its arguments; there is no shared mutable state.
+and `rdp_to_dp` converts it from them. Apart from a `_Stream`, which a
+caller builds and feeds for one stream, there is no shared mutable state.
 """
 from __future__ import annotations
 
@@ -222,18 +224,13 @@ def unlearn_epsilon(eps0: RenyiBound, pc: ProblemConstants, ns: NoiseSchedule,
     return RenyiBound(eps0.slope, eps0.decay + decay)
 
 
-def _learning_caps(pc: ProblemConstants, ns: NoiseSchedule) -> float:
-    """Ball-geometry cap for the learning chain's half-noise decomposition."""
-    return lsi_cap(pc.R, pc.M, ns.eta, ns.eta * ns.sigma ** 2)
-
-
 def _sum_product_finite(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime,
                         C0: float, T: int) -> float:
     """sum_{t<T} prod_{t'=t..T-1} (1 + eta sigma^2 / C_{t',1})^{-1}, compensated."""
     if T == 0:
         return 0.0
-    cap = _learning_caps(pc, ns)
     half = ns.eta * ns.sigma ** 2
+    cap = lsi_cap(pc.R, pc.M, ns.eta, half)  # the learning chain's half-noise cap
     growth = _growth(pc, ns, regime)
     r = np.empty(T, dtype=float)
     c = C0
@@ -284,7 +281,8 @@ def _learned(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, S: int,
     else:
         # at T = INFINITE the LSI constants saturate at the cap, where
         # Q <- r(Q + 1) has the fixed point r/(1 - r) = cap/(eta sigma^2)
-        q = (_learning_caps(pc, ns) / (ns.eta * ns.sigma ** 2) if math.isinf(T)
+        half = ns.eta * ns.sigma ** 2
+        q = (lsi_cap(pc.R, pc.M, ns.eta, half) / half if math.isinf(T)
              else _sum_product_finite(pc, ns, regime, C0, T))
         slope = 2.0 * ns.eta * S * S * M2 / (ns.sigma ** 2 * pc.n ** 2) * q
     if not math.isfinite(slope):
@@ -420,6 +418,163 @@ def _optimize_order(on_grid: np.ndarray, curve: Callable[[float], float],
             break
     refined = min(probes, default=best)
     return refined if refined[0] < best[0] else best
+
+
+# the weak triangle inequality's weight on ALPHA_GRID; shared, so read-only
+_GRID_WEIGHT = (ALPHA_GRID - 0.5) / (ALPHA_GRID - 1.0)
+_GRID_WEIGHT.flags.writeable = False
+
+
+class _Stream:
+    """The accountant chain of a removal stream, each constant computed once;
+    a single request is a stream of one.
+
+    Holds the learning slope of each distinct batch size (one _learned call
+    each, which checks the schedule and gives the starting LSI constant C0)
+    and the decay sum of every admitted request, and threads the LSI
+    constant of convex and non-convex chains from one request to the next.
+    The loss after request i needs the loss after request i-1 at twice the
+    order, so request j of i is evaluated at alpha*2^(i-j).
+    """
+
+    def __init__(self, pc: ProblemConstants, ns: NoiseSchedule, regime: Regime):
+        self.pc, self.ns, self.regime = pc, ns, regime
+        self.c_start: float | None = None  # the first _learned call's C0
+        self.slopes: list[float] = []
+        self.decays: list[float] = []
+        self._slope_of: dict[int, float] = {}
+
+    def slope(self, size: int) -> float:
+        if size not in self._slope_of:
+            self._slope_of[size], c0 = _learned(self.pc, self.ns, self.regime, size)
+            if self.c_start is None:
+                self.c_start = c0
+        return self._slope_of[size]
+
+    def decay(self, k: int) -> tuple[float, float]:
+        """Decay sum of a next request of k >= 0 steps, and its final LSI constant."""
+        return _decay_sum(self.pc, self.ns, self.regime, self.c_start, k)
+
+    def admit(self, size: int, k: int) -> tuple[float, float]:
+        """Append a request; returns its (slope, decay sum)."""
+        slope = self.slope(size)  # first: it checks the schedule the decay relies on
+        k = _check_start(self.c_start, k)
+        decay, self.c_start = self.decay(k)
+        self.slopes.append(slope)
+        self.decays.append(decay)
+        return slope, decay
+
+    @staticmethod
+    def single(pc: ProblemConstants, ns: NoiseSchedule, regime: Regime, size: int,
+               k: int) -> tuple[float, float]:
+        """A new stream's admit(size, k), with no object: a single request's chain."""
+        slope, c0 = _learned(pc, ns, regime, size)  # C0 > 0 is checked
+        return slope, _decay_sum(pc, ns, regime, c0, _count(k, "K"))[0]
+
+    def curve(self, alpha: np.ndarray) -> np.ndarray:
+        """Loss after the last admitted request at every order in alpha, an
+        ndarray of any shape (0-d included); +inf where an unrolled order
+        overflows float64.
+
+        Request j's level at order a = alpha*2^(n-1-j) is exp(-decay/a) times
+        slope*a (first request), else times the weak triangle chain of slope*2a
+        with the previous level. The levels run under one errstate, and nan
+        becomes +inf once, at the end: a nan level stays nan through every
+        later level, and an inf level stays inf or turns nan, so the result is
+        the one a per-level map would give."""
+        flat, n, out = alpha.reshape(-1), len(self.decays), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (slope, decay) in enumerate(zip(self.slopes, self.decays)):
+                a = np.ldexp(flat, n - 1 - j)
+                factor = np.exp(-decay / a)
+                out = (factor * slope * a if out is None
+                       else factor * ((a - 0.5) / (a - 1.0)) * (slope * 2.0 * a + out))
+        out[np.isnan(out)] = np.inf
+        return out.reshape(alpha.shape)
+
+    def probe(self, size: int, eps_hat: float, delta: float,
+              k_max: int) -> tuple[Callable[[int], bool], int | None]:
+        """K probe of a next request of this size, not admitted: ok(k) is rdp_to_dp's
+        verdict on eps_hat with the request at k steps, its grid factors computed
+        once; and the strongly convex start _grid_k, else None."""
+        room = eps_hat - _order_term(delta)  # what the loss may take at each grid order
+        slope = self.slope(size)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lift = slope * 2.0 * ALPHA_GRID + self.curve(2.0 * ALPHA_GRID) if self.decays else None
+            k_grid = (_grid_k(slope * ALPHA_GRID if lift is None else _GRID_WEIGHT * lift,
+                              self.decay(1)[0], room, k_max)
+                      if self.regime is Regime.STRONGLY_CONVEX else None)
+
+        def ok(k: int) -> bool:
+            decay, _ = self.decay(k)
+            at = _scalar_curve(self.slopes + [slope], self.decays + [decay])
+            with np.errstate(over="ignore", invalid="ignore"):  # curve's level, hoisted
+                factor = np.exp(-decay / ALPHA_GRID)
+                on_grid = (factor * slope * ALPHA_GRID if lift is None
+                           else factor * _GRID_WEIGHT * lift)
+            on_grid[np.isnan(on_grid)] = np.inf
+            return _optimize_order(on_grid, at, delta, eps_hat, at)[0] <= eps_hat
+        return ok, k_grid
+
+
+def _scalar_curve(slopes: list[float], decays: list[float]) -> Callable[..., float]:
+    """Loss at one order after requests of these learning slopes and decay sums.
+
+    O(i) per order: the i decay factors come from one vectorized exp
+    (bit-identical to per-order numpy exp, unlike math.exp), then the
+    levels run on Python floats. Request j's order alpha*2^(i-j) is alpha
+    times an exact power of two, as exact as ldexp; past float64 it is +inf.
+
+    Called as at(a, b) it is instead a floor of the loss over the orders in
+    [a, b], in the same loop: every level is a product of non-negative
+    factors, so it takes the increasing ones (exp(-decay/alpha) and
+    slope*2*alpha) at a*2^k and the decreasing weight (alpha - 1/2)/(alpha - 1)
+    at b*2^k. Its rounding stays far inside _optimize_order's relative
+    margin; a floor that meets an overflowing order is nan, which tells
+    _optimize_order nothing.
+    """
+    neg_decays = -np.array(decays)
+    top = len(slopes) - 1
+    if top < 1024:  # 2^top is finite
+        scales = np.ldexp(1.0, np.arange(top, -1, -1))
+    else:
+        with np.errstate(over="ignore"):
+            scales = np.ldexp(1.0, np.arange(top, -1, -1))
+    # alpha * 2^top stays finite exactly below 2^(1024 - top)
+    finite_below = math.ldexp(1.0, 1024 - top) if top else math.inf
+
+    def scaled(x: float) -> np.ndarray:  # x * 2^(i-j) per request j, +inf past float64
+        if x < finite_below:
+            return x * scales
+        with np.errstate(over="ignore"):
+            return x * scales
+
+    def at(alpha: float, hi: float | None = None) -> float:
+        orders = scaled(alpha)
+        levels = weights = orders.tolist()
+        if hi is not None:
+            weights = scaled(hi).tolist()
+        out = None
+        for factor, a, w, s in zip(np.exp(neg_decays / orders).tolist(), levels, weights,
+                                   slopes):  # _Stream.curve's level, weight at order w
+            out = (factor * s * a if out is None
+                   else factor * ((w - 0.5) / (w - 1.0)) * (s * 2.0 * a + out))
+        return out if hi is not None or not math.isnan(out) else math.inf
+    return at
+
+
+def _grid_k(base: np.ndarray, rate: float, room: np.ndarray, k_max: int) -> int | None:
+    """Least K in [0, k_max] at which a strongly convex request's grid loss
+    exp(-K*rate/alpha) * base(alpha) meets `room` (the target less the delta
+    term) at some grid order, up to rounding; None when no order gives a
+    finite K. An order certifies from K >= alpha*log(base/room)/rate on, and
+    only where room > 0. The caller silences numpy's warnings."""
+    if not rate > 0:
+        return None
+    need = np.where(room > 0, ALPHA_GRID * np.log(base / room), np.inf).min() / rate
+    if not math.isfinite(need):
+        return None
+    return min(max(math.ceil(need), 0), k_max)
 
 
 def adjacency_bound_unbiased(F: float, n: int) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -87,15 +88,17 @@ SIGMA_RANGE = (float(SIGMA_RANGE_TEXT[0]), float(SIGMA_RANGE_TEXT[1]))
 """Noise levels the accountant accepts: sigma^2, sigma^2/m and m*sigma^2
 keep float64 headroom on every preset."""
 
+_COUNT_MAX = int(sys.float_info.max)  # an int, which a count compares to fastest
+
 
 def _count(value, name: str, least: int = 0) -> int:
-    """A step count, request index or group size as an int: an integer,
-    Python's or numpy's, of at least `least`; ValueError naming it otherwise."""
-    if type(value) is int and value >= least:  # the probe loops' case, without the ABC check
+    """A step count, request index or group size as an int: an integer, Python's or
+    numpy's, from `least` up to float64's max; ValueError naming it otherwise."""
+    if type(value) is int and least <= value <= _COUNT_MAX:  # the probe loops' case
         return value
-    if isinstance(value, numbers.Integral) and value >= least:
+    if isinstance(value, numbers.Integral) and least <= value <= _COUNT_MAX:
         return int(value)
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {least} within float64, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,8 @@ class NoiseSchedule:
     K: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if self.T != INFINITE:

@@ -52,7 +52,7 @@ def d2d_unlearn(params: np.ndarray, objective, I: int, sigma: float,
     the non-private intermediate."""
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    w = d2d_train(objective, I, params)
+    w = d2d_train(objective, _count(I, "I"), params)
     return w if sigma == 0.0 else w + sigma * rng.standard_normal(w.shape)
 
 

@@ -85,8 +85,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.trials < 0:
-            raise ConfigError("trials must be >= 0")
         if not self.eps_targets:
             raise ConfigError("need at least one eps target")
         # the float checks negate an in-range test, so that nan fails them too
@@ -95,14 +93,13 @@ class ExperimentConfig:
         # from the least normal float64 up, log(1/delta) and log(2/delta) stay finite
         if self.delta is not None and not sys.float_info.min <= self.delta < 1.0:
             raise ConfigError(f"delta must be in [{sys.float_info.min!r}, 1), got {self.delta!r}")
-        if self.k_budget < 0:
-            raise ConfigError(f"k_budget must be >= 0, got {self.k_budget}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        if self.s_total < 1:
-            raise ConfigError(f"total removals must be >= 1, got {self.s_total}")
-        if self.n_iter < 0:
-            raise ConfigError(f"n_iter must be >= 0, got {self.n_iter}")
+        # counts, bounded as the accountant's `_count` bounds them
+        for name, least, label in (("trials", 0, "trials"), ("k_budget", 0, "k_budget"),
+                                   ("batch", 1, "batch"), ("s_total", 1, "total removals"),
+                                   ("n_iter", 0, "n_iter")):
+            value = getattr(self, name)
+            if not least <= value <= sys.float_info.max:
+                raise ConfigError(f"{label} must be >= {least} within float64, got {value}")
         noise = self.sigma_grid + (() if self.sigma is None else (self.sigma,))
         if any(not SIGMA_RANGE[0] <= s <= SIGMA_RANGE[1] for s in noise):
             raise ConfigError(f"sigma values must lie in [{', '.join(SIGMA_RANGE_TEXT)}], "

@@ -16,13 +16,12 @@ from certunlearn import (CapOverflow, CertUnlearnError, INFINITE, NoiseSchedule,
                          retrain_saving_lower_bound, unlearn_epsilon, unlearn_rate,
                          VacuousBound)
 from certunlearn import accountant
-from certunlearn.accountant import ALPHA_GRID
-from certunlearn.calibrate import _scalar_curve
+from certunlearn.accountant import ALPHA_GRID, _scalar_curve
 
 
 def _weak_triangle(alpha, d1_at_2alpha, d2_at_2alpha):
     """Two Renyi differences at order 2*alpha chained into one at alpha: the
-    oracle of a stream level (calibrate._Stream.curve, _scalar_curve), which
+    oracle of a stream level (accountant._Stream.curve, _scalar_curve), which
     groups the product differently."""
     return (alpha - 0.5) / (alpha - 1.0) * (d1_at_2alpha + d2_at_2alpha)
 
@@ -374,9 +373,11 @@ class TestUnlearnEpsilon:
         def public(pc, regime, ns, S, K):
             bound = unlearn_epsilon(learn_epsilon0(pc, ns, regime, S=S), pc, ns, regime, K=K)
             return bound.slope, bound.decay
-        got = [outcome(lambda: calibrate._Stream(pc, ns, regime).admit(S, K))
+        got = [outcome(lambda: accountant._Stream(pc, ns, regime).admit(S, K))
                for pc, regime, ns, S, K in cases]
         assert got == [outcome(lambda: public(*case)) for case in cases]
+        assert got == [outcome(lambda: accountant._Stream.single(pc, ns, regime, S, K))
+                       for pc, regime, ns, S, K in cases]
         errors = [g[1] for g in got if isinstance(g[0], type)]
         assert [e.split(" ")[0] for e in errors] == [
             "group", "K", "eta=7.6365", "privacy", "LSI", "LSI", "C0", "strongly"]
@@ -919,9 +920,11 @@ class TestScalarFastPath:
 _EXTREMES = (0.0, 5e-324, 1e-300, 1e-150, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e150, 1e155, 1e200,
              1e308, math.inf, math.nan, -1.0)
 _value = st.one_of(st.sampled_from(_EXTREMES), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
-# counts, and values that are not counts (nan, inf, whole and fractional floats)
+# counts, and values that are not counts (nan, inf, whole and fractional floats,
+# an integer past float64's largest value)
+_PAST_FLOAT64 = 10 ** 400
 _count = st.one_of(st.sampled_from((-1, 0, 1, 2, 3, 300, 0.5, 2.5, 2.0, math.inf, -math.inf,
-                                    math.nan, np.int64(3))), st.integers(0, 300))
+                                    math.nan, np.int64(3), _PAST_FLOAT64)), st.integers(0, 300))
 
 
 class TestPublicEntriesFuzz:
@@ -936,7 +939,7 @@ class TestPublicEntriesFuzz:
                                   "sequential_epsilon", "sequential_k_schedule",
                                   "retrain_saving_lower_bound", "binary_search_sigma")),
            L=_value, m=_value, M=_value, R=_value, n=st.one_of(st.integers(1, 10 ** 6), _value),
-           eta=_value, sigma=_value, T=st.sampled_from((INFINITE, 0, 1, 3, 300)),
+           eta=_value, sigma=_value, T=st.sampled_from((INFINITE, 0, 1, 3, 300, _PAST_FLOAT64)),
            regime=st.sampled_from(Regime), delta=_value, eps=_value, alpha=_value,
            S=_count, K=_count)
     # the non-convex rate's growth * C_k overflowed a numpy scalar
@@ -982,3 +985,29 @@ class TestPublicEntriesFuzz:
             except (ValueError, CertUnlearnError):
                 return
         assert all(isinstance(c, (int, np.integer)) for c in counts), f"certified at {counts}"
+
+    # each ended in a bare OverflowError (K, S, T, k_hat), or, for eta = inf,
+    # in a CapOverflow about a nan exponent
+    @pytest.mark.parametrize("name, call", [
+        ("K", lambda pr, ns: converted_epsilon(pr.pc, ns, pr.regime, 1, _PAST_FLOAT64, pr.delta)),
+        ("group size S", lambda pr, ns: converted_epsilon(pr.pc, ns, pr.regime, _PAST_FLOAT64, 1,
+                                                          pr.delta)),
+        ("T", lambda pr, ns: learn_epsilon0(pr.pc, ns, pr.regime, T=_PAST_FLOAT64)),
+        ("k_hat", lambda pr, ns: binary_search_sigma(1.0, pr.delta, _PAST_FLOAT64, pr.pc,
+                                                     pr.regime, eta=pr.eta)),
+        ("K", lambda pr, ns: calibrate.sequential_epsilon(2.0, 0.03, 1, 1, [_PAST_FLOAT64], pr.pc,
+                                                          pr.regime, eta=pr.eta)),
+        ("s_total", lambda pr, ns: calibrate.sequential_k_schedule(
+            1.0, pr.delta, 0.03, _PAST_FLOAT64, 1, pr.pc, pr.regime, eta=pr.eta)),
+        ("k_max", lambda pr, ns: find_min_k(1.0, pr.delta, pr.pc, ns, pr.regime,
+                                            k_max=_PAST_FLOAT64)),
+        ("eta", lambda pr, ns: converted_epsilon(pr.pc, ns.with_(eta=math.inf), Regime.NONCONVEX,
+                                                 1, 1, pr.delta)),
+    ], ids=["converted_epsilon-K", "converted_epsilon-S", "learn_epsilon0-T",
+            "binary_search_sigma-k_hat", "sequential_epsilon-K", "sequential_k_schedule-s_total",
+            "find_min_k-k_max", "converted_epsilon-eta-inf"])
+    def test_a_value_past_float64_names_its_argument(self, name, call):
+        pr = get_preset("mnist38")
+        ns = NoiseSchedule(eta=pr.eta, sigma=0.03, T=INFINITE, K=1)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(pr, ns)

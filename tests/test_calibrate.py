@@ -199,7 +199,7 @@ class TestFindMinK:
             calls.append(args)
             return learned(*args, **kwargs)
 
-        monkeypatch.setattr(calibrate, "_learned", counting)
+        monkeypatch.setattr(accountant, "_learned", counting)
         ns = _ns(mnist, 0.03)
         k = find_min_k(1.0, mnist.delta, mnist.pc, ns, mnist.regime, S=100)
         assert k == ORACLE_FIND_K_S100
@@ -207,11 +207,10 @@ class TestFindMinK:
 
 
 def _record_optimize(monkeypatch, points=()):
-    """Record every _optimize_order call of the calibration searches (the
-    sigma and K probes convert through the accountant's, the schedule's K
-    probes call it from calibrate): its curve, delta, target, result and its
-    golden-section curve evaluations, and the last of `points` recorded
-    before it, if any."""
+    """Record every _optimize_order call of the calibration searches (every
+    sigma and K probe converts through the accountant's): its curve, delta,
+    target, result and its golden-section curve evaluations, and the last of
+    `points` recorded before it, if any."""
     optimize = accountant._optimize_order
     calls = []
 
@@ -228,7 +227,6 @@ def _record_optimize(monkeypatch, points=()):
         return out
 
     monkeypatch.setattr(accountant, "_optimize_order", recording)
-    monkeypatch.setattr(calibrate, "_optimize_order", recording)
     return calls
 
 
@@ -271,12 +269,12 @@ def _record_probe_points(monkeypatch):
     """Record the (schedule, K) at which each sigma or K probe builds its
     unlearned curve: every probe takes the decay sum at its K."""
     points = []
-    decay_sum = calibrate._decay_sum
+    decay_sum = accountant._decay_sum
 
     def at_decay(pc, ns, regime, C0, K):
         points.append((ns, K))
         return decay_sum(pc, ns, regime, C0, K)
-    monkeypatch.setattr(calibrate, "_decay_sum", at_decay)
+    monkeypatch.setattr(accountant, "_decay_sum", at_decay)
     return points
 
 
@@ -310,7 +308,7 @@ def _unlearned_case(preset, sigma, S, K):
     ns = NoiseSchedule(eta=preset.eta, sigma=sigma, T=INFINITE, K=K)
     bound = unlearn_epsilon(learn_epsilon0(preset.pc, ns, preset.regime, S=S), preset.pc,
                             ns, preset.regime, K=K)
-    slope, decay = calibrate._Stream(preset.pc, ns, preset.regime).admit(S, K)
+    slope, decay = accountant._Stream(preset.pc, ns, preset.regime).admit(S, K)
     return (bound,
             lambda target: accountant._converted(slope, decay, preset.delta, {}, target)[0]
             <= target,
@@ -320,17 +318,17 @@ def _unlearned_case(preset, sigma, S, K):
 def _stream_case(preset, sigma, ks, sizes):
     """The curve after a stream of requests, the targeted verdict the
     schedule search reaches on it, and its floor."""
-    stream = calibrate._Stream(preset.pc, _ns(preset, sigma), preset.regime)
+    stream = accountant._Stream(preset.pc, _ns(preset, sigma), preset.regime)
     for size, k in zip(sizes, ks):
         stream.admit(size, k)
     on_grid = stream.curve(ALPHA_GRID)
-    at = calibrate._scalar_curve(stream.slopes, stream.decays)
+    at = accountant._scalar_curve(stream.slopes, stream.decays)
     def bound(a):
         return sequential_epsilon(a, sigma, 1, len(ks), ks, preset.pc, preset.regime,
                                   eta=preset.eta, batch_sizes=sizes)
 
     def verdict(target):
-        return calibrate._optimize_order(on_grid, at, preset.delta, target, at)[0] <= target
+        return accountant._optimize_order(on_grid, at, preset.delta, target, at)[0] <= target
     return bound, verdict, at, preset.delta
 
 
@@ -382,7 +380,6 @@ class TestEarlyExits:
             return optimize(on_grid, curve, delta, target,
                             None if floor is None else lambda a, b: floor(b, a))
         monkeypatch.setattr(accountant, "_optimize_order", swapped)
-        monkeypatch.setattr(calibrate, "_optimize_order", swapped)
         bad = {n for n, _ in _verdict_mismatches(cases)}
         # caught on both an unlearned curve and a stream
         assert min(bad) < _UNLEARNED_CASES <= max(bad)
@@ -417,11 +414,11 @@ class TestStreamProbeCounts:
     """Counts, not clocks: a schedule's K probes are exact and machine-free,
     and the start of each request's search changes them, never the schedule."""
 
-    def _run(self, monkeypatch, args, eta, **patches):
+    def _run(self, monkeypatch, args, eta, module=calibrate, **patches):
         """The schedule (or its error type) and its K probe count, with the
-        calibrate attributes in `patches` replaced."""
+        attributes of `module` in `patches` replaced."""
         for name, value in patches.items():
-            monkeypatch.setattr(calibrate, name, value)
+            monkeypatch.setattr(module, name, value)
         calls = _record_optimize(monkeypatch)
         out = _schedule_or_error(*args, eta=eta)
         monkeypatch.undo()
@@ -444,7 +441,7 @@ class TestStreamProbeCounts:
                     warm, probes = self._run(monkeypatch, args, pr.eta)
                     cold, _ = self._run(monkeypatch, args, pr.eta, _least_k=_cold_least_k)
                     # the extrapolation alone, as before grid starts
-                    extrapolated, most = self._run(monkeypatch, args, pr.eta,
+                    extrapolated, most = self._run(monkeypatch, args, pr.eta, accountant,
                                                    _grid_k=lambda *a: None)
                     assert warm == cold == extrapolated and isinstance(warm, list)
                     assert probes <= most, (pr.name, sigma, b, probes, most)
@@ -716,10 +713,10 @@ class TestSequential:
                 sequential_epsilon(ALPHA_GRID, *args, **kw),
                 _recursive_sequential_epsilon(ALPHA_GRID, *args, **kw))
             # the schedule search's probe evaluator on the same requests
-            stream = calibrate._Stream(pc, NoiseSchedule(eta=eta, sigma=sigma), reg)
+            stream = accountant._Stream(pc, NoiseSchedule(eta=eta, sigma=sigma), reg)
             for size, k in zip(sizes, ks):
                 stream.admit(size, k)
-            probe = calibrate._scalar_curve(stream.slopes, stream.decays)
+            probe = accountant._scalar_curve(stream.slopes, stream.decays)
             for a in np.concatenate([ALPHA_GRID[::97], 1.0 + 10.0 ** rng.uniform(-6, 6, 20)]):
                 want = _recursive_sequential_epsilon(float(a), *args, **kw)
                 for got in (sequential_epsilon(float(a), *args, **kw), probe(float(a))):

@@ -158,6 +158,14 @@ class TestExitCodes:
         _assert_config_error_once(capsys.readouterr().err, caplog)
         assert not (tmp_path / "x.csv").exists()
 
+    def test_a_count_past_float64_is_config_error(self, tmp_path, capsys, caplog):
+        # a k_budget of 10**400 ended in a bare OverflowError traceback at exit 1
+        code = main(["calibrate-sigma", "--preset", "mnist38", "--eps", "1",
+                     "--k-budget", str(10 ** 400), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        _assert_config_error_once(capsys.readouterr().err, caplog)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_data_for_real_preset(self, tmp_path):
         code = main(["unlearn-one", "--preset", "mnist38", "--eps", "1",
                      "--trials", "1", "--out", str(tmp_path / "x.csv")])

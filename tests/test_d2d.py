@@ -176,6 +176,12 @@ class TestEngine:
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             d2d_unlearn(np.zeros(3), obj, 2, sigma, make_rng(0))
 
+    def test_unlearn_names_its_own_step_count(self):
+        # a fractional I was reported as d2d_train's T
+        obj = quadratic_objective(np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="^I must be an integer >= 0"):
+            d2d_unlearn(np.zeros(3), obj, 2.5, 0.1, make_rng(0))
+
     def test_unlearn_of_i_steps_makes_i_grad_calls(self):
         obj = objective_for(make_synthetic(SyntheticSpec(n=150, d=6), seed=21))
         calls = []
