@@ -341,6 +341,14 @@ def _order_term(delta: float) -> np.ndarray:
     return term
 
 
+@functools.lru_cache(maxsize=8)
+def _room(eps_hat: float, delta: float) -> np.ndarray:
+    """eps_hat less _order_term(delta): the loss's room at each grid order; read-only."""
+    room = eps_hat - _order_term(delta)
+    room.flags.writeable = False
+    return room
+
+
 def _golden_probes(a: float, b: float):
     """The orders golden-section search probes on [a, b], as a coroutine.
 
@@ -497,12 +505,11 @@ class _Stream:
         """K probe of a next request of this size, not admitted: ok(k) is rdp_to_dp's
         verdict on eps_hat with the request at k steps, its grid factors computed
         once; and the strongly convex start _grid_k, else None."""
-        room = eps_hat - _order_term(delta)  # what the loss may take at each grid order
         slope = self.slope(size)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             lift = slope * 2.0 * ALPHA_GRID + self.curve(2.0 * ALPHA_GRID) if self.decays else None
             k_grid = (_grid_k(slope * ALPHA_GRID if lift is None else _GRID_WEIGHT * lift,
-                              self.decay(1)[0], room, k_max)
+                              self.decay(1)[0], _room(eps_hat, delta), k_max)
                       if self.regime is Regime.STRONGLY_CONVEX else None)
 
         def ok(k: int) -> bool:

@@ -406,8 +406,15 @@ class TestEarlyExits:
 
 
 # K probes of the benchmark streams (mnist38, sigma=0.03, eps=1, 100 removals)
-# per batch size; the extrapolation-only start made 67, 110 and 131
-STREAM_PROBES = {20: 11, 10: 52, 5: 65}
+# per batch size. Each answer is the grid K or one below it, so a request
+# takes about two probes, ok(K) and ok(K - 1): 70 in all. Starting each search
+# at the grid K less the last request's overshoot comes within 5 of that; the
+# grid K, or the extrapolation where it fell below, made 11, 52 and 65, and
+# the extrapolation alone 67, 110 and 131
+STREAM_PROBES = {20: 11, 10: 21, 5: 43}
+# the same at b=1, where the extrapolation lands closest: it made 247 as the
+# start wherever it fell below the grid K
+STREAM_B1_PROBES = 228
 
 
 class TestStreamProbeCounts:
@@ -425,28 +432,34 @@ class TestStreamProbeCounts:
         return out, len(calls)
 
     def test_benchmark_streams_probe_counts(self, mnist, monkeypatch):
-        for b, most in STREAM_PROBES.items():
+        totals = {**ORACLE_SEQ_TOTALS, 1: 421661}
+        for b, most in {**STREAM_PROBES, 1: STREAM_B1_PROBES}.items():
             args = (1.0, mnist.delta, 0.03, 100, b, mnist.pc, mnist.regime)
             ks, probes = self._run(monkeypatch, args, mnist.eta)
-            assert sum(ks) == ORACLE_SEQ_TOTALS[b]
+            assert sum(ks) == totals[b]
             assert probes <= most, (b, probes)
 
     def test_grid_start_equals_cold_search_and_saves_probes(self, mnist, cifar_multi,
                                                             monkeypatch):
-        saved = 0
-        for pr in (mnist, cifar_multi, get_preset("synthetic")):
-            for sigma in (0.01, 0.1):
-                for b in (1, 5, 20):
-                    args = (1.0, pr.delta, sigma, 40, b, pr.pc, pr.regime)
-                    warm, probes = self._run(monkeypatch, args, pr.eta)
-                    cold, _ = self._run(monkeypatch, args, pr.eta, _least_k=_cold_least_k)
-                    # the extrapolation alone, as before grid starts
-                    extrapolated, most = self._run(monkeypatch, args, pr.eta, accountant,
-                                                   _grid_k=lambda *a: None)
-                    assert warm == cold == extrapolated and isinstance(warm, list)
-                    assert probes <= most, (pr.name, sigma, b, probes, most)
-                    saved += most - probes
-        assert saved > 0
+        # b=7 ends each 40-removal stream in a batch of 5, so the overshoot
+        # carries across a change of size; convex streams have no grid K
+        cases = [((1.0, pr.delta, sigma, 40, b, pr.pc, pr.regime), pr.eta)
+                 for pr in (mnist, cifar_multi, get_preset("synthetic"))
+                 for sigma in (0.01, 0.1) for b in (1, 5, 7, 20)]
+        cases += [((1.0, 1e-3, sigma, 12, b, _SMALL_CAP_PC, Regime.CONVEX, 5000), 1.0)
+                  for sigma in (1.0, 2.0) for b in (1, 2)]
+        saved, convex_steps = 0, 0
+        for args, eta in cases:
+            warm, probes = self._run(monkeypatch, args, eta)
+            cold, _ = self._run(monkeypatch, args, eta, _least_k=_cold_least_k)
+            # the extrapolation alone, as before grid starts
+            extrapolated, most = self._run(monkeypatch, args, eta, accountant,
+                                           _grid_k=lambda *a: None)
+            assert warm == cold == extrapolated and isinstance(warm, list)
+            assert probes <= most, (args, probes, most)
+            saved += most - probes
+            convex_steps += sum(warm) if args[6] is Regime.CONVEX else 0
+        assert saved > 0 and convex_steps > 0
 
 
 class TestBinarySearchSigma:
@@ -683,6 +696,13 @@ class TestSequential:
         assert sequential_k_schedule(*args, eta=mnist.eta) == [1]
         with pytest.raises(BudgetUnreachable):
             sequential_k_schedule(*args, k_max=0, eta=mnist.eta)
+
+    def test_a_stream_past_any_list_ends_in_budget_unreachable(self, mnist):
+        # batch sizes come one request at a time, so no list of 10**300 is
+        # built; the third b=1 request needs 29 steps
+        with pytest.raises(BudgetUnreachable):
+            sequential_k_schedule(1.0, mnist.delta, 0.03, 10 ** 300, 1, mnist.pc,
+                                  mnist.regime, k_max=10, eta=mnist.eta)
 
     def test_uneven_final_batch_uses_actual_size(self, mnist):
         ks = sequential_k_schedule(1.0, mnist.delta, 0.02, 7, 5, mnist.pc,
